@@ -22,8 +22,8 @@ from .radial import RadialSystem, generate as generate_radial_system
 from .ecp import (Box, HalfSpacePositive, MarketInstance, EcpOptions,
                   BoundsResult, solve_ecp, price_pi, verify_hedge,
                   compute_lower_phi)
-from .accp import (AccpOptions, DiscreteMeasure, solve_accp,
-                   extract_measure, detect_unbounded_flag)
+from .accp import (AccpOptions, DiscreteMeasure, LpContradictionError,
+                   solve_accp, extract_measure, detect_unbounded_flag)
 from .arbitrage import (OptionChain, RepairResult, DetectionResult,
                         repair_chain, chain_to_instance, detect,
                         filter_outliers)

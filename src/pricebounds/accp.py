@@ -29,6 +29,11 @@ from .ecp import (MarketInstance, BoundsResult, price_pi,
                   SUPPORT_ROUNDING, compute_lower_phi)
 
 
+class LpContradictionError(RuntimeError):
+    """The Chebyshev LP found the speculative band empty, but the
+    lower-bound LP over the same cuts has an optimum inside the band."""
+
+
 @dataclass
 class AccpOptions:
     epsilon: float = 1e-3
@@ -225,6 +230,12 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
             lp_count += 1
             if sol.status != "optimal":
                 raise RuntimeError("lower-bound LP status %s" % sol.status)
+            if sol.objective <= phi_mid:
+                # phi_lo would not pass phi_mid, and the next iteration
+                # would solve the same two LPs again
+                raise LpContradictionError(
+                    "band [%.9g, %.9g] is empty, yet the lower-bound LP "
+                    "reaches %.9g" % (phi_lo, phi_mid, sol.objective))
             phi_lo = sol.objective
             cd = float(sol.x[0])
             yd = sol.x[1:1 + m] - sol.x[1 + m:1 + 2 * m]
@@ -269,11 +280,17 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
                 rec.removable = True
                 gens[r].append(rec)
 
-        if c_r + price_pi(y_r, instance) - s_lo < phi_hi - eps:
-            phi_hi = c_r + price_pi(y_r, instance) - s_lo
+        hedge_cost = c_r + price_pi(y_r, instance) - s_lo
+        if hedge_cost < phi_hi:
+            # every certified hedge tightens the bound, but only a gain of
+            # eps counts as progress.  A center in the band gains at least
+            # half the gap, which is less than eps once the gap is below
+            # 2 eps: without this update the bracket would stall there.
+            improved = hedge_cost < phi_hi - eps
+            phi_hi = hedge_cost
             c_star = c_r - s_lo
             y_star = y_r.copy()
-            if s_lo >= 0:
+            if improved and s_lo >= 0:
                 for rec in records:
                     if 1 <= rec.generation <= r:
                         rec.removable = True
@@ -305,8 +322,6 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         status=status, lp_count=lp_count, milp_count=milp_count,
         milp_nodes=milp_nodes, iterations=r,
         wall_time=time.monotonic() - t0, caveats=caveats)
-    if dagger is not None:
-        dagger = dagger[:3] + (dagger[3],)
     return result, dagger
 
 

@@ -1,4 +1,4 @@
-"""Dense two-phase simplex LP solver with duals and certificates.
+"""Dense two-phase tableau simplex LP solver with duals and certificates.
 
 Solves  min <c, x>  s.t.  rows (a, rel, b) with rel in {<=, >=, =} and
 per-variable bounds.  Reports primal solution, row duals, a Farkas-style
@@ -6,9 +6,17 @@ certificate on infeasibility and an improving ray on unboundedness.  The
 final basis is refactorized (solve against the unpivoted matrix) so the
 reported solution and duals do not inherit tableau drift.
 
-Pivoting is Dantzig's rule with a deterministic tie-break, falling back
-to Bland's rule when the objective stalls, so identical inputs always
-produce identical outputs.
+Pivoting is Dantzig's rule, leaving on the largest pivot among tied
+rows, falling back to Bland's rule when the objective stalls.  Ties are
+broken deterministically, so identical inputs always produce identical
+outputs.
+
+A solve may start from the optimal solution of a program that has the
+same objective and rows and differs only in variable bounds, as a
+branch-and-bound child differs from its parent.  It keeps the parent's
+standard form, in which only the right-hand side moves, refactorizes the
+parent's basis, which stays dual feasible, and runs a dual simplex until
+the basis is primal feasible.
 """
 
 from __future__ import annotations
@@ -16,11 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 CONDITION_RATIO_MAX = 1e12
 MAX_ITER = 100000
+# smallest pivot element a ratio test or an artificial drive-out accepts;
+# smaller pivots amplify rounding until the tableau reports false verdicts
+PIVOT_TOL = 1e-9
 
 
 class ResourceLimitError(RuntimeError):
@@ -66,18 +78,41 @@ class LpSolution:
     farkas: np.ndarray = None  # certificate over rows, if infeasible
     ray: np.ndarray = None  # improving direction, if unbounded
     iterations: int = 0
+    # final basis and standard form, if optimal: the start of a re-solve
+    basis: np.ndarray = field(default=None, repr=False)
+    form: _StandardForm = field(default=None, repr=False)
+
+
+@dataclass
+class _StandardForm:
+    """A program as  min c.x + offset  s.t.  A x = b, x >= 0  over its
+    transformed variables (leading n_struct columns), slacks, surpluses
+    and artificials.  A, c and the row orientation depend only on the
+    objective, the rows and which variable bounds are finite; b, offset
+    and the bound values in maps are those of `program`."""
+    program: LinearProgram
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    offset: float
+    maps: list  # per variable: ("shift", lo, col) | ("neg", up, col) | free
+    n_struct: int
+    is_art: np.ndarray
+    init_ident: np.ndarray  # identity column of each row
+    orig_rows: np.ndarray  # program row of each leading standard row
+    orig_sign: np.ndarray  # -1.0 where that row was negated
+    ub_row: dict  # variable -> standard row of its upper bound
 
 
 def _check_conditioning(p: LinearProgram):
-    mags = []
-    for a, _, _ in p.rows:
-        nz = np.abs(a[a != 0.0])
-        if nz.size:
-            mags.append((nz.max(), nz.min()))
-    if not mags:
+    if not p.rows:
         return
-    hi = max(m[0] for m in mags)
-    lo = min(m[1] for m in mags)
+    mags = np.abs(np.array([a for a, _, _ in p.rows]))
+    nz = mags[mags != 0.0]
+    if not nz.size:
+        return
+    hi = nz.max()
+    lo = nz.min()
     if lo > 0 and hi / lo > CONDITION_RATIO_MAX:
         raise ConditioningError(
             "coefficient dynamic range %.3g exceeds %.3g" %
@@ -115,14 +150,19 @@ def _run_simplex(D, r, basis, allowed, tol, max_iter):
         else:
             pc = int(cand[np.argmin(r[cand])])
         col = D[:, pc]
-        pos = np.where(col > 1e-11)[0]
+        pos = np.where(col > PIVOT_TOL)[0]
         if pos.size == 0:
             return "unbounded", pc, it
         ratios = D[pos, -1] / col[pos]
         best = ratios.min()
         ties = pos[ratios <= best + 1e-12]
-        # deterministic: smallest basis index among tied rows
-        pr = int(ties[np.argmin(basis[ties])])
+        if use_bland:
+            # Bland's rule: smallest basis index among tied rows
+            pr = int(ties[np.argmin(basis[ties])])
+        else:
+            # the largest pivot among tied rows; smaller ones lengthen
+            # degenerate runs and amplify rounding
+            pr = int(ties[np.argmax(col[ties])])
         _pivot(D, r, basis, pr, pc)
         it += 1
         if r[-1] < last_obj - 1e-12:
@@ -132,8 +172,148 @@ def _run_simplex(D, r, basis, allowed, tol, max_iter):
             stall += 1
 
 
+def _factor(B):
+    """LU factors of B, or None when B is singular."""
+    lu, piv, info = dgetrf(B)
+    return None if info else (lu, piv)
+
+
+def _solve_factored(fac, v, trans=0):
+    """Solve B x = v (trans=0) or B^T x = v (trans=1) from B's factors."""
+    return dgetrs(fac[0], fac[1], v, trans=trans)[0]
+
+
+def _rows_of(form, v, m):
+    """Map a vector over standard-form rows onto the program's m rows."""
+    out = np.zeros(m)
+    out[form.orig_rows] = form.orig_sign * v[:len(form.orig_rows)]
+    return out
+
+
+def _finish(form, p, basis, b, offset, maps, iters, xB, y):
+    """Optimal solution at the final basis.  The basis is refactorized
+    against the unpivoted matrix; the pivoted basic values xB and duals y
+    over the standard-form rows are kept only when the refactorization is
+    singular or disagrees with them."""
+    fac = _factor(form.A[:, basis])
+    if fac is not None:
+        xB_fac = _solve_factored(fac, b)
+        if np.abs(xB_fac - xB).max() <= 1e-5 * (1.0 + abs(b).max(initial=0.0)):
+            xB = xB_fac
+            y = _solve_factored(fac, form.c[basis], trans=1)
+    x_std = np.zeros(len(form.c))
+    x_std[basis] = np.maximum(xB, 0.0)
+    x = _map_back(x_std[:form.n_struct], maps, len(p.objective))
+    return LpSolution(status="optimal", x=x, objective=float(p.objective @ x),
+                      row_duals=_rows_of(form, y, len(p.rows)),
+                      dual_objective=float(y @ b) + offset,
+                      iterations=iters, basis=basis.copy(), form=form)
+
+
+def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
+    """Re-solve p from start's basis in start's standard form.  None when
+    p is not start's program with other bounds, or when the dual simplex
+    ends without a checked result."""
+    form = start.form
+    if form is None:
+        return None
+    q = form.program
+    if (len(p.rows) != len(q.rows) or
+            not np.array_equal(p.objective, q.objective) or
+            any(a is not a0 or rel != rel0 or b != b0
+                for (a, rel, b), (a0, rel0, b0) in zip(p.rows, q.rows))):
+        return None
+    basis = start.basis.copy()
+    if form.is_art[basis].any():
+        return None
+
+    # a changed bound moves the rhs through its column's shift and through
+    # its upper-bound row; a bound that turns finite or infinite changes
+    # the columns
+    shift = np.zeros(form.n_struct)
+    offset = form.offset
+    maps = list(form.maps)
+    ub_rhs = {}
+    for j, (bd, bd0) in enumerate(zip(p.var_bounds, q.var_bounds)):
+        if bd == bd0:
+            continue
+        (lo, up), (lo0, up0) = bd, bd0
+        if (lo is None) != (lo0 is None) or (up is None) != (up0 is None):
+            return None
+        kind, base0, col = maps[j]
+        base = lo if kind == "shift" else up
+        shift[col] = base - base0 if kind == "shift" else base0 - base
+        offset += p.objective[j] * (base - base0)
+        maps[j] = (kind, base, col)
+        if j in form.ub_row:
+            ub_rhs[form.ub_row[j]] = up - lo
+    b = form.b - form.A[:, :form.n_struct] @ shift
+    for i, v in ub_rhs.items():
+        b[i] = v
+
+    # dual simplex on the explicit inverse of the parent's basis
+    A, c = form.A, form.c
+    mr, N = A.shape
+    fac = _factor(A[:, basis])
+    if fac is None:
+        return None
+    Binv, info = dgetri(*fac)
+    if info:
+        return None
+    xB = Binv @ b
+    r = c - (c[basis] @ Binv) @ A
+    allowed = ~form.is_art
+    scale = 1.0 + abs(b).max(initial=0.0)
+    cap = min(max_iter, 20 * (mr + N) + 500)
+    it = 0
+    while True:
+        pr = int(np.argmin(xB))
+        if xB[pr] >= -feas_tol * scale:
+            break
+        if it >= cap:
+            return None
+        alpha = Binv[pr] @ A  # pivot row of the tableau B^-1 A
+        cand = np.where(allowed & (alpha < -PIVOT_TOL))[0]
+        if cand.size == 0:
+            # u = row pr of B^-1 has u A >= 0 on every column that may
+            # leave zero, while u b < 0: a Farkas certificate if it holds
+            # with a margin
+            u = Binv[pr] / np.abs(Binv[pr]).max()
+            if ((u @ A)[allowed].min() < -PIVOT_TOL or
+                    u @ b > -1e-7 * scale):
+                return None
+            return LpSolution(status="infeasible",
+                              farkas=_rows_of(form, -u, len(p.rows)),
+                              iterations=it)
+        ratios = np.maximum(r[cand], 0.0) / -alpha[cand]
+        ties = cand[ratios <= ratios.min() + 1e-12]
+        # deterministic: the largest pivot among tied columns
+        pc = int(ties[np.argmin(alpha[ties])])
+        col = Binv @ A[:, pc]
+        theta = xB[pr] / col[pr]
+        xB -= theta * col
+        xB[pr] = theta
+        row = Binv[pr] / col[pr]
+        Binv -= np.outer(col, row)
+        Binv[pr] = row
+        r -= r[pc] / alpha[pc] * alpha
+        basis[pr] = pc
+        it += 1
+    if r[allowed].min() < -opt_tol:
+        return None
+    return _finish(form, p, basis, b, offset, maps, it, xB, c[basis] @ Binv)
+
+
 def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
-             max_iter=MAX_ITER) -> LpSolution:
+             max_iter=MAX_ITER, start: LpSolution = None) -> LpSolution:
+    """Solve p.  `start` is an optimal solution of a program with the same
+    objective and rows, differing from p only in variable bounds (the
+    parent of a branch-and-bound node); the solve then re-optimizes from
+    its basis, and falls back to the two-phase solve when it cannot."""
+    if start is not None:
+        sol = _solve_warm(p, start, feas_tol, opt_tol, max_iter)
+        if sol is not None:
+            return sol
     _check_conditioning(p)
     n_orig = len(p.objective)
 
@@ -142,12 +322,12 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
     #       | ("free", col_pos, col_neg)
     maps = []
     col_count = 0
-    extra_rows = []  # bound rows in transformed columns: (col, ub)
+    extra_rows = []  # bound rows in transformed columns: (var, col, ub)
     for j, (lo, up) in enumerate(p.var_bounds):
         if lo is not None:
             maps.append(("shift", lo, col_count))
             if up is not None:
-                extra_rows.append((col_count, up - lo))
+                extra_rows.append((j, col_count, up - lo))
             col_count += 1
         elif up is not None:
             maps.append(("neg", up, col_count))
@@ -201,7 +381,7 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
             continue
         rows_t.append((ta, rel, trhs))
         row_map.append((idx, False))
-    for col, ub in extra_rows:
+    for _, col, ub in extra_rows:
         ta = np.zeros(col_count)
         ta[col] = 1.0
         rows_t.append((ta, "<=", ub))
@@ -263,9 +443,18 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
     is_art = np.zeros(N, dtype=bool)
     is_art[art_cols] = True
 
+    c_full = np.zeros(N)
+    c_full[:col_count] = c_t
     D = np.hstack([A_std, rhs_v[:, None]])
-    A_keep = A_std.copy()
-    b_keep = rhs_v.copy()
+    n_orig_rows = len(row_map) - len(extra_rows)
+    form = _StandardForm(
+        program=p, A=A_std.copy(), b=rhs_v.copy(), c=c_full,
+        offset=obj_offset, maps=maps, n_struct=col_count, is_art=is_art,
+        init_ident=init_ident,
+        orig_rows=np.array([o for o, _ in row_map[:n_orig_rows]], dtype=int),
+        orig_sign=np.array([-1.0 if f else 1.0
+                            for _, f in row_map[:n_orig_rows]]),
+        ub_row={j: n_orig_rows + k for k, (j, _, _) in enumerate(extra_rows)})
 
     # -- phase 1 -----------------------------------------------------------
     c1 = np.zeros(N)
@@ -276,11 +465,10 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
             r1 -= D[i]
     allowed = np.ones(N, dtype=bool)
     status, _, it1 = _run_simplex(D, r1, basis, allowed, opt_tol, max_iter)
-    scale = 1.0 + abs(rhs_v).max(initial=0.0)
     # feasibility decided by per-row scaled residuals of the phase-1 point
     x1 = np.zeros(N)
     x1[basis] = D[:, -1]
-    resid = A_keep[:, :col_count] @ x1[:col_count] - rhs_v
+    resid = form.A[:, :col_count] @ x1[:col_count] - rhs_v
     viol = np.zeros(mr)
     for i, rel in enumerate(rels):
         if rel == "<=":
@@ -291,15 +479,9 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
             viol[i] = abs(resid[i])
     if np.max(viol / (1.0 + np.abs(rhs_v))) > 1e-7:
         # Farkas certificate y: y^T b > 0, y^T A <= 0 over standard rows
-        y1 = np.zeros(mr)
-        for i in range(mr):
-            col = init_ident[i]
-            y1[i] = c1[col] - r1[col]
-        farkas = np.zeros(len(p.rows))
-        for i, (orig, flip) in enumerate(row_map):
-            if orig is not None:
-                farkas[orig] += (-y1[i] if flip else y1[i])
-        return LpSolution(status="infeasible", farkas=farkas,
+        y1 = c1[init_ident] - r1[init_ident]
+        return LpSolution(status="infeasible",
+                          farkas=_rows_of(form, y1, len(p.rows)),
                           iterations=it1)
 
     # drive artificials out of the basis
@@ -307,14 +489,12 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
         if is_art[basis[i]]:
             row = D[i, :N].copy()
             row[is_art] = 0.0
-            nz = np.where(np.abs(row) > 1e-9)[0]
+            nz = np.where(np.abs(row) > PIVOT_TOL)[0]
             if nz.size:
                 pc = int(nz[np.argmax(np.abs(row[nz]))])
                 _pivot(D, r1, basis, i, pc)
 
     # -- phase 2 -----------------------------------------------------------
-    c_full = np.zeros(N)
-    c_full[:col_count] = c_t
     r2 = np.concatenate([c_full, [0.0]])
     for i in range(mr):
         j = basis[i]
@@ -334,33 +514,8 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
         ray = _map_back_dir(t, maps, n_orig)
         return LpSolution(status="unbounded", ray=ray, iterations=iters)
 
-    # -- refactorize the final basis for accuracy --------------------------
-    B = A_keep[:, basis]
-    try:
-        xB = np.linalg.solve(B, b_keep)
-        y = np.linalg.solve(B.T, c_full[basis])
-    except np.linalg.LinAlgError:
-        xB = D[:, -1].copy()
-        y = None
-    if y is None or np.abs(xB - D[:, -1]).max() > 1e-5 * scale:
-        xB = D[:, -1].copy()
-        y = np.zeros(mr)
-        for i in range(mr):
-            col = init_ident[i]
-            y[i] = c_full[col] - r2[col]
-    xB = np.maximum(xB, 0.0)
-    x_std = np.zeros(N)
-    x_std[basis] = xB
-    x = _map_back(x_std[:col_count], maps, n_orig)
-    obj = float(p.objective @ x)
-    duals = np.zeros(len(p.rows))
-    for i, (orig, flip) in enumerate(row_map):
-        if orig is not None:
-            duals[orig] += (-y[i] if flip else y[i])
-    dual_obj = float(y @ b_keep) + obj_offset
-    return LpSolution(status="optimal", x=x, objective=obj,
-                      row_duals=duals, dual_objective=dual_obj,
-                      iterations=iters)
+    return _finish(form, p, basis, form.b, obj_offset, maps, iters,
+                   D[:, -1], c_full[init_ident] - r2[init_ident])
 
 
 def _map_back(xprime, maps, n_orig):

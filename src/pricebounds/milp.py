@@ -1,9 +1,11 @@
 """Branch-and-bound solver for LPs with binary variables.
 
 Minimizes over the LP relaxation tree, branching on the most fractional
-binary and exploring nodes in best-bound order.  Terminates on a
-relative-gap rule (p_bar - p_low)/|p_bar| <= rel_gap (absolute gap
-rel_gap * 1e-6 when the incumbent value is 0) or on a node limit.
+binary and exploring nodes in best-bound order.  Each child's LP is
+re-optimized from its parent's optimal basis by the dual simplex.
+Terminates on a relative-gap rule (p_bar - p_low)/|p_bar| <= rel_gap
+(absolute gap rel_gap * 1e-6 when the incumbent value is 0) or on a node
+limit.
 Keeps a pool of integer-feasible solutions whose objective clears a
 caller-supplied threshold fraction of the incumbent value.
 """
@@ -69,12 +71,12 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
     binaries = list(p.binary_vars)
     bset = np.array(sorted(binaries), dtype=int)
 
-    def node_lp(fixed):
+    def node_lp(fixed, parent=None):
         bounds = list(p.base.var_bounds)
         for j, v in fixed.items():
             bounds[j] = (float(v), float(v))
         lp = LinearProgram(p.base.objective, p.base.rows, bounds)
-        return solve_lp(lp)
+        return solve_lp(lp, start=parent)
 
     root = node_lp({})
     if root.status == "infeasible":
@@ -123,7 +125,7 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
         for val in (0, 1):
             child_fixed = dict(fixed)
             child_fixed[j] = val
-            child = node_lp(child_fixed)
+            child = node_lp(child_fixed, sol)
             if child.status == "infeasible":
                 continue
             counter += 1

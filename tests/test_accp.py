@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import pricebounds as pb
-from pricebounds import cpwa
+from pricebounds import accp, cpwa
 from pricebounds.ecp import EcpOptions, solve_ecp, verify_hedge
-from pricebounds.accp import (AccpOptions, solve_accp, extract_measure,
-                              detect_unbounded_flag)
+from pricebounds.accp import (AccpOptions, LpContradictionError, solve_accp,
+                              extract_measure, detect_unbounded_flag)
 from conftest import (rng_for, random_box_instance, grid_points,
                       grid_measure_lp)
 
@@ -157,3 +157,31 @@ def test_support_reuse():
         epsilon=EPS, initial_support=res1.support))
     assert res2.phi_ub == pytest.approx(res1.phi_ub, abs=2 * EPS)
     assert res2.milp_count <= res1.milp_count + 2
+
+
+def test_empty_band_without_a_higher_lower_bound_raises(monkeypatch,
+                                                        example_box_instance):
+    """If the Chebyshev LP calls the band empty but the lower-bound LP
+    does not lie above it, the bracket cannot move: ACCP must raise, not
+    solve the same two LPs again."""
+    monkeypatch.setattr(accp, "chebyshev_center", lambda *a, **k: None)
+    with pytest.raises(LpContradictionError):
+        solve_accp(example_box_instance, pb.vanilla_call(1, 0, 1.0),
+                   AccpOptions(epsilon=EPS, phi_low=0.0))
+
+
+def test_bracket_closes_when_the_gap_is_below_two_eps():
+    """A center in the band gains at least half the gap, which is less than
+    eps once the gap is below 2 eps.  On this single-asset instance ACCP
+    used to stop moving its bounds there and cycle until the iteration
+    limit."""
+    rng = rng_for(402)
+    for n_calls in (3, 3, 3, 4, 4):
+        inst = random_box_instance(rng, 1, n_calls)
+        strike = float(rng.integers(1, 8))
+        f = pb.vanilla_call(1, int(rng.integers(1)), strike)
+    res, _ = solve_accp(inst, f, AccpOptions(epsilon=EPS, phi_low=0.0,
+                                             max_iterations=200))
+    assert res.status == "ok"
+    assert res.phi_ub - res.phi_lb <= EPS + 1e-12
+    assert verify_hedge(inst, f, res.c_star, res.y_star) >= -1e-6

@@ -1,7 +1,11 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from pricebounds import lp
 from pricebounds.lp import (LinearProgram, solve_lp, chebyshev_center,
                             ConditioningError)
 from conftest import rng_for
@@ -144,3 +148,177 @@ def test_chebyshev_scaled_rows_ball_feasible():
         for a, b in rows:
             # every point of the inscribed ball satisfies the row
             assert a @ center - np.linalg.norm(a) * radius >= b - 1e-7
+
+
+def _highs(p):
+    """scipy's HiGHS on the same program: the test oracle."""
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
+    for a, rel, b in p.rows:
+        if rel == "<=":
+            A_ub.append(a); b_ub.append(b)
+        elif rel == ">=":
+            A_ub.append(-a); b_ub.append(-b)
+        else:
+            A_eq.append(a); b_eq.append(b)
+    return linprog(p.objective, A_ub=np.array(A_ub) if A_ub else None,
+                   b_ub=b_ub or None, A_eq=np.array(A_eq) if A_eq else None,
+                   b_eq=b_eq or None, bounds=p.var_bounds, method="highs")
+
+
+def test_accp_lower_bound_lp_is_not_infeasible():
+    """A lower-bound LP captured from ACCP on the five-asset rung, which
+    tiny ratio-test pivots once made the simplex report infeasible."""
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "accp_lower_bound_lp.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    p = LinearProgram(data["objective"],
+                      [(np.array(r["a"]), r["rel"], r["b"])
+                       for r in data["rows"]],
+                      [tuple(bd) for bd in data["bounds"]])
+    ref = _highs(p)
+    assert ref.status == 0
+    sol = solve_lp(p)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
+
+
+def _check_conditioning_by_row(p):
+    """The per-row loop that _check_conditioning replaced: the reference."""
+    mags = []
+    for a, _, _ in p.rows:
+        nz = np.abs(a[a != 0.0])
+        if nz.size:
+            mags.append((nz.max(), nz.min()))
+    if mags:
+        hi = max(m[0] for m in mags)
+        lo = min(m[1] for m in mags)
+        if lo > 0 and hi / lo > lp.CONDITION_RATIO_MAX:
+            raise ConditioningError("range %.3g" % (hi / lo))
+
+
+def test_conditioning_check_matches_row_loop():
+    rng = rng_for(204)
+    raised = 0
+    for trial in range(200):
+        n = int(rng.integers(1, 6))
+        rows = []
+        for _ in range(int(rng.integers(0, 5))):
+            a = (rng.uniform(-1, 1, size=n) *
+                 10.0 ** rng.integers(-7, 7, size=n))
+            a[rng.uniform(size=n) < 0.3] = 0.0
+            rows.append((a, "<=", 1.0))
+        p = LinearProgram(np.zeros(n), rows, [(0.0, 1.0)] * n)
+        try:
+            _check_conditioning_by_row(p)
+            expected = None
+        except ConditioningError as exc:
+            expected = exc
+        if expected is None:
+            lp._check_conditioning(p)
+        else:
+            raised += 1
+            with pytest.raises(ConditioningError):
+                lp._check_conditioning(p)
+    assert 0 < raised < 200
+
+
+def _random_node_lp(rng):
+    """A random LP with binaries in [0, 1] whose root is feasible: the
+    rows hold at a random point of the bounds, with fractional binaries,
+    so fixing a binary can make a child infeasible."""
+    n = int(rng.integers(4, 31))
+    m = int(rng.integers(2, 31))
+    nb = int(rng.integers(1, min(n, 6) + 1))
+    kinds = rng.choice(["box", "lower", "upper", "free"], size=n - nb,
+                       p=[0.5, 0.2, 0.15, 0.15])
+    bounds = [(0.0, 1.0)] * nb
+    x0 = list(rng.uniform(0.0, 1.0, size=nb))
+    for kind in kinds:
+        lo, up = sorted(rng.uniform(-3.0, 3.0, size=2))
+        bounds.append({"box": (lo, up), "lower": (lo, None),
+                       "upper": (None, up), "free": (None, None)}[kind])
+        x0.append(rng.uniform(lo, up))
+    x0 = np.array(x0)
+    rows = []
+    for _ in range(m):
+        a = rng.uniform(-2, 2, size=n)
+        a[rng.uniform(size=n) < 0.4] = 0.0
+        rel = str(rng.choice(["<=", ">=", "="], p=[0.45, 0.4, 0.15]))
+        slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[rel] * rng.uniform(0, 0.5)
+        rows.append((a, rel, float(a @ x0 + slack)))
+    # a box keeps every relaxation bounded
+    for j in range(nb, n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        rows += [(e, "<=", 10.0), (e, ">=", -10.0)]
+    return LinearProgram(rng.uniform(-2, 2, size=n), rows, bounds), nb
+
+
+def _fix(p, j, v):
+    bounds = list(p.var_bounds)
+    bounds[j] = (float(v), float(v))
+    return LinearProgram(p.objective, p.rows, bounds)
+
+
+def _assert_farkas(p, y, tol=1e-7):
+    """y certifies that p has no solution: y_i >= 0 on >= rows and <= 0
+    on <= rows make y.A x >= y.b for every x satisfying the rows, yet the
+    largest y.A x over the variable bounds is smaller than y.b."""
+    y = y / np.abs(y).max()
+    rels = [rel for _, rel, _ in p.rows]
+    assert all(yi >= -tol for yi, rel in zip(y, rels) if rel == ">=")
+    assert all(yi <= tol for yi, rel in zip(y, rels) if rel == "<=")
+    g = y @ np.array([a for a, _, _ in p.rows])
+    top = 0.0
+    for gj, (lo, up) in zip(g, p.var_bounds):
+        if abs(gj) > tol:
+            bound = up if gj > 0 else lo
+            assert bound is not None
+            top += gj * bound
+    assert top < y @ np.array([b for _, _, b in p.rows]) - tol
+
+
+def test_warm_start_matches_cold_solve(monkeypatch):
+    """Children and grandchildren of random LPs: the solve from the
+    parent's basis agrees with the two-phase solve in status and
+    objective, and its infeasible verdicts carry a valid certificate."""
+    answered = {"optimal": 0, "infeasible": 0}
+    warm = lp._solve_warm
+
+    def counting(*args):
+        sol = warm(*args)
+        if sol is not None:
+            answered[sol.status] += 1
+        return sol
+
+    monkeypatch.setattr(lp, "_solve_warm", counting)
+    rng = rng_for(205)
+    for trial in range(150):
+        root, nb = _random_node_lp(rng)
+        parent = solve_lp(root)
+        assert parent.status == "optimal", trial
+        for depth in range(2):
+            child = _fix(root if depth == 0 else child, int(rng.integers(nb)),
+                         int(rng.integers(2)))
+            cold = solve_lp(child)
+            sol = solve_lp(child, start=parent)
+            assert sol.status == cold.status, trial
+            if sol.status == "infeasible":
+                assert _highs(child).status == 2, trial
+                _assert_farkas(child, sol.farkas)
+                break
+            scale = 1.0 + abs(cold.objective)
+            assert sol.objective == pytest.approx(cold.objective,
+                                                  abs=1e-7 * scale), trial
+            assert sol.dual_objective == pytest.approx(sol.objective,
+                                                       abs=1e-7 * scale)
+            for a, rel, b in child.rows:
+                lhs = a @ sol.x
+                assert {"<=": lhs <= b + 1e-7, ">=": lhs >= b - 1e-7,
+                        "=": abs(lhs - b) <= 1e-7}[rel], trial
+            for xj, (lo, up) in zip(sol.x, child.var_bounds):
+                assert lo is None or xj >= lo - 1e-9
+                assert up is None or xj <= up + 1e-9
+            parent = sol
+    assert answered["optimal"] > 150 and answered["infeasible"] > 30

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from pricebounds.lp import LinearProgram, solve_lp
 from pricebounds.milp import (MixedIntegerProgram, MilpOptions,
@@ -138,3 +139,45 @@ def test_binary_bound_validation():
     with pytest.raises(ValueError):
         MixedIntegerProgram(
             LinearProgram([1.0], [], [(0.0, 2.0)]), [0])
+
+
+def test_random_milps_vs_highs():
+    """Branch and bound with warm-started node LPs against scipy's HiGHS
+    MILP on random programs with up to 12 binaries."""
+    rng = rng_for(304)
+    infeasible = 0
+    nodes = []
+    for trial in range(80):
+        nb = int(rng.integers(4, 13))
+        nc = int(rng.integers(0, 9))
+        n = nb + nc
+        A = rng.uniform(-2, 2, size=(int(rng.integers(2, 13)), n))
+        A[rng.uniform(size=A.shape) < 0.3] = 0.0
+        lo_row = rng.uniform(-2, 1.5, size=len(A))
+        hi_row = lo_row + rng.uniform(0.2, 3, size=len(A))
+        lo_row[rng.uniform(size=len(A)) < 0.4] = -np.inf
+        rows = []
+        for a, l, h in zip(A, lo_row, hi_row):
+            rows.append((a, "<=", float(h)))
+            if np.isfinite(l):
+                rows.append((a, ">=", float(l)))
+        bounds = ([(0.0, 1.0)] * nb +
+                  [(0.0, float(rng.uniform(1, 4))) for _ in range(nc)])
+        c = rng.uniform(-2, 2, size=n)
+        res = solve_milp(MixedIntegerProgram(LinearProgram(c, rows, bounds),
+                                             list(range(nb))),
+                         MilpOptions(rel_gap=1e-9))
+        ref = milp(c, constraints=LinearConstraint(A, lo_row, hi_row),
+                   integrality=[1] * nb + [0] * nc,
+                   bounds=Bounds([lo for lo, _ in bounds],
+                                 [up for _, up in bounds]))
+        if ref.status == 2:
+            infeasible += 1
+            assert res.status == "infeasible", trial
+            continue
+        assert ref.status == 0, trial
+        assert res.incumbent_value == pytest.approx(ref.fun, abs=1e-6), trial
+        nodes.append(res.nodes)
+    # both verdicts occur, and some programs need a real search
+    assert 0 < infeasible < 80
+    assert max(nodes) > 10
