@@ -25,8 +25,8 @@ from .cpwa import CpwaFunction
 from .lp import LinearProgram, solve_lp, chebyshev_center
 from .milp import MilpOptions, solve_milp
 from .encoding import encode_min
-from .ecp import (MarketInstance, BoundsResult, price_pi,
-                  SUPPORT_ROUNDING, compute_lower_phi)
+from .ecp import (MarketInstance, BoundsResult, CutSet, price_pi,
+                  compute_lower_phi, dominating_cash, verify_hedge)
 
 
 class LpContradictionError(RuntimeError):
@@ -52,16 +52,6 @@ class AccpOptions:
 
 
 @dataclass
-class CutRecord:
-    x: np.ndarray
-    gx: np.ndarray
-    fx: float
-    generation: int
-    active: bool = True
-    removable: bool = True
-
-
-@dataclass
 class DiscreteMeasure:
     atoms: list  # of (x: ndarray, mass: float)
     value: float  # integral of f
@@ -76,16 +66,6 @@ class DiscreteMeasure:
     def to_json_dict(self):
         return {"atoms": [{"x": [float(v) for v in x], "mass": float(m)}
                           for x, m in self.atoms]}
-
-
-def _default_initial_portfolio(instance, f, box):
-    """Constant cash hedge: c0 = max of f over the box, y0 = 0."""
-    neg = cpwa.linear_combination([-1.0], [f])
-    enc = encode_min(neg, box)
-    res = solve_milp(enc.program, MilpOptions(rel_gap=1e-9),
-                     offset=enc.constant)
-    c0 = max(0.0, -res.incumbent_value)
-    return float(c0), np.zeros(instance.m)
 
 
 def solve_accp(instance: MarketInstance, f: CpwaFunction,
@@ -109,16 +89,11 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         c0, y0 = opts.initial_portfolio
         y0 = np.asarray(y0, dtype=float)
     else:
-        c0, y0 = _default_initial_portfolio(instance, f, box)
-    # verify domination: min over box of c0 + <y0, g> - f >= 0
-    h0 = cpwa.linear_combination(list(y0) + [-1.0],
-                                 list(instance.g) + [f])
-    enc0 = encode_min(h0, box)
-    chk = solve_milp(enc0.program, MilpOptions(rel_gap=1e-9),
-                     offset=enc0.constant + c0)
-    if chk.incumbent_value < -1e-9:
+        c0, y0 = dominating_cash(instance, f), np.zeros(m)
+    min_slack = verify_hedge(instance, f, c0, y0, box)
+    if min_slack < -1e-9:
         raise ValueError("initial portfolio does not dominate f "
-                         "(min %.6g)" % chk.incumbent_value)
+                         "(min %.6g)" % min_slack)
 
     phi_low_in = opts.phi_low
     if phi_low_in is None:
@@ -143,59 +118,30 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
     obj_band = np.concatenate([[1.0], instance.ask, -instance.bid])
     band_scale = float(np.linalg.norm(obj_band))
 
-    records = []
-    seen = set()
+    # cut aging is ACCP's own: per cut, the iteration that found it,
+    # whether it is in the LPs and whether it may be dropped
+    cuts = CutSet(instance, f, box)
+    generation, active, removable = [], [], []
 
-    def add_point(x, generation, rounded=True):
-        x = np.asarray(x, dtype=float)
-        if rounded:
-            x = np.round(x, SUPPORT_ROUNDING)
-        x = np.clip(x, 0.0, box)
-        key = tuple(x)
-        if key in seen:
-            for rec in records:
-                if tuple(rec.x) == key:
-                    rec.active = True
-                    return rec
-        rec = CutRecord(
-            x=x,
-            gx=np.array([cpwa.evaluate(gj, x) for gj in instance.g]),
-            fx=cpwa.evaluate(f, x),
-            generation=generation)
-        seen.add(key)
-        records.append(rec)
-        return rec
+    def add_point(x, r):
+        i, is_new = cuts.add(x)
+        if is_new:
+            generation.append(r)
+            active.append(True)
+            removable.append(True)
+        active[i] = removable[i] = True
+        return i
 
     gens = {0: [add_point(x, 0) for x in opts.initial_support]}
 
-    def active_records():
-        return [rec for rec in records if rec.active]
-
-    def cut_rows(active):
-        rows, scales = [], []
-        for rec in active:
-            coeffs = np.concatenate([[1.0], rec.gx, -rec.gx])
-            rows.append((coeffs, rec.fx))
-            scales.append(float(np.sqrt(1.0 + rec.gx @ rec.gx)))
-        return rows, scales
-
-    def box_rows():
-        n = 1 + 2 * m
-        rows, scales = [], []
-        e = np.zeros(n)
-        e[0] = 1.0
-        rows.append((e.copy(), -c_bar))
-        scales.append(1.0)
-        rows.append((-e, -c_bar))
-        scales.append(1.0)
-        for j in range(2 * m):
-            ej = np.zeros(n)
-            ej[1 + j] = 1.0
-            rows.append((ej.copy(), 0.0))
-            scales.append(1.0)
-            rows.append((-ej, -float(y_bar[j % m])))
-            scales.append(1.0)
-        return rows, scales
+    # bounding box |c| <= c_bar, 0 <= y+, y- <= y_bar: 4m + 2 rows
+    n = 1 + 2 * m
+    unit = np.eye(n)
+    brows = [(unit[0], -c_bar), (-unit[0], -c_bar)]
+    for j in range(2 * m):
+        brows.append((unit[1 + j], 0.0))
+        brows.append((-unit[1 + j], -float(y_bar[j % m])))
+    bscales = [1.0] * len(brows)
 
     phi_lo = phi_low_in - opts.tau
     phi_hi = phi_high_in
@@ -214,9 +160,10 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         phi_mid = (phi_lo + phi_hi) / 2.0
         if flag:
             phi_mid = (phi_lo + phi_mid) / 2.0
-        active = active_records()
-        crows, cscales = cut_rows(active)
-        brows, bscales = box_rows()
+        live = [i for i in range(len(cuts)) if active[i]]
+        crows = [(cuts.row(i, n), cuts.fx[i]) for i in live]
+        cscales = [float(np.sqrt(1.0 + cuts.gx[i] @ cuts.gx[i]))
+                   for i in live]
         rows = brows + [(obj_band, phi_lo), (-obj_band, -phi_mid)] + crows
         scales = bscales + [band_scale, band_scale] + cscales
         center = chebyshev_center(rows, scales)
@@ -242,10 +189,10 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
             interior = (abs(cd) < c_bar - 1e-7 and
                         np.all(sol.x[1:] < np.concatenate([y_bar, y_bar])
                                - 1e-7))
-            dagger = (cd, yd, [rec.x.copy() for rec in active], interior)
-            for rec in records:
-                if 1 <= rec.generation <= r - 1:
-                    rec.removable = True
+            dagger = (cd, yd, [cuts.x[i].copy() for i in live], interior)
+            for i, gen in enumerate(generation):
+                if 1 <= gen <= r - 1:
+                    removable[i] = True
             rho[r] = -1.0
             gens[r] = []
             continue
@@ -275,10 +222,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         gens[r] = []
         for x_full, val in res.pool:
             if val <= opts.delta * s_hi + 1e-9:
-                rec = add_point(x_full[:d], r)
-                rec.active = True
-                rec.removable = True
-                gens[r].append(rec)
+                gens[r].append(add_point(x_full[:d], r))
 
         hedge_cost = c_r + price_pi(y_r, instance) - s_lo
         if hedge_cost < phi_hi:
@@ -291,25 +235,25 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
             c_star = c_r - s_lo
             y_star = y_r.copy()
             if improved and s_lo >= 0:
-                for rec in records:
-                    if 1 <= rec.generation <= r:
-                        rec.removable = True
+                for i, gen in enumerate(generation):
+                    if 1 <= gen <= r:
+                        removable[i] = True
                 continue
 
         if flag:
             flag = False
-            for rec in gens[r]:
-                rec.removable = False
+            for i in gens[r]:
+                removable[i] = False
             continue
         flag = True
         for l in range(0, r + 1):
             if rho[r] < opts.gamma * rho.get(l, -1.0):
-                for rec in gens.get(l, []):
-                    if rec.removable and rec.active:
-                        lhs = (c_r + y_r @ rec.gx -
-                               np.sqrt(1.0 + rec.gx @ rec.gx) * rho[r])
-                        if lhs > rec.fx:
-                            rec.active = False
+                for i in gens.get(l, []):
+                    if removable[i] and active[i]:
+                        gx = cuts.gx[i]
+                        lhs = c_r + y_r @ gx - np.sqrt(1.0 + gx @ gx) * rho[r]
+                        if lhs > cuts.fx[i]:
+                            active[i] = False
 
     phi_ub = phi_hi
     phi_lb = phi_lo
@@ -318,7 +262,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         status = "unbounded_arbitrage"
     result = BoundsResult(
         phi_lb=phi_lb, phi_ub=phi_ub, c_star=c_star, y_star=y_star,
-        support=[rec.x.copy() for rec in active_records()],
+        support=[cuts.x[i].copy() for i in range(len(cuts)) if active[i]],
         status=status, lp_count=lp_count, milp_count=milp_count,
         milp_nodes=milp_nodes, iterations=r,
         wall_time=time.monotonic() - t0, caveats=caveats)

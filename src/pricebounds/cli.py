@@ -8,7 +8,7 @@ Subcommands:
   measure     extremal pricing measure for a payoff on an instance
 
 Exit codes: 0 success, 1 arbitrage found (detect), 2 usage error,
-3 solver resource limit.
+3 resource, conditioning or solver failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import cpwa, market, arbitrage
 from .lp import ResourceLimitError, ConditioningError
-from .ecp import MarketInstance, EcpOptions, solve_ecp
+from .ecp import MarketInstance, EcpOptions, solve_ecp, dominating_cash
 from .accp import AccpOptions, solve_accp, extract_measure
 
 EXIT_OK = 0
@@ -68,19 +68,6 @@ def _write_out(path, text):
             fh.write(text)
 
 
-def _dominating_cash(instance, f):
-    """c0 = max(0, max of f over the box) so that (c0, 0) dominates f."""
-    from .encoding import encode_min
-    from .milp import MilpOptions, solve_milp
-    from .ecp import _milp_box
-    box, _ = _milp_box(instance, f, None)
-    neg = cpwa.linear_combination([-1.0], [f])
-    enc = encode_min(neg, box)
-    res = solve_milp(enc.program, MilpOptions(rel_gap=1e-9),
-                     offset=enc.constant)
-    return max(0.0, -res.incumbent_value)
-
-
 def solve_one(instance, f, algo, epsilon, tau, delta, gamma, zeta,
               xbar=None, support=None):
     """Upper bound phi(f) and lower bound -phi(-f) with one algorithm.
@@ -90,8 +77,8 @@ def solve_one(instance, f, algo, epsilon, tau, delta, gamma, zeta,
     neg_f = cpwa.linear_combination([-1.0], [f])
     # (c, 0) with c = max(0, max h) dominates h; phi(f) >= -max(-f)
     # and phi(-f) >= -max(f) follow from any feasible measure
-    c_f = _dominating_cash(instance, f)
-    c_nf = _dominating_cash(instance, neg_f)
+    c_f = dominating_cash(instance, f)
+    c_nf = dominating_cash(instance, neg_f)
     if algo == "ecp":
         up = solve_ecp(instance, f, EcpOptions(
             epsilon=epsilon, tau=tau, delta=delta, xbar=xbar,
@@ -141,14 +128,16 @@ def _bounds_task(args):
     (inst_dict, payoff_spec, strike, algo, epsilon, tau, delta, gamma,
      zeta, xbar, support) = args
     instance = MarketInstance.from_json_dict(inst_dict)
-    f = parse_payoff_spec(payoff_spec, instance.dimension)
-    if strike is not None:
-        f = _with_strike(payoff_spec, instance.dimension, strike)
+    f = _with_strike(payoff_spec, instance.dimension, strike)
     return solve_one(instance, f, algo, epsilon, tau, delta, gamma,
                      zeta, xbar=xbar, support=support)
 
 
 def _with_strike(payoff_spec, d, strike):
+    """The payoff of `payoff_spec` with its strike set to `strike`, or as
+    given when `strike` is None."""
+    if strike is None:
+        return parse_payoff_spec(payoff_spec, d)
     kind, _, rest = payoff_spec.partition(":")
     items = [it for it in rest.split(",")
              if it and not it.startswith("strike=")]
@@ -196,9 +185,7 @@ def cmd_bounds(args):
         else:
             support = None
             for s in strikes:
-                f = (parse_payoff_spec(args.payoff, instance.dimension)
-                     if s is None else
-                     _with_strike(args.payoff, instance.dimension, s))
+                f = _with_strike(args.payoff, instance.dimension, s)
                 r = solve_one(instance, f, algo, args.epsilon, args.tau,
                               args.delta, args.gamma, args.zeta,
                               xbar=xbar,
@@ -213,9 +200,7 @@ def cmd_bounds(args):
         header.append("agreement")
     lines = [",".join(header)]
     for i, s in enumerate(strikes):
-        f = (parse_payoff_spec(args.payoff, instance.dimension)
-             if s is None else
-             _with_strike(args.payoff, instance.dimension, s))
+        f = _with_strike(args.payoff, instance.dimension, s)
         ref_bid, ref_ask = _reference_quote(instance, f)
         for algo in algos:
             r = results[algo][i]
@@ -379,6 +364,9 @@ def main(argv=None):
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print("solver failure: %s" % exc, file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

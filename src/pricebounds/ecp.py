@@ -25,7 +25,7 @@ from . import cpwa
 from .cpwa import CpwaFunction
 from .lp import LinearProgram, solve_lp
 from .milp import MilpOptions, solve_milp
-from .encoding import encode_min
+from .encoding import encode_min, minimize_over_box
 from . import radial as radial_mod
 
 SUPPORT_ROUNDING = 4  # support points rounded to multiples of 1e-4
@@ -161,14 +161,59 @@ def _milp_box(instance, f, opts_xbar):
     return default_xbar(instance, f), True
 
 
-def _min_over_box(h, box, gap=1e-9, delta=1.0, offset=0.0,
-                  node_limit=None):
-    enc = encode_min(h, box)
-    res = solve_milp(enc.program,
-                     MilpOptions(rel_gap=gap, pool_threshold=delta,
-                                 node_limit=node_limit),
-                     offset=enc.constant + offset)
-    return enc, res
+def dominating_cash(instance: MarketInstance, f: CpwaFunction) -> float:
+    """c0 = max(0, max of f over the MILP box), so that the cash hedge
+    (c0, 0) dominates f there."""
+    box, _ = _milp_box(instance, f, None)
+    _, res = minimize_over_box(cpwa.linear_combination([-1.0], [f]), box)
+    return float(max(0.0, -res.incumbent_value))
+
+
+class CutSet:
+    """Feasibility cuts c + <y, g(x)> >= f(x) at support points x.
+
+    A point is rounded to SUPPORT_ROUNDING decimals (unless added
+    exactly) and clipped to the box; a point already in the set is not
+    added again.  Cut i has support point x[i], instrument payoffs gx[i]
+    and target payoff fx[i]."""
+
+    def __init__(self, instance: MarketInstance, f: CpwaFunction, box):
+        self.g = instance.g
+        self.f = f
+        self.box = box
+        self.x = []
+        self.gx = []
+        self.fx = []
+        self._index = {}
+
+    def __len__(self):
+        return len(self.x)
+
+    def add(self, x, rounded=True):
+        """Returns (index of the cut at x, whether it is new)."""
+        x = np.asarray(x, dtype=float)
+        if rounded:
+            x = np.round(x, SUPPORT_ROUNDING)
+        x = np.clip(x, 0.0, self.box)
+        key = tuple(x)
+        i = self._index.get(key)
+        if i is not None:
+            return i, False
+        self._index[key] = i = len(self.x)
+        self.x.append(x)
+        self.gx.append(np.array([cpwa.evaluate(gj, x) for gj in self.g]))
+        self.fx.append(cpwa.evaluate(self.f, x))
+        return i, True
+
+    def row(self, i, n):
+        """Coefficients of cut i over c | y+ | y-, zero-padded to n."""
+        gx = self.gx[i]
+        m = len(gx)
+        coeffs = np.zeros(n)
+        coeffs[0] = 1.0
+        coeffs[1:1 + m] = gx
+        coeffs[1 + m:1 + 2 * m] = -gx
+        return coeffs
 
 
 def compute_lower_phi(instance: MarketInstance, f: CpwaFunction,
@@ -179,7 +224,7 @@ def compute_lower_phi(instance: MarketInstance, f: CpwaFunction,
     With no portfolio given, f >= 0 is checked and (0, 0) is used."""
     box, _ = _milp_box(instance, f, xbar)
     if portfolio is None:
-        _, res = _min_over_box(f, box)
+        _, res = minimize_over_box(f, box)
         if res.incumbent_value < -1e-9:
             raise ValueError(
                 "f is not nonnegative (min %.6g at %s); supply a "
@@ -189,7 +234,7 @@ def compute_lower_phi(instance: MarketInstance, f: CpwaFunction,
     c0, y0 = portfolio
     y0 = np.asarray(y0, dtype=float)
     h = cpwa.linear_combination(list(y0) + [1.0], list(instance.g) + [f])
-    _, res = _min_over_box(h, box, offset=c0)
+    _, res = minimize_over_box(h, box, extra_offset=c0)
     if res.incumbent_value < -1e-9:
         raise ValueError(
             "portfolio does not dominate -f (min %.6g at %s)" %
@@ -233,36 +278,18 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
                 coeffs[1:1 + m] = blk.Y[i]
                 coeffs[1 + m:1 + 2 * m] = -blk.Y[i]
                 coeffs[eta0:eta0 + n_eta] = blk.E[i]
-                rows.append(("radial", coeffs, ">=", blk.rhs[i]))
+                rows.append((coeffs, ">=", blk.rhs[i]))
 
     obj = np.zeros(n)
     obj[0] = 1.0
     obj[1:1 + m] = instance.ask
     obj[1 + m:1 + 2 * m] = -instance.bid
-    rows.append(("floor", obj.copy(), ">=", phi_low - opts.tau))
+    rows.append((obj.copy(), ">=", phi_low - opts.tau))
+    n_fixed = len(rows)  # radial and floor rows; cut rows follow
+    cuts = CutSet(instance, f, box)
+    for x in opts.initial_support:
+        cuts.add(x)
 
-    cut_keys = set()
-    support = []
-
-    def add_cut(x, rounded=True):
-        x = np.asarray(x, dtype=float)
-        if rounded:
-            x = np.round(x, SUPPORT_ROUNDING)
-        x = np.clip(x, 0.0, box)
-        key = tuple(x)
-        if key in cut_keys:
-            return False
-        cut_keys.add(key)
-        gx = np.array([cpwa.evaluate(gj, x) for gj in instance.g])
-        coeffs = np.zeros(n)
-        coeffs[0] = 1.0
-        coeffs[1:1 + m] = gx
-        coeffs[1 + m:1 + 2 * m] = -gx
-        rows.append(("cut", coeffs, ">=", cpwa.evaluate(f, x)))
-        support.append(x)
-        return True
-
-    X_next = [np.asarray(x, dtype=float) for x in opts.initial_support]
     lp_count = 0
     milp_count = 0
     milp_nodes = 0
@@ -276,11 +303,9 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
         if it > opts.max_iterations:
             raise RuntimeError("iteration limit reached in cutting-plane "
                                "loop")
-        for x in X_next:
-            add_cut(x)
-        lp = LinearProgram(obj, [(c, rel, b) for _, c, rel, b in rows],
-                           bounds)
-        sol = solve_lp(lp)
+        rows.extend((cuts.row(i, n), ">=", cuts.fx[i])
+                    for i in range(len(rows) - n_fixed, len(cuts)))
+        sol = solve_lp(LinearProgram(obj, rows, bounds))
         lp_count += 1
         if sol.status != "optimal":
             raise RuntimeError("relaxed LP ended with status %s"
@@ -290,24 +315,23 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
         y_r = sol.x[1:1 + m] - sol.x[1 + m:1 + 2 * m]
 
         slack_fn = cpwa.instantiate(template, y_r)
-        _, res = _min_over_box(slack_fn, box, gap=opts.milp_gap,
-                               delta=opts.delta, offset=c_r)
+        enc = encode_min(slack_fn, box)
+        res = solve_milp(enc.program,
+                         MilpOptions(rel_gap=opts.milp_gap,
+                                     pool_threshold=opts.delta),
+                         offset=enc.constant + c_r)
         milp_count += 1
         milp_nodes += res.nodes
         s_r = res.incumbent_value
         if s_r >= -opts.epsilon:
             break
-        added = 0
-        for x_full, _ in res.pool:
-            if add_cut(x_full[:d]):
-                added += 1
+        added = sum(cuts.add(x_full[:d])[1] for x_full, _ in res.pool)
         if added == 0:
             # rounding swallowed every new point; fall back to the exact
             # minimizer to guarantee progress
-            if not add_cut(res.incumbent[:d], rounded=False):
+            if not cuts.add(res.incumbent[:d], rounded=False)[1]:
                 raise RuntimeError("no progress: slack minimizer already "
                                    "cut but slack still below -epsilon")
-        X_next = []
 
     phi_lb = phi_r
     phi_ub = phi_r - s_r
@@ -316,7 +340,7 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
     if phi_ub < phi_low:
         status = "unbounded_arbitrage"
     return BoundsResult(phi_lb=phi_lb, phi_ub=phi_ub, c_star=c_star,
-                        y_star=y_r, support=list(support), status=status,
+                        y_star=y_r, support=list(cuts.x), status=status,
                         lp_count=lp_count, milp_count=milp_count,
                         milp_nodes=milp_nodes, iterations=it,
                         wall_time=time.monotonic() - t0, caveats=caveats)
@@ -329,5 +353,5 @@ def verify_hedge(instance: MarketInstance, f: CpwaFunction, c_star,
         box = instance.box_array()
     h = cpwa.linear_combination(list(y_star) + [-1.0],
                                 list(instance.g) + [f])
-    _, res = _min_over_box(h, np.asarray(box, dtype=float), offset=c_star)
+    _, res = minimize_over_box(h, box, extra_offset=c_star)
     return res.incumbent_value

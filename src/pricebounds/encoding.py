@@ -37,6 +37,13 @@ def _dedupe_pieces(pieces):
     return out
 
 
+def _term_big_m(pieces, xbar):
+    """big_m's row for one term's deduplicated pieces (at least two)."""
+    return [max(_box_max(aj - ai, bj - bi, xbar)
+                for j, (aj, bj) in enumerate(pieces) if j != i)
+            for i, (ai, bi) in enumerate(pieces)]
+
+
 def big_m(h: CpwaFunction, box) -> list:
     """M_{k,i} = max over competing pieces i' != i and x in the box of
     (<a_{k,i'} - a_{k,i}, x> + b_{k,i'} - b_{k,i}).  Empty row when a
@@ -45,15 +52,7 @@ def big_m(h: CpwaFunction, box) -> list:
     out = []
     for t in h.terms:
         pieces = _dedupe_pieces(t.pieces)
-        if len(pieces) == 1:
-            out.append([])
-            continue
-        row = []
-        for i, (ai, bi) in enumerate(pieces):
-            m = max(_box_max(aj - ai, bj - bi, xbar)
-                    for j, (aj, bj) in enumerate(pieces) if j != i)
-            row.append(m)
-        out.append(row)
+        out.append(_term_big_m(pieces, xbar) if len(pieces) > 1 else [])
     return out
 
 
@@ -92,8 +91,6 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
         raise ValueError("box dimension mismatch")
     h = prune_cpwa(h, prune_threshold)
 
-    obj = []  # (index -> coeff) built incrementally
-    n = 0
     x_indices = list(range(d))
     bounds = [(0.0, float(xb)) for xb in xbar]
     obj_x = np.zeros(d)
@@ -125,11 +122,7 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
             n += 1
             bounds.append((None, None))
             obj_extra.append(-1.0)
-            ms = []
-            for i, (ai, bi) in enumerate(pieces):
-                m = max(_box_max(aj - ai, bj - bi, xbar)
-                        for j, (aj, bj) in enumerate(pieces) if j != i)
-                ms.append(m)
+            ms = _term_big_m(pieces, xbar)
             delta_idx = []
             iota_idx = []
             for i, (a, b) in enumerate(pieces):
@@ -171,9 +164,11 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
 
 def minimize_over_box(h: CpwaFunction, box, opts: MilpOptions = None,
                       extra_offset=0.0):
-    """Convenience wrapper: MILP-minimize h over [0, box].
+    """Exact MILP minimization of h over [0, box], used by every global
+    check (lower bounds, hedge verification, dominating cash).
 
-    Returns the MilpResult with values equal to h(x) + extra_offset.
+    Returns (Encoding, MilpResult), with values equal to
+    h(x) + extra_offset.
     """
     enc = encode_min(h, box)
     return enc, solve_milp(enc.program, opts,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import pricebounds as pb
-from pricebounds import cpwa
+from pricebounds import cli, cpwa
+from pricebounds.accp import LpContradictionError
 from pricebounds.cli import main, parse_payoff_spec, _sweep_strikes
 from conftest import rng_for, random_box_instance
 
@@ -157,6 +158,19 @@ def test_usage_error_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["bounds", "--instance", missing,
                  "--payoff", "vanilla_call:asset=0,strike=1"]) == 2
+
+
+@pytest.mark.parametrize("exc", [
+    RuntimeError("relaxed LP ended with status unbounded"),
+    LpContradictionError("band [0, 1] is empty")])
+def test_solver_failure_exit_code(instance_file, monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli, "solve_one", fail)
+    path, _ = instance_file
+    assert main(["bounds", "--instance", path,
+                 "--payoff", "vanilla_call:asset=0,strike=1"]) == 3
+    assert "solver failure: %s" % exc in capsys.readouterr().err
 
 
 def test_console_script_installed():

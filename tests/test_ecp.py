@@ -3,10 +3,11 @@ import pytest
 
 import pricebounds as pb
 from pricebounds import cpwa
-from pricebounds.ecp import (EcpOptions, solve_ecp, price_pi,
-                             compute_lower_phi, verify_hedge)
+from pricebounds.ecp import (CutSet, EcpOptions, solve_ecp, price_pi,
+                             compute_lower_phi, verify_hedge,
+                             dominating_cash)
 from conftest import (rng_for, random_box_instance, grid_points,
-                      grid_measure_lp)
+                      grid_measure_lp, min_oracle, random_cpwa)
 
 EPS = 1e-3
 
@@ -173,3 +174,60 @@ def test_instance_json_round_trip():
     for g1, g2 in zip(inst.g, clone.g):
         assert cpwa.evaluate(g1, x) == pytest.approx(
             cpwa.evaluate(g2, x), abs=1e-12)
+
+
+def _cut_set():
+    inst = pb.MarketInstance(
+        dimension=2, domain=pb.Box((5.0, 5.0)),
+        g=[pb.asset(2, 0), pb.vanilla_call(2, 1, 1.0)],
+        bid=[1.0, 0.5], ask=[1.1, 0.6])
+    return inst, CutSet(inst, pb.call_on_max(2, [0, 1], 2.0),
+                        inst.box_array())
+
+
+def test_cut_set_rounds_and_clips_points():
+    _, cuts = _cut_set()
+    i, is_new = cuts.add([1.234567, 7.5])
+    assert (i, is_new) == (0, True)
+    assert cuts.x[0].tolist() == [1.2346, 5.0]
+    assert cuts.gx[0].tolist() == [1.2346, 4.0]
+    assert cuts.fx[0] == pytest.approx(3.0)
+    j, _ = cuts.add([-0.3, 2.00004])
+    assert cuts.x[j].tolist() == [0.0, 2.0]
+
+
+def test_cut_set_duplicate_returns_existing_index():
+    _, cuts = _cut_set()
+    cuts.add([1.0, 1.0])
+    cuts.add([2.0, 3.0])
+    assert cuts.add([2.00001, 2.99999]) == (1, False)
+    assert cuts.add([2.0, 9.0]) == (2, True)
+    assert len(cuts) == 3
+
+
+def test_cut_set_exact_point_is_not_rounded():
+    _, cuts = _cut_set()
+    cuts.add([1.0, 1.0])
+    i, is_new = cuts.add([1.00001, 1.0], rounded=False)
+    assert is_new
+    assert cuts.x[i].tolist() == [1.00001, 1.0]
+    assert cuts.add([1.00001, 1.0]) == (0, False)
+
+
+def test_cut_set_row_layout():
+    inst, cuts = _cut_set()
+    i, _ = cuts.add([3.0, 4.0])
+    row = cuts.row(i, 1 + 2 * inst.m + 3)
+    assert row.tolist() == [1.0, 3.0, 3.0, -3.0, -3.0, 0.0, 0.0, 0.0]
+
+
+def test_dominating_cash_is_the_max_over_the_box():
+    rng = rng_for(611)
+    for d in (1, 2):
+        inst = random_box_instance(rng, d, 2)
+        for _ in range(8):
+            f = random_cpwa(rng, d)
+            neg_f = cpwa.linear_combination([-1.0], [f])
+            expected = max(0.0, -min_oracle(neg_f, inst.box_array())[0])
+            assert dominating_cash(inst, f) == pytest.approx(expected,
+                                                             abs=1e-7)
