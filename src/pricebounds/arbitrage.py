@@ -22,7 +22,7 @@ import numpy as np
 from . import cpwa
 from .lp import LinearProgram, solve_lp
 from .ecp import (MarketInstance, Box, HalfSpacePositive, EcpOptions,
-                  solve_ecp, verify_hedge, price_pi)
+                  solve_ecp, verify_hedge, price_pi, _milp_box)
 from .accp import AccpOptions, solve_accp
 
 ETA_DEFAULT = 1e-6
@@ -248,7 +248,8 @@ def detect(instance: MarketInstance, epsilon=1e-3,
     else:
         res = solve_ecp(instance, f, EcpOptions(
             epsilon=epsilon, phi_low=0.0, xbar=xbar))
-        box = None
+        # ECP's truncation box; its radial rows cover growth beyond it
+        box = _milp_box(instance, f, xbar)[0]
     if res.status != "unbounded_arbitrage":
         return DetectionResult(arbitrage_free=True, phi_lb=res.phi_lb,
                                phi_ub=res.phi_ub)

@@ -7,6 +7,18 @@ with auxiliary nonnegative multipliers eta: for every choice of one
 piece per term whose "difference cone" has nonempty interior within the
 positive orthant, the chosen pieces' weighted gradient must dominate a
 conic combination of the difference vectors.
+
+`generate` enumerates the piece tuples depth first, in lexicographic
+order, one term at a time.  A prefix carries its deduplicated difference
+vectors, and its cone LP is solved only when the last term added a new
+direction.  Once a prefix's cone is empty, every tuple extending it is
+skipped.  This is exact: a tuple's difference set contains each of its
+prefixes' sets, so a convex combination of a prefix's vectors that is
+<= 0 is also one of the tuple's (with zero weight on the other
+vectors).  The kept tuples, in their order, are those of the exhaustive
+loop over `enumerate_tuples`; only the number of cone LPs falls, from
+the product of the terms' piece counts to about the number of surviving
+prefixes.
 """
 
 from __future__ import annotations
@@ -17,9 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cpwa import SlackTemplate
-from .lp import LinearProgram, solve_lp, ResourceLimitError
+from .lp import (LinearProgram, solve_lp, ResourceLimitError,
+                 ConditioningError)
 
 ROW_CAP_DEFAULT = 100000
+# cone LP witnesses: weight sign and sum, and V @ x <= 0 relative to |V|
+WITNESS_TOL = 1e-9
 
 
 @dataclass
@@ -53,52 +68,88 @@ def enumerate_tuples(tmpl: SlackTemplate):
 
 def cone_interior_empty(A) -> bool:
     """True iff some convex combination of the vectors in A is <= 0
-    componentwise (which collapses the dual cone's interior in R^d_+)."""
-    A = [np.asarray(v, dtype=float) for v in A]
-    if not A:
+    componentwise (which collapses the dual cone's interior in R^d_+).
+
+    An "empty" verdict discards every tuple that extends the prefix, so
+    its LP weights are checked before it is returned; a witness that
+    fails the check raises ConditioningError."""
+    if len(A) == 0:
         return False
-    d = len(A[0])
-    n = len(A)
-    rows = [(np.ones(n), "=", 1.0)]
-    for comp in range(d):
-        rows.append((np.array([v[comp] for v in A]), "<=", 0.0))
+    V = np.asarray(np.stack(A, axis=1), dtype=float)  # (d, n)
+    n = V.shape[1]
+    rows = [(np.ones(n), "=", 1.0)] + [(row, "<=", 0.0) for row in V]
     sol = solve_lp(LinearProgram(np.zeros(n), rows, [(0.0, None)] * n))
-    return sol.status == "optimal"
+    if sol.status != "optimal":
+        return False
+    x = sol.x
+    tol = WITNESS_TOL * max(1.0, float(np.abs(V).max()))
+    if (x.min() < -WITNESS_TOL or abs(x.sum() - 1.0) > WITNESS_TOL or
+            (V @ x).max() > tol):
+        raise ConditioningError(
+            "cone LP witness fails: min weight %.3g, weight sum %.12g, "
+            "max component %.3g" % (x.min(), x.sum(), (V @ x).max()))
+    return True
 
 
-def generate(tmpl: SlackTemplate, row_cap=ROW_CAP_DEFAULT) -> RadialSystem:
-    """Build the inequality system from a radial slack template
-    (all piece offsets zero)."""
-    d = tmpl.dimension
-    blocks = []
-    seen = set()
-    rows = 0
-    for tup in enumerate_tuples(tmpl):
-        chosen = [tmpl.terms[k][2][ik][0] for k, ik in enumerate(tup)]
-        diffs = []
-        for k, ik in enumerate(tup):
-            ak = chosen[k]
-            for i, (ai, _) in enumerate(tmpl.terms[k][2]):
+def _piece_directions(tmpl: SlackTemplate):
+    """dirs[k][ik]: the nonzero difference vectors a_ik - a_i (i != ik)
+    of term k's pieces, each with its dedupe key, in piece order."""
+    dirs = []
+    for _, _, pieces in tmpl.terms:
+        per_piece = []
+        for ik, (ak, _) in enumerate(pieces):
+            vs = []
+            for i, (ai, _) in enumerate(pieces):
                 if i == ik:
                     continue
                 v = ak - ai
                 if np.abs(v).max(initial=0.0) > 1e-12:
-                    diffs.append(v)
-        # dedupe directions within the tuple's difference set
-        uniq = []
-        useen = set()
-        for v in diffs:
-            key = tuple(np.round(v, 12))
-            if key not in useen:
-                useen.add(key)
-                uniq.append(v)
-        if cone_interior_empty(uniq):
+                    vs.append((tuple(np.round(v, 12)), v))
+            per_piece.append(vs)
+        dirs.append(per_piece)
+    return dirs
+
+
+def _open_cone_tuples(dirs, k=0, prefix=(), uniq=(), useen=frozenset()):
+    """Yield (tuple, uniq) for every piece tuple extending `prefix`
+    whose difference cone has nonempty interior, in the order of
+    `enumerate_tuples`.  uniq lists the tuple's distinct difference
+    vectors in order of first appearance."""
+    if k == len(dirs):
+        yield prefix, list(uniq)
+        return
+    for ik, vs in enumerate(dirs[k]):
+        u = list(uniq)
+        seen = set(useen)
+        for key, v in vs:
+            if key not in seen:
+                seen.add(key)
+                u.append(v)
+        # an empty cone stays empty in every tuple extending the prefix
+        if len(u) > len(uniq) and cone_interior_empty(u):
             continue
+        yield from _open_cone_tuples(dirs, k + 1, prefix + (ik,), u, seen)
+
+
+def generate(tmpl: SlackTemplate, row_cap=ROW_CAP_DEFAULT) -> RadialSystem:
+    """Build the inequality system from a radial slack template
+    (all piece offsets zero).
+
+    Tuples are visited depth first in `enumerate_tuples` order, and a
+    prefix whose difference cone is already empty is not extended (see
+    the module docstring for why that is exact).  Blocks equal to an
+    earlier block are dropped, and ResourceLimitError is raised once the
+    system would exceed `row_cap` rows."""
+    d = tmpl.dimension
+    blocks = []
+    seen = set()
+    rows = 0
+    for tup, uniq in _open_cone_tuples(_piece_directions(tmpl)):
         Y = np.zeros((d, tmpl.m))
         rhs = np.zeros(d)
         for k, ik in enumerate(tup):
-            w, z, _ = tmpl.terms[k]
-            ak = chosen[k]
+            w, z, pieces = tmpl.terms[k]
+            ak = pieces[ik][0]
             Y += np.outer(ak, w)
             rhs -= z * ak
         E = (-np.stack(uniq, axis=1) if uniq else np.zeros((d, 0)))

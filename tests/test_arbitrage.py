@@ -169,6 +169,30 @@ def test_detect_halfspace_instance():
     assert res.arbitrage_free
 
 
+def test_detect_halfspace_chain_arbitrage():
+    """Asset, calls and puts at three strikes on R_+, priced by the
+    discrete measure of `consistent_chain` except that the second
+    call's bid is above the first call's ask."""
+    atoms = {0.0: 0.15, 0.8: 0.2, 1.7: 0.25, 2.6: 0.2, 5.5: 0.2}
+    ks = [1.0, 2.0, 3.0]
+    call = [sum(p * max(x - k, 0.0) for x, p in atoms.items()) for k in ks]
+    put = [sum(p * max(k - x, 0.0) for x, p in atoms.items()) for k in ks]
+    mean = sum(p * x for x, p in atoms.items())
+    mid = np.array([mean] + call + put)
+    bid, ask = mid - 0.01, mid + 0.01
+    bid[2] = ask[1] + 0.05
+    ask[2] = bid[2] + 0.02
+    inst = pb.MarketInstance(
+        dimension=1, domain=pb.HalfSpacePositive(),
+        g=([pb.asset(1, 0)] + [pb.vanilla_call(1, 0, k) for k in ks] +
+           [pb.vanilla_put(1, 0, k) for k in ks]),
+        bid=bid, ask=ask)
+    res = detect(inst)
+    assert res.arbitrage_free is False
+    assert res.cost < 0
+    assert res.domination_slack >= 0
+
+
 def test_chain_json_round_trip():
     chain = consistent_chain()
     clone = OptionChain.from_json_dict(

@@ -5,6 +5,7 @@ import pytest
 
 from pricebounds import cpwa
 from pricebounds import radial as radial_mod
+from pricebounds.lp import ConditioningError, LpSolution
 from conftest import rng_for, random_cpwa
 
 
@@ -126,3 +127,132 @@ def test_row_cap():
     tmpl = _radial_tmpl(g, cpwa.zero_function(2))
     with pytest.raises(radial_mod.ResourceLimitError):
         radial_mod.generate(tmpl, row_cap=1)
+
+
+def _generate_exhaustive(tmpl, row_cap=radial_mod.ROW_CAP_DEFAULT):
+    """Reference: one cone LP per piece tuple, no pruning."""
+    d = tmpl.dimension
+    blocks = []
+    seen = set()
+    rows = 0
+    for tup in radial_mod.enumerate_tuples(tmpl):
+        chosen = [tmpl.terms[k][2][ik][0] for k, ik in enumerate(tup)]
+        diffs = []
+        for k, ik in enumerate(tup):
+            ak = chosen[k]
+            for i, (ai, _) in enumerate(tmpl.terms[k][2]):
+                if i == ik:
+                    continue
+                v = ak - ai
+                if np.abs(v).max(initial=0.0) > 1e-12:
+                    diffs.append(v)
+        uniq = []
+        useen = set()
+        for v in diffs:
+            key = tuple(np.round(v, 12))
+            if key not in useen:
+                useen.add(key)
+                uniq.append(v)
+        if radial_mod.cone_interior_empty(uniq):
+            continue
+        Y = np.zeros((d, tmpl.m))
+        rhs = np.zeros(d)
+        for k, ik in enumerate(tup):
+            w, z, _ = tmpl.terms[k]
+            ak = chosen[k]
+            Y += np.outer(ak, w)
+            rhs -= z * ak
+        E = (-np.stack(uniq, axis=1) if uniq else np.zeros((d, 0)))
+        key = (tuple(np.round(Y, 10).ravel()), tuple(np.round(rhs, 10)),
+               tuple(sorted(tuple(np.round(v, 10)) for v in uniq)))
+        if key in seen:
+            continue
+        seen.add(key)
+        rows += d
+        if rows > row_cap:
+            raise radial_mod.ResourceLimitError(
+                "radial system exceeds %d rows" % row_cap)
+        blocks.append(radial_mod.RadialBlock(Y=Y, E=E, rhs=rhs,
+                                             tuple_index=tup))
+    return radial_mod.RadialSystem(m=tmpl.m, dimension=d, blocks=blocks)
+
+
+def _assert_same_system(a, b):
+    assert len(a.blocks) == len(b.blocks)
+    for x, y in zip(a.blocks, b.blocks):
+        assert x.tuple_index == y.tuple_index
+        assert np.array_equal(x.Y, y.Y)
+        assert np.array_equal(x.E, y.E)
+        assert np.array_equal(x.rhs, y.rhs)
+
+
+def _chain_template(strikes):
+    """Radial template of f = 0 hedged by the asset, calls and puts."""
+    g = ([cpwa.asset(1, 0)] +
+         [cpwa.vanilla_call(1, 0, float(k)) for k in strikes] +
+         [cpwa.vanilla_put(1, 0, float(k)) for k in strikes])
+    return _radial_tmpl(g, cpwa.zero_function(1))
+
+
+def test_pruned_generate_matches_exhaustive_random():
+    rng = rng_for(503)
+    for _ in range(45):
+        d = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 5))
+        g = [random_cpwa(rng, d, max_terms=2, max_pieces=3)
+             for _ in range(m)]
+        tmpl = _radial_tmpl(g, random_cpwa(rng, d, max_terms=2,
+                                           max_pieces=3))
+        _assert_same_system(radial_mod.generate(tmpl),
+                            _generate_exhaustive(tmpl))
+
+
+def test_pruned_generate_matches_exhaustive_chains():
+    for m in range(3, 7):
+        tmpl = _chain_template(np.arange(1, m + 1) * 10.0)
+        _assert_same_system(radial_mod.generate(tmpl),
+                            _generate_exhaustive(tmpl))
+
+
+def test_pruned_generate_cone_lp_count(monkeypatch):
+    tmpl = _chain_template(np.arange(1, 7) * 10.0)
+    assert len(list(radial_mod.enumerate_tuples(tmpl))) == 4096
+    calls = []
+    real = radial_mod.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial_mod, "solve_lp", counting)
+    system = radial_mod.generate(tmpl)
+    assert system.blocks
+    assert 0 < len(calls) <= 2 * len(tmpl.terms)
+
+
+def test_row_cap_matches_exhaustive():
+    g = [cpwa.call_on_max(2, [0, 1], k) for k in range(5)]
+    tmpl = _radial_tmpl(g, cpwa.zero_function(2))
+    full = radial_mod.generate(tmpl)
+    assert len(full.blocks) > 1
+    for cap in range(full.row_count + 2):
+        try:
+            ref = _generate_exhaustive(tmpl, row_cap=cap)
+        except radial_mod.ResourceLimitError:
+            with pytest.raises(radial_mod.ResourceLimitError):
+                radial_mod.generate(tmpl, row_cap=cap)
+            continue
+        _assert_same_system(radial_mod.generate(tmpl, row_cap=cap), ref)
+
+
+def test_cone_interior_bad_witness_raises(monkeypatch):
+    """An "empty" verdict whose weights do not give a convex combination
+    <= 0 must raise instead of pruning."""
+    def bogus(p, **kwargs):
+        return LpSolution(status="optimal", x=np.array([0.5, 0.5]),
+                          objective=0.0)
+
+    monkeypatch.setattr(radial_mod, "solve_lp", bogus)
+    A = [np.array([1.0, 0.0]), np.array([-0.5, 0.0])]
+    with pytest.raises(ConditioningError):
+        radial_mod.cone_interior_empty(A)
