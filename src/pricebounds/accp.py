@@ -134,14 +134,13 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
 
     gens = {0: [add_point(x, 0) for x in opts.initial_support]}
 
-    # bounding box |c| <= c_bar, 0 <= y+, y- <= y_bar: 4m + 2 rows
+    # bounding box |c| <= c_bar, 0 <= y+, y- <= y_bar: 4m + 2 rows, the
+    # lower and the upper bound of each variable in turn
     n = 1 + 2 * m
-    unit = np.eye(n)
-    brows = [(unit[0], -c_bar), (-unit[0], -c_bar)]
-    for j in range(2 * m):
-        brows.append((unit[1 + j], 0.0))
-        brows.append((-unit[1 + j], -float(y_bar[j % m])))
-    bscales = [1.0] * len(brows)
+    box_A = np.kron(np.eye(n), [[1.0], [-1.0]])
+    lower = np.concatenate([[-c_bar], np.zeros(2 * m)])
+    upper = np.concatenate([[c_bar], y_bar, y_bar])
+    box_b = np.column_stack([lower, -upper]).ravel()
 
     phi_lo = phi_low_in - opts.tau
     phi_hi = phi_high_in
@@ -161,19 +160,21 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         if flag:
             phi_mid = (phi_lo + phi_mid) / 2.0
         live = [i for i in range(len(cuts)) if active[i]]
-        crows = [(cuts.row(i, n), cuts.fx[i]) for i in live]
-        cscales = [float(np.sqrt(1.0 + cuts.gx[i] @ cuts.gx[i]))
-                   for i in live]
-        rows = brows + [(obj_band, phi_lo), (-obj_band, -phi_mid)] + crows
-        scales = bscales + [band_scale, band_scale] + cscales
-        center = chebyshev_center(rows, scales)
+        cut_A = cuts.row(live, n)
+        cut_b = np.array([cuts.fx[i] for i in live])
+        cscales = [np.sqrt(1.0 + cuts.gx[i] @ cuts.gx[i]) for i in live]
+        center = chebyshev_center(
+            np.vstack([box_A, obj_band, -obj_band, cut_A]),
+            np.concatenate([box_b, [phi_lo, -phi_mid], cut_b]),
+            np.concatenate([np.ones(len(box_b)), [band_scale, band_scale],
+                            cscales]))
         lp_count += 1
         if center is None:
             # speculative band empty: certified new lower bound via LP
-            lp_rows = [(c, ">=", b) for c, b in crows]
             bounds = ([(-c_bar, c_bar)] +
                       [(0.0, float(yb)) for yb in y_bar] * 2)
-            sol = solve_lp(LinearProgram(obj_band, lp_rows, bounds))
+            sol = solve_lp(LinearProgram(obj_band, [(cut_A, ">=", cut_b)],
+                                         bounds))
             lp_count += 1
             if sol.status != "optimal":
                 raise RuntimeError("lower-bound LP status %s" % sol.status)

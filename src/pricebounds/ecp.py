@@ -59,6 +59,10 @@ class MarketInstance:
         m = len(self.g)
         if self.bid.shape != (m,) or self.ask.shape != (m,):
             raise ValueError("bid/ask length must equal number of payoffs")
+        bad = (~np.isfinite(self.bid) | ~np.isfinite(self.ask)).nonzero()[0]
+        if bad.size:
+            raise ValueError("instrument %d has a non-finite bid or ask"
+                             % bad[0])
         if np.any(self.bid > self.ask + 1e-12):
             raise ValueError("bid must not exceed ask")
         for gj in self.g:
@@ -205,14 +209,15 @@ class CutSet:
         self.fx.append(cpwa.evaluate(self.f, x))
         return i, True
 
-    def row(self, i, n):
-        """Coefficients of cut i over c | y+ | y-, zero-padded to n."""
-        gx = self.gx[i]
-        m = len(gx)
-        coeffs = np.zeros(n)
-        coeffs[0] = 1.0
-        coeffs[1:1 + m] = gx
-        coeffs[1 + m:1 + 2 * m] = -gx
+    def row(self, idx, n):
+        """Coefficients over c | y+ | y- of cut idx, zero-padded to n: one
+        row for an index, a block of rows for a sequence of indices."""
+        m = len(self.g)
+        gx = np.array(self.gx, dtype=float).reshape(len(self.gx), m)[idx]
+        coeffs = np.zeros(gx.shape[:-1] + (n,))
+        coeffs[..., 0] = 1.0
+        coeffs[..., 1:1 + m] = gx
+        coeffs[..., 1 + m:1 + 2 * m] = -gx
         return coeffs
 
 
@@ -260,32 +265,32 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
 
     template = cpwa.slack_template(instance.g, f)
 
-    # variables: c | y+ (m) | y- (m) | eta blocks (Setting 1 only)
+    # variables: c | y+ (m) | y- (m) | eta blocks (Setting 1 only); all
+    # rows are >=: the radial rows, the floor row, then one per cut
     n = 1 + 2 * m
     bounds = [(None, None)] + [(0.0, None)] * (2 * m)
-    rows = []
+    blocks, rhs = [], []
     if not instance.is_box():
         system = radial_mod.generate(cpwa.radial_template(template))
-        offsets = []
+        eta0 = n
+        n += system.aux_count
+        bounds.extend([(0.0, None)] * system.aux_count)
         for blk in system.blocks:
-            offsets.append(n)
-            n += blk.E.shape[1]
-            bounds.extend([(0.0, None)] * blk.E.shape[1])
-        for blk, eta0 in zip(system.blocks, offsets):
             n_eta = blk.E.shape[1]
-            for i in range(blk.Y.shape[0]):
-                coeffs = np.zeros(n)
-                coeffs[1:1 + m] = blk.Y[i]
-                coeffs[1 + m:1 + 2 * m] = -blk.Y[i]
-                coeffs[eta0:eta0 + n_eta] = blk.E[i]
-                rows.append((coeffs, ">=", blk.rhs[i]))
+            block = np.zeros((blk.Y.shape[0], n))
+            block[:, 1:1 + m] = blk.Y
+            block[:, 1 + m:1 + 2 * m] = -blk.Y
+            block[:, eta0:eta0 + n_eta] = blk.E
+            blocks.append(block)
+            rhs.append(blk.rhs)
+            eta0 += n_eta
 
     obj = np.zeros(n)
     obj[0] = 1.0
     obj[1:1 + m] = instance.ask
     obj[1 + m:1 + 2 * m] = -instance.bid
-    rows.append((obj.copy(), ">=", phi_low - opts.tau))
-    n_fixed = len(rows)  # radial and floor rows; cut rows follow
+    fixed_A = np.vstack(blocks + [obj])
+    fixed_b = np.concatenate(rhs + [[phi_low - opts.tau]])
     cuts = CutSet(instance, f, box)
     for x in opts.initial_support:
         cuts.add(x)
@@ -303,9 +308,9 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
         if it > opts.max_iterations:
             raise RuntimeError("iteration limit reached in cutting-plane "
                                "loop")
-        rows.extend((cuts.row(i, n), ">=", cuts.fx[i])
-                    for i in range(len(rows) - n_fixed, len(cuts)))
-        sol = solve_lp(LinearProgram(obj, rows, bounds))
+        A = np.vstack([fixed_A, cuts.row(range(len(cuts)), n)])
+        b = np.concatenate([fixed_b, cuts.fx])
+        sol = solve_lp(LinearProgram(obj, [(A, ">=", b)], bounds))
         lp_count += 1
         if sol.status != "optimal":
             raise RuntimeError("relaxed LP ended with status %s"

@@ -32,8 +32,7 @@ class MixedIntegerProgram:
         for j in self.binary_vars:
             if not (0 <= j < n):
                 raise ValueError("binary index out of range")
-            lo, up = self.base.var_bounds[j]
-            if lo is None or up is None or lo < -1e-12 or up > 1 + 1e-12:
+            if self.base.lo[j] < -1e-12 or self.base.hi[j] > 1 + 1e-12:
                 raise ValueError("binary variable %d must be bounded "
                                  "in [0,1]" % j)
 
@@ -72,11 +71,8 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
     bset = np.array(sorted(binaries), dtype=int)
 
     def node_lp(fixed, parent=None):
-        bounds = list(p.base.var_bounds)
-        for j, v in fixed.items():
-            bounds[j] = (float(v), float(v))
-        lp = LinearProgram(p.base.objective, p.base.rows, bounds)
-        return solve_lp(lp, start=parent)
+        return solve_lp(p.base.fix(list(fixed), list(fixed.values())),
+                        start=parent)
 
     root = node_lp({})
     if root.status == "infeasible":

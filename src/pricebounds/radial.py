@@ -77,7 +77,7 @@ def cone_interior_empty(A) -> bool:
         return False
     V = np.asarray(np.stack(A, axis=1), dtype=float)  # (d, n)
     n = V.shape[1]
-    rows = [(np.ones(n), "=", 1.0)] + [(row, "<=", 0.0) for row in V]
+    rows = [(np.ones(n), "=", 1.0), (V, "<=", 0.0)]
     sol = solve_lp(LinearProgram(np.zeros(n), rows, [(0.0, None)] * n))
     if sol.status != "optimal":
         return False
@@ -180,8 +180,8 @@ def is_feasible(system: RadialSystem, y) -> bool:
                 return False
             continue
         n = b.E.shape[1]
-        rows = [(b.E[i], ">=", need[i]) for i in range(b.E.shape[0])]
-        sol = solve_lp(LinearProgram(np.zeros(n), rows, [(0.0, None)] * n))
+        sol = solve_lp(LinearProgram(np.zeros(n), [(b.E, ">=", need)],
+                                     [(0.0, None)] * n))
         if sol.status != "optimal":
             return False
     return True

@@ -163,6 +163,20 @@ def test_market_instance_validation():
                           g=[pb.asset(1, 0)], bid=[0.0], ask=[1.0])
 
 
+def test_market_instance_rejects_non_finite_quotes():
+    for bid, ask, bad in (([1.0, np.nan], [1.1, 0.6], 1),
+                          ([1.0, 0.5], [np.inf, 0.6], 0)):
+        with pytest.raises(ValueError, match="instrument %d " % bad):
+            pb.MarketInstance(dimension=1, domain=pb.Box((10.0,)),
+                              g=[pb.asset(1, 0), pb.vanilla_call(1, 0, 1.0)],
+                              bid=bid, ask=ask)
+    obj = {"d": 1, "domain": {"box": [10.0]},
+           "g": [cpwa.to_json_dict(pb.asset(1, 0))],
+           "bid": [float("nan")], "ask": [1.0]}
+    with pytest.raises(ValueError, match="instrument 0 "):
+        pb.MarketInstance.from_json_dict(obj)
+
+
 def test_instance_json_round_trip():
     rng = rng_for(611)
     inst = random_box_instance(rng, 2, 3)
@@ -219,6 +233,12 @@ def test_cut_set_row_layout():
     i, _ = cuts.add([3.0, 4.0])
     row = cuts.row(i, 1 + 2 * inst.m + 3)
     assert row.tolist() == [1.0, 3.0, 3.0, -3.0, -3.0, 0.0, 0.0, 0.0]
+    j, _ = cuts.add([1.0, 0.5])
+    block = cuts.row([i, j], 1 + 2 * inst.m + 3)
+    assert block.shape == (2, 8)
+    assert block[0].tolist() == row.tolist()
+    assert block[1].tolist() == cuts.row(j, 8).tolist()
+    assert cuts.row([], 8).shape == (0, 8)
 
 
 def test_dominating_cash_is_the_max_over_the_box():

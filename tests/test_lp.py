@@ -108,10 +108,108 @@ def test_conditioning_guard():
         solve_lp(p)
 
 
+def _stack(rows):
+    """(A, b) from rows (a, b) of A v >= b."""
+    return np.array([a for a, _ in rows]), np.array([b for _, b in rows])
+
+
+def test_block_rows_match_per_row_tuples():
+    """Rows given as blocks, one per run of a relation, and as one tuple
+    per row make the same program and the same solve."""
+    rng = rng_for(206)
+    for trial in range(40):
+        n = int(rng.integers(2, 7))
+        runs = [(str(rel), int(rng.integers(1, 4))) for rel in
+                rng.choice(["<=", ">=", "="], size=int(rng.integers(1, 4)))]
+        m = sum(k for _, k in runs)
+        A = rng.uniform(-2, 2, size=(m, n))
+        b = rng.uniform(-1, 3, size=m)
+        c = rng.uniform(-2, 2, size=n)
+        bounds = [(0.0, float(rng.uniform(1, 5))) for _ in range(n)]
+        blocks, per_row, i = [], [], 0
+        for rel, k in runs:
+            blocks.append((A[i:i + k], rel, b[i:i + k]))
+            per_row += [(A[j], rel, b[j]) for j in range(i, i + k)]
+            i += k
+        p, q = LinearProgram(c, blocks, bounds), LinearProgram(c, per_row,
+                                                                bounds)
+        assert len(p.rows) == len(q.rows) == m
+        s1, s2 = solve_lp(p), solve_lp(q)
+        assert s1.status == s2.status, trial
+        assert s1.iterations == s2.iterations, trial
+        if s1.status == "optimal":
+            assert np.array_equal(s1.x, s2.x), trial
+            assert s1.objective == s2.objective, trial
+            assert np.array_equal(s1.row_duals, s2.row_duals), trial
+    # a scalar rhs holds for every row of its block
+    p = LinearProgram(np.zeros(2), [(np.eye(2), "<=", 1.5)], [(0.0, None)] * 2)
+    assert [(a.tolist(), rel, v) for a, rel, v in p.rows] == [
+        ([1.0, 0.0], "<=", 1.5), ([0.0, 1.0], "<=", 1.5)]
+
+
+def test_non_finite_input_is_rejected():
+    row = [(np.array([1.0]), ">=", 1.0)]
+    LinearProgram([1.0], row, [(0.0, None)])
+    for objective, rows, bounds in [
+            ([np.nan], row, [(0.0, None)]),
+            ([1.0], [(np.array([np.nan]), ">=", 1.0)], [(0.0, None)]),
+            ([1.0], [(np.array([np.inf]), "<=", 1.0)], [(0.0, None)]),
+            ([1.0], [(np.array([1.0]), ">=", np.inf)], [(0.0, None)]),
+            ([1.0], [(np.array([[1.0], [np.nan]]), ">=", [1.0, 2.0])],
+             [(0.0, None)]),
+            ([1.0], [(np.eye(1), ">=", [np.nan])], [(0.0, None)]),
+            ([1.0], row, [(np.nan, None)]),
+            ([1.0], row, [(0.0, np.nan)]),
+            ([1.0], row, [(np.inf, None)]),
+            ([1.0], row, [(None, -np.inf)])]:
+        with pytest.raises(ValueError):
+            LinearProgram(objective, rows, bounds)
+
+
+def test_inconsistent_empty_row_has_unit_certificate():
+    for rel, rhs, y in ((">=", 1.0, 1.0), ("<=", -1.0, -1.0),
+                        ("=", -2.0, -1.0)):
+        p = LinearProgram([1.0, 1.0], [(np.array([1.0, 0.0]), "<=", 5.0),
+                                       (np.zeros(2), rel, rhs)],
+                          [(0.0, None)] * 2)
+        sol = solve_lp(p)
+        assert sol.status == "infeasible"
+        assert sol.farkas.tolist() == [0.0, y]
+        _assert_farkas(p, sol.farkas)
+
+
+def test_farkas_check_rejects_a_corrupted_certificate(monkeypatch):
+    """The two-phase Farkas vector goes through the same check as the
+    warm one; a vector that fails it is refused, and a two-phase verdict
+    without a valid vector raises."""
+    p = LinearProgram([1.0, 1.0], [(np.array([1.0, 1.0]), ">=", 3.0)],
+                      [(0.0, 1.0)] * 2)
+    real = lp._farkas
+    seen = []
+
+    def spy(y, *args):
+        seen.append((y, args))
+        return real(y, *args)
+
+    monkeypatch.setattr(lp, "_farkas", spy)
+    sol = solve_lp(p)
+    assert sol.status == "infeasible"
+    _assert_farkas(p, sol.farkas)
+    y, args = seen[-1]
+    assert real(y, *args) is not None
+    assert real(-y, *args) is None
+    bent = y.copy()
+    bent[np.argmin(bent)] += 2.0 * np.abs(y).max()
+    assert real(bent, *args) is None
+    monkeypatch.setattr(lp, "_farkas", lambda *args: None)
+    with pytest.raises(ConditioningError):
+        solve_lp(p)
+
+
 def test_chebyshev_unit_square():
     rows = [(np.array([1.0, 0.0]), 0.0), (np.array([-1.0, 0.0]), -1.0),
             (np.array([0.0, 1.0]), 0.0), (np.array([0.0, -1.0]), -1.0)]
-    center, radius = chebyshev_center(rows)
+    center, radius = chebyshev_center(*_stack(rows))
     assert center == pytest.approx([0.5, 0.5], abs=1e-8)
     assert radius == pytest.approx(0.5, abs=1e-8)
 
@@ -119,7 +217,7 @@ def test_chebyshev_unit_square():
 def test_chebyshev_right_triangle_incenter():
     rows = [(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), 0.0),
             (np.array([-1.0, -1.0]), -1.0)]
-    center, radius = chebyshev_center(rows)
+    center, radius = chebyshev_center(*_stack(rows))
     r = 1.0 / (2.0 + np.sqrt(2.0))
     assert radius == pytest.approx(r, abs=1e-8)
     assert center == pytest.approx([r, r], abs=1e-8)
@@ -127,7 +225,7 @@ def test_chebyshev_right_triangle_incenter():
 
 def test_chebyshev_infeasible():
     rows = [(np.array([1.0]), 1.0), (np.array([-1.0]), 0.0)]
-    assert chebyshev_center(rows) is None
+    assert chebyshev_center(*_stack(rows)) is None
 
 
 def test_chebyshev_scaled_rows_ball_feasible():
@@ -140,7 +238,7 @@ def test_chebyshev_scaled_rows_ball_feasible():
         for _ in range(6):
             a = rng.uniform(-1, 1, size=2)
             rows.append((a, float(rng.uniform(-2, -0.5))))
-        out = chebyshev_center(rows)
+        out = chebyshev_center(*_stack(rows))
         if out is None:
             continue
         center, radius = out
