@@ -91,74 +91,68 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
         raise ValueError("box dimension mismatch")
     h = prune_cpwa(h, prune_threshold)
 
-    x_indices = list(range(d))
-    bounds = [(0.0, float(xb)) for xb in xbar]
-    obj_x = np.zeros(d)
-    n = d
-    obj_extra = []  # (coeff) for auxiliary variables, appended in order
-    rows = []
-    binaries = []
-    constant = 0.0
-    term_vars = []
-
+    # one pass sizes the program: a positive term with P pieces adds
+    # lambda and P rows; a negative one adds zeta, P deltas, P iotas and
+    # 2 P + 1 rows; a term with one piece is an affine addend
+    terms, c_x, constant = [], np.zeros(d), 0.0
+    n, m = d, 0
     for t in h.terms:
         pieces = _dedupe_pieces(t.pieces)
         if len(pieces) == 1:
             a, b = pieces[0]
-            obj_x += t.sign * a
+            c_x += t.sign * a
             constant += t.sign * b
             continue
-        if t.sign == 1:
-            lam = n
-            n += 1
-            bounds.append((None, None))
-            obj_extra.append(1.0)
-            for a, b in pieces:
-                # a.x + b <= lambda
-                rows.append((("x", a), [(lam, -1.0)], "<=", -b))
-            term_vars.append(("max", lam))
-        else:
-            zeta = n
-            n += 1
-            bounds.append((None, None))
-            obj_extra.append(-1.0)
-            ms = _term_big_m(pieces, xbar)
-            delta_idx = []
-            iota_idx = []
-            for i, (a, b) in enumerate(pieces):
-                di = n
-                n += 1
-                bounds.append((0.0, None))
-                obj_extra.append(0.0)
-                delta_idx.append(di)
-                # a.x + b + delta = zeta
-                rows.append((("x", a), [(zeta, -1.0), (di, 1.0)], "=", -b))
-            for i in range(len(pieces)):
-                ii = n
-                n += 1
-                bounds.append((0.0, 1.0))
-                obj_extra.append(0.0)
-                binaries.append(ii)
-                iota_idx.append(ii)
-                # delta_i <= M_i (1 - iota_i)
-                rows.append((None, [(delta_idx[i], 1.0),
-                                    (ii, ms[i])], "<=", ms[i]))
-            rows.append((None, [(j, 1.0) for j in iota_idx], "=", 1.0))
-            term_vars.append(("minmax", zeta, delta_idx, iota_idx))
+        terms.append((t.sign, pieces))
+        P = len(pieces)
+        n += 1 if t.sign == 1 else 1 + 2 * P
+        m += P if t.sign == 1 else 2 * P + 1
 
-    c = np.concatenate([obj_x, np.array(obj_extra)]) if obj_extra \
-        else obj_x.copy()
-    lp_rows = []
-    for xpart, aux, rel, rhs in rows:
-        coeffs = np.zeros(n)
-        if xpart is not None:
-            coeffs[:d] = xpart[1]
-        for j, v in aux:
-            coeffs[j] = v
-        lp_rows.append((coeffs, rel, rhs))
-    program = MixedIntegerProgram(LinearProgram(c, lp_rows, bounds),
-                                  binaries)
-    return Encoding(program=program, x_indices=x_indices,
+    A, rhs = np.zeros((m, n)), np.zeros(m)
+    sense = np.zeros(m, dtype=np.int8)
+    c = np.zeros(n)
+    c[:d] = c_x
+    lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+    lo[:d], hi[:d] = 0.0, xbar
+    binaries, term_vars = [], []
+    i, j = 0, d  # next row, next variable
+    for sign, pieces in terms:
+        P = len(pieces)
+        piece_rows = slice(i, i + P)
+        A[piece_rows, :d] = [a for a, _ in pieces]
+        rhs[piece_rows] = [-b for _, b in pieces]
+        if sign == 1:
+            # a.x + b <= lambda
+            A[piece_rows, j] = -1.0
+            sense[piece_rows] = -1
+            c[j] = 1.0
+            term_vars.append(("max", j))
+            i, j = i + P, j + 1
+            continue
+        # zeta is variable j, the deltas follow it, then the iotas
+        zeta, dl, io, r = j, j + 1, j + 1 + P, np.arange(P)
+        c[zeta] = -1.0
+        lo[dl:io + P] = 0.0
+        hi[io:io + P] = 1.0
+        # a.x + b + delta = zeta
+        A[piece_rows, zeta] = -1.0
+        A[i + r, dl + r] = 1.0
+        # delta_i <= M_i (1 - iota_i)
+        big = slice(i + P, i + 2 * P)
+        ms = _term_big_m(pieces, xbar)
+        A[i + P + r, dl + r] = 1.0
+        A[i + P + r, io + r] = rhs[big] = ms
+        sense[big] = -1
+        # exactly one piece is selected
+        A[i + 2 * P, io:io + P] = rhs[i + 2 * P] = 1.0
+        binaries += range(io, io + P)
+        term_vars.append(("minmax", zeta, list(range(dl, io)),
+                          list(range(io, io + P))))
+        i, j = i + 2 * P + 1, io + P
+
+    program = MixedIntegerProgram(
+        LinearProgram.from_arrays(c, A, rhs, sense, lo, hi), binaries)
+    return Encoding(program=program, x_indices=list(range(d)),
                     constant=constant, term_vars=term_vars)
 
 

@@ -1,17 +1,19 @@
-"""Dense two-phase tableau simplex LP solver with duals and certificates.
+"""Dense two-phase tableau simplex LP solver, a bounded-variable dual
+simplex for re-solves, and checked certificates.
 
 Solves  min <c, x>  s.t.  A x (sense) b,  lo <= x <= hi  for a program
 held in matrix form (see LinearProgram).  Reports primal solution, row
-duals, a checked Farkas certificate on infeasibility and an improving
-ray on unboundedness.  The final basis is refactorized (solve against
-the unpivoted matrix) so the reported solution and duals do not inherit
-tableau drift.
+duals, a checked Farkas certificate on infeasibility and a checked
+improving ray on unboundedness.  The final basis is refactorized (solve
+against the unpivoted matrix) so the reported solution and duals do not
+inherit tableau drift.
 
 The standard form is built with array operations: each variable becomes
 a shifted column (lower bound), a negated shifted column (upper bound
 only) or a pair of columns (free), every row gets its rhs shifted and is
 negated where that rhs is negative, and slack, surplus and artificial
-columns are placed by masks over the row senses.
+columns are placed by masks over the row senses.  A variable with both
+bounds gets an upper-bound row.
 
 Pivoting is Dantzig's rule, leaving on the largest pivot among tied
 rows, falling back to Bland's rule when the objective stalls.  Ties are
@@ -20,10 +22,16 @@ outputs.
 
 A solve may start from the optimal solution of a program that has the
 same objective and rows and differs only in variable bounds, as a
-branch-and-bound child differs from its parent.  It keeps the parent's
-standard form, in which only the right-hand side moves, refactorizes the
-parent's basis, which stays dual feasible, and runs a dual simplex until
-the basis is primal feasible.
+branch-and-bound child differs from its parent.  It runs a
+bounded-variable dual simplex (Dantzig's upper-bounding) on the bounded
+form of the parent's standard form: the program rows only, each column
+within [lo, hi] and each nonbasic column at one of its bounds, so a
+changed variable bound moves a column bound and adds no row.  A
+two-phase basis enters the bounded form once: an upper-bound row leaves
+with its slack when the slack is basic, and otherwise with its variable,
+which becomes nonbasic at its upper bound.  The inverse of the start's
+basis and its reduced costs are built from one factorization on first
+use and kept on the start, so both children of a node start from copies.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
 
 FEAS_TOL = 1e-9
@@ -40,8 +49,9 @@ MAX_ITER = 100000
 # smallest pivot element a ratio test or an artificial drive-out accepts;
 # smaller pivots amplify rounding until the tableau reports false verdicts
 PIVOT_TOL = 1e-9
-# a Farkas vector y (max-norm 1) must have y.A <= FARKAS_TOL on every
-# column that may leave zero, and a two-phase one y.b > FARKAS_TOL
+# a Farkas vector y (max-norm 1) may have |y.A| up to FARKAS_TOL on a
+# column whose bound on that side is infinite, and a two-phase one must
+# beat the largest y.A x over the column bounds by more than FARKAS_TOL
 FARKAS_TOL = 1e-9
 
 _SENSE = {"<=": -1, "=": 0, ">=": 1}
@@ -93,13 +103,33 @@ class LinearProgram:
             blocks.append(a)
             sense.extend([_SENSE[rel]] * len(a))
         A = np.concatenate(blocks) if blocks else np.zeros((0, n))
-        b = np.array(rhs, dtype=float)
-        if A.ndim != 2 or A.shape[1] != n or b.shape != A.shape[:1]:
-            raise ValueError("row or rhs length mismatch")
         lo = np.array([-np.inf if v is None else v for v, _ in var_bounds],
                       dtype=float)
         hi = np.array([np.inf if v is None else v for _, v in var_bounds],
                       dtype=float)
+        self._set(c, A, np.array(rhs, dtype=float),
+                  np.array(sense, dtype=np.int8), lo, hi)
+
+    @classmethod
+    def from_arrays(cls, objective, A, b, sense, lo, hi):
+        """The program with these arrays, checked as the constructor
+        checks its rows: sense holds -1, 0 or +1 per row, lo and hi hold
+        -inf and +inf where a variable has no bound."""
+        sense = np.asarray(sense, dtype=np.int8)
+        if ((sense < -1) | (sense > 1)).any():
+            raise ValueError("bad relation")
+        p = cls.__new__(cls)
+        p._set(np.asarray(objective, dtype=float),
+               np.asarray(A, dtype=float), np.asarray(b, dtype=float),
+               sense, np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        return p
+
+    def _set(self, c, A, b, sense, lo, hi):
+        n = len(c)
+        if A.ndim != 2 or A.shape[1] != n or b.shape != A.shape[:1] or \
+                sense.shape != b.shape or lo.shape != (n,) or \
+                hi.shape != (n,):
+            raise ValueError("row or rhs length mismatch")
         if not (np.isfinite(c).all() and np.isfinite(A).all() and
                 np.isfinite(b).all()):
             raise ValueError("objective and rows must be finite")
@@ -107,8 +137,7 @@ class LinearProgram:
         if not ((lo <= hi) & (lo < np.inf) & (hi > -np.inf)).all():
             raise ValueError("bounds must have lower <= upper, and no NaN, "
                              "+inf lower or -inf upper bound")
-        self.objective, self.A, self.b = c, A, b
-        self.sense = np.array(sense, dtype=np.int8)
+        self.objective, self.A, self.b, self.sense = c, A, b, sense
         self.lo, self.hi = lo, hi
 
     @property
@@ -143,9 +172,16 @@ class LpSolution:
     farkas: np.ndarray = None  # certificate over rows, if infeasible
     ray: np.ndarray = None  # improving direction, if unbounded
     iterations: int = 0
-    # final basis and standard form, if optimal: the start of a re-solve
+    # final basis and standard form, if optimal: the start of a re-solve.
+    # A two-phase basis indexes the standard form's columns and has no
+    # `upper`; a dual-simplex basis indexes its bounded form's columns,
+    # and `upper` marks the nonbasic columns at their upper bound
     basis: np.ndarray = field(default=None, repr=False)
     form: _StandardForm = field(default=None, repr=False)
+    upper: np.ndarray = field(default=None, repr=False)
+    # (basis, upper, B^-1, reduced costs) in the bounded form, built on the
+    # first re-solve from this solution; False if it cannot be built
+    warm: tuple = field(default=None, repr=False)
 
 
 @dataclass
@@ -171,6 +207,43 @@ class _StandardForm:
     orig_rows: np.ndarray  # program row of each leading standard row
     orig_sign: np.ndarray  # -1.0 where that row was negated
     ub_vars: np.ndarray  # variable of each trailing upper-bound row
+    bounded: _BoundedForm = field(default=None, repr=False)
+
+
+@dataclass
+class _BoundedForm:
+    """The program rows of a standard form, with bounds on its columns in
+    place of x >= 0 and the upper-bound rows: the upper-bound rows, their
+    slack columns and the artificial columns are dropped.  Column bounds
+    are at the standard form's shift, so a variable's bounds move only
+    its own column's bounds.  The structural columns keep their index."""
+    A: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    lo: np.ndarray  # column bounds for the standard form's program
+    hi: np.ndarray
+    index: np.ndarray  # column of each standard-form column, -1 if dropped
+    lo_inf: np.ndarray  # which variable bounds of the program are infinite
+    hi_inf: np.ndarray
+
+
+def _bounded(form):
+    """The bounded form of form, built once and kept on it."""
+    if form.bounded is None:
+        k = len(form.orig_rows)
+        keep = ~form.is_art
+        keep[form.init_ident[k:]] = False
+        cols = keep.nonzero()[0]
+        index = np.full(len(keep), -1)
+        index[cols] = np.arange(len(cols))
+        lo, hi = np.zeros(len(cols)), np.full(len(cols), np.inf)
+        p = form.program
+        hi[form.col[form.ub_vars]] = (p.hi - p.lo)[form.ub_vars]
+        form.bounded = _BoundedForm(A=form.A[:k, cols], b=form.b[:k],
+                                    c=form.c[cols], lo=lo, hi=hi, index=index,
+                                    lo_inf=np.isinf(p.lo),
+                                    hi_inf=np.isinf(p.hi))
+    return form.bounded
 
 
 def _check_conditioning(p: LinearProgram):
@@ -192,18 +265,48 @@ def _to_program(form, xs, base):
     return base + np.add.reduceat(xs * form.sgn, form.col)
 
 
-def _farkas(y, A, b, allowed, margin):
+def _farkas(y, A, b, lo, hi, margin):
     """y scaled to max-norm 1 if it proves that A x = b has no solution
-    x >= 0 that is zero off the allowed columns: y.A <= FARKAS_TOL on
-    the allowed columns and y.b > margin.  None otherwise."""
+    with lo <= x <= hi: the largest y.A x over those bounds is below
+    y.b - margin.  A column with an infinite bound on the side that y.A
+    would push it to must have |y.A| <= FARKAS_TOL there.  None
+    otherwise."""
     top = np.abs(y).max(initial=0.0)
     if not top > 0.0:
         return None
     y = y / top
-    if (y @ A)[allowed].max(initial=-np.inf) > FARKAS_TOL or \
-            not y @ b > margin:
+    g = y @ A
+    bound = np.where(g > 0.0, hi, lo)
+    inf = np.isinf(bound)
+    if np.abs(g[inf]).max(initial=0.0) > FARKAS_TOL or \
+            not g[~inf] @ bound[~inf] < y @ b - margin:
         return None
     return y
+
+
+def _ray(r, p):
+    """r scaled to max-norm 1 if it is an improving ray of p: c.r < 0,
+    A r moves every row to the side its sense allows and r moves no
+    variable past a finite bound.  None otherwise."""
+    top = np.abs(r).max(initial=0.0)
+    if not top > 0.0:
+        return None
+    r = r / top
+    Ar = p.A @ r
+    tol = FEAS_TOL * (1.0 + np.abs(p.A).sum(axis=1))
+    rows_ok = np.where(p.sense == 0, np.abs(Ar) <= tol, p.sense * Ar >= -tol)
+    if not (p.objective @ r < 0.0 and rows_ok.all() and
+            (r[np.isfinite(p.lo)] >= -FEAS_TOL).all() and
+            (r[np.isfinite(p.hi)] <= FEAS_TOL).all()):
+        return None
+    return r
+
+
+def _unbounded(p, r, iterations):
+    ray = _ray(r, p)
+    if ray is None:
+        raise ConditioningError("unbounded ray fails its check")
+    return LpSolution(status="unbounded", ray=ray, iterations=iterations)
 
 
 def _pivot(D, r, basis, pr, pc):
@@ -277,34 +380,82 @@ def _rows_of(form, v, m):
     return out
 
 
-def _finish(form, p, basis, b, base, offset, iters, xB, y):
-    """Optimal solution at the final basis.  The basis is refactorized
-    against the unpivoted matrix; the pivoted basic values xB and duals y
-    over the standard-form rows are kept only when the refactorization is
-    singular or disagrees with them."""
-    fac = _factor(form.A[:, basis])
+def _finish(form, p, A, c, basis, rhs, offset, x, lo_B, hi_B, xB, y,
+            iters, upper=None):
+    """Optimal solution at the final basis of  A x = b  (the standard
+    form, or its bounded form when `upper` is given).  x holds the
+    nonbasic columns at their bounds and zero on the basis, rhs is
+    b - A x and offset is the objective's constant plus c.x; lo_B, hi_B
+    bound the basic columns.  The basis is refactorized against the
+    unpivoted matrix; the pivoted basic values xB and duals y are kept
+    only when the refactorization is singular or disagrees with them."""
+    fac = _factor(A[:, basis])
     if fac is not None:
-        xB_fac = _solve_factored(fac, b)
-        if np.abs(xB_fac - xB).max() <= 1e-5 * (1.0 + abs(b).max(initial=0.0)):
+        xB_fac = _solve_factored(fac, rhs)
+        drift = np.abs(xB_fac - xB).max()
+        if drift <= 1e-5 * (1.0 + abs(rhs).max(initial=0.0)):
             xB = xB_fac
-            y = _solve_factored(fac, form.c[basis], trans=1)
-    x_std = np.zeros(len(form.c))
-    x_std[basis] = np.maximum(xB, 0.0)
-    x = _to_program(form, x_std[:form.n_struct], base)
-    return LpSolution(status="optimal", x=x, objective=float(p.objective @ x),
+            y = _solve_factored(fac, c[basis], trans=1)
+    dual = float(y @ rhs) + offset
+    x[basis] = np.minimum(np.maximum(xB, lo_B), hi_B)
+    xp = _to_program(form, x[:form.n_struct], form.base)
+    return LpSolution(status="optimal", x=xp,
+                      objective=float(p.objective @ xp),
                       row_duals=_rows_of(form, y, len(p.b)),
-                      dual_objective=float(y @ b) + offset,
-                      iterations=iters, basis=basis.copy(), form=form)
+                      dual_objective=dual, iterations=iters,
+                      basis=basis.copy(), form=form, upper=upper)
 
 
 def _same(u, v):
     return u is v or np.array_equal(u, v)
 
 
+def _start_state(start, form, bf):
+    """(basis, upper, B^-1, reduced costs) of start in the bounded form,
+    from one factorization of its basis, kept on start for the next
+    re-solve from it.  A two-phase basis enters the bounded form here: an
+    upper-bound row whose slack is basic leaves with that slack, any
+    other leaves with its variable, which is then basic (the row has no
+    other entry) and becomes nonbasic at its upper bound.  None when the
+    bounded form has no row, or the basis keeps an artificial column or
+    is singular."""
+    if start.warm is None:
+        start.warm = False
+        if not len(bf.b):
+            return None
+        basis, upper = start.basis, start.upper
+        if upper is None:
+            if form.is_art[basis].any():
+                return None
+            k = len(form.orig_rows)
+            slack, var = form.init_ident[k:], form.col[form.ub_vars]
+            is_basic = np.zeros(len(form.c), dtype=bool)
+            is_basic[basis] = True
+            at_hi = var[~is_basic[slack]]
+            drop = np.zeros(len(form.c), dtype=bool)
+            drop[slack] = True
+            drop[at_hi] = True
+            basis = bf.index[basis[~drop[basis]]]
+            if len(basis) != k:
+                return None
+            upper = np.zeros(len(bf.c), dtype=bool)
+            upper[at_hi] = True
+        fac = _factor(bf.A[:, basis])
+        if fac is None:
+            return None
+        Binv, info = dgetri(*fac)
+        if info:
+            return None
+        start.warm = (basis, upper, Binv,
+                      bf.c - (bf.c[basis] @ Binv) @ bf.A)
+    return start.warm or None
+
+
 def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
-    """Re-solve p from start's basis in start's standard form.  None when
-    p is not start's program with other bounds, or when the dual simplex
-    ends without a checked result."""
+    """Re-solve p from start's basis by a bounded-variable dual simplex
+    in the bounded form of start's standard form.  None when p is not
+    start's program with other bounds, or when the dual simplex ends
+    without a checked result."""
     form = start.form
     if form is None:
         return None
@@ -312,78 +463,100 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
     if not (_same(p.objective, q.objective) and _same(p.A, q.A) and
             _same(p.b, q.b) and _same(p.sense, q.sense)):
         return None
-    basis = start.basis.copy()
-    if form.is_art[basis].any():
+    bf = _bounded(form)
+    # a bound that turns finite or infinite changes the columns
+    if (np.isinf(p.lo) != bf.lo_inf).any() or \
+            (np.isinf(p.hi) != bf.hi_inf).any():
         return None
+    state = _start_state(start, form, bf)
+    if state is None:
+        return None
+    basis, upper, Binv, d = state
+    basis, upper, Binv, d = basis.copy(), upper.copy(), Binv.copy(), d.copy()
 
-    # a changed bound moves the rhs through its column's shift and through
-    # its upper-bound row; a bound that turns finite or infinite changes
-    # the columns
+    # a shifted column moves with its variable's bounds, a negated one
+    # mirrors them; free variables have no bounds to change
     ch = ((p.lo != q.lo) | (p.hi != q.hi)).nonzero()[0]
-    if ((np.isfinite(p.lo[ch]) != np.isfinite(q.lo[ch])).any() or
-            (np.isfinite(p.hi[ch]) != np.isfinite(q.hi[ch])).any()):
-        return None
-    base = form.base.copy()
-    # a shifted column moves with its lower bound, a negated one with its
-    # upper bound; free variables have no bounds to change
-    base[ch] = np.where(form.sgn[form.col[ch]] > 0, p.lo[ch], p.hi[ch])
-    d = base[ch] - form.base[ch]
-    shift = np.zeros(form.n_struct)
-    shift[form.col[ch]] = d * form.sgn[form.col[ch]]
-    offset = form.offset + p.objective[ch] @ d
-    b = form.b - form.A[:, :form.n_struct] @ shift
-    b[len(form.orig_rows):] = (p.hi - p.lo)[form.ub_vars]
+    lo, hi = bf.lo.copy(), bf.hi.copy()
+    k, base = form.col[ch], form.base[ch]
+    pos = form.sgn[k] > 0
+    lo[k] = np.where(pos, p.lo[ch] - base, base - p.hi[ch])
+    hi[k] = np.where(pos, p.hi[ch] - base, base - p.lo[ch])
 
-    # dual simplex on the explicit inverse of the parent's basis
-    A, c = form.A, form.c
-    mr, N = A.shape
-    fac = _factor(A[:, basis])
-    if fac is None:
-        return None
-    Binv, info = dgetri(*fac)
-    if info:
-        return None
-    xB = Binv @ b
-    r = c - (c[basis] @ Binv) @ A
-    allowed = ~form.is_art
-    scale = 1.0 + abs(b).max(initial=0.0)
-    cap = min(max_iter, 20 * (mr + N) + 500)
+    # dirn: +1 on the nonbasic columns that may rise from their lower
+    # bound, -1 on those that may fall from their upper bound, 0 on the
+    # basic and the fixed columns.  Dual feasible: dirn * d >= 0, which a
+    # branching fix keeps and the pivots maintain (a widened bound that
+    # breaks it ends in the final check)
+    dirn = np.where(upper, -1.0, 1.0)
+    dirn[lo == hi] = 0.0
+    dirn[basis] = 0.0
+    A, b = bf.A, bf.b
+    x = np.where(upper, hi, lo)
+    x[basis] = 0.0
+    rhs = b - A @ x
+    xB = Binv @ rhs
+    lo_B, hi_B = lo[basis], hi[basis]
+    scale = 1.0 + np.abs(rhs).max()
+    tol = feas_tol * scale
+    cap = min(max_iter, 20 * (len(b) + len(x)) + 500)
     it = 0
     while True:
-        pr = int(xB.argmin())
-        if xB[pr] >= -feas_tol * scale:
+        below, above = lo_B - xB, xB - hi_B
+        viol = np.maximum(below, above)
+        pr = int(viol.argmax())
+        if viol[pr] <= tol:
             break
         if it >= cap:
             return None
+        up = bool(above[pr] > below[pr])  # basic pr leaves at its upper bound
         alpha = Binv[pr] @ A  # pivot row of the tableau B^-1 A
-        cand = (allowed & (alpha < -PIVOT_TOL)).nonzero()[0]
+        # x_B[pr] moves by -alpha_j per unit rise of column j; s_j > 0
+        # where moving j its allowed way moves x_B[pr] toward its bound
+        s = alpha * dirn if up else alpha * -dirn
+        cand = (s > PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
-            # row pr of B^-1 has B^-1 A >= 0 on every column that may
-            # leave zero, while its rhs is negative: its negation is a
-            # Farkas certificate if it holds with a margin
-            y = _farkas(-Binv[pr], A, b, allowed, 1e-7 * scale)
+            # no column can move x_B[pr] toward its bounds: row pr of B^-1,
+            # oriented against the violation, is a Farkas certificate if it
+            # holds over the column bounds with a margin
+            y = _farkas(Binv[pr] if up else -Binv[pr], A, b, lo, hi,
+                        1e-7 * scale)
             if y is None:
                 return None
             return LpSolution(status="infeasible",
                               farkas=_rows_of(form, y, len(p.b)),
                               iterations=it)
-        ratios = np.maximum(r[cand], 0.0) / -alpha[cand]
-        ties = cand[ratios <= ratios.min() + 1e-12]
-        # deterministic: the largest pivot among tied columns
-        pc = int(ties[alpha[ties].argmin()])
+        if cand.size == 1:
+            pc = int(cand[0])
+        else:
+            ratios = np.maximum(d[cand] * dirn[cand], 0.0) / s[cand]
+            ties = cand[ratios <= ratios.min() + 1e-12]
+            # deterministic: the largest pivot among tied columns
+            pc = int(ties[s[ties].argmax()])
         col = Binv @ A[:, pc]
-        theta = xB[pr] / col[pr]
+        theta = (xB[pr] - (hi_B[pr] if up else lo_B[pr])) / col[pr]
         xB -= theta * col
-        xB[pr] = theta
+        xB[pr] = x[pc] + theta
         row = Binv[pr] / col[pr]
-        Binv -= col[:, None] * row
+        # in place: Binv -= col row^T
+        Binv = dger(-1.0, row, col, a=Binv.T, overwrite_a=1).T
         Binv[pr] = row
-        r -= r[pc] / alpha[pc] * alpha
+        d -= d[pc] / alpha[pc] * alpha
+        d[pc] = 0.0
+        out = basis[pr]
         basis[pr] = pc
+        lo_B[pr], hi_B[pr] = lo[pc], hi[pc]
+        x[out] = hi[out] if up else lo[out]
+        x[pc] = 0.0
+        upper[out], upper[pc] = up, False
+        dirn[out] = 0.0 if lo[out] == hi[out] else (-1.0 if up else 1.0)
+        dirn[pc] = 0.0
         it += 1
-    if r[allowed].min() < -opt_tol:
+    if (dirn * d < -opt_tol).any():
         return None
-    return _finish(form, p, basis, b, base, offset, it, xB, c[basis] @ Binv)
+    return _finish(form, p, A, bf.c, basis, b - A @ x,
+                   form.offset + bf.c @ x, x, lo_B, hi_B, xB,
+                   bf.c[basis] @ Binv, it, upper)
 
 
 def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
@@ -437,9 +610,12 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
     sense = np.concatenate([p.sense[keep], np.full(len(ub_vars), -1)])
     mr = len(rhs_v)
     if mr == 0:
-        # unconstrained over x' >= 0
-        if np.any(c_t < -opt_tol):
-            return LpSolution(status="unbounded")
+        # unconstrained over x' >= 0: the most improving column is a ray
+        k = int(c_t.argmin())
+        if c_t[k] < -opt_tol:
+            ray = np.zeros(len(p.objective))
+            ray[src[k]] = sgn[k]
+            return _unbounded(p, ray, 0)
         return LpSolution(status="optimal", x=base.copy(),
                           objective=obj_offset, row_duals=np.zeros(m),
                           dual_objective=obj_offset)
@@ -491,7 +667,7 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
     if (viol / (1.0 + rhs_v)).max() > 1e-7:
         # y = phase-1 duals: y.A <= 0 on the other columns, y.b > 0
         y = _farkas(c1[init_ident] - r1[init_ident], form.A, form.b,
-                    ~is_art, FARKAS_TOL)
+                    np.zeros(N), np.where(is_art, 0.0, np.inf), FARKAS_TOL)
         if y is None:
             raise ConditioningError("phase-1 Farkas vector fails its check")
         return LpSolution(status="infeasible", farkas=_rows_of(form, y, m),
@@ -519,12 +695,11 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
         t = np.zeros(N)
         t[pc] = 1.0
         t[basis] = -D[:, pc]
-        return LpSolution(status="unbounded",
-                          ray=_to_program(form, t[:nt], 0.0),
-                          iterations=iters)
+        return _unbounded(p, _to_program(form, t[:nt], 0.0), iters)
 
-    return _finish(form, p, basis, form.b, base, obj_offset, iters,
-                   D[:, -1], c_full[init_ident] - r2[init_ident])
+    return _finish(form, p, form.A, c_full, basis, form.b, obj_offset,
+                   np.zeros(N), 0.0, np.inf, D[:, -1],
+                   c_full[init_ident] - r2[init_ident], iters)
 
 
 def chebyshev_center(A, b, scales=None, rho_cap=1e9):

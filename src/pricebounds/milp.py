@@ -1,8 +1,10 @@
 """Branch-and-bound solver for LPs with binary variables.
 
 Minimizes over the LP relaxation tree, branching on the most fractional
-binary and exploring nodes in best-bound order.  Each child's LP is
-re-optimized from its parent's optimal basis by the dual simplex.
+binary and exploring nodes in best-bound order.  Both children of a
+node are solved right after it is popped, each re-optimized from its
+optimal basis by the bounded-variable dual simplex, so they share the
+basis inverse that the first of them builds on the node's solution.
 Terminates on a relative-gap rule (p_bar - p_low)/|p_bar| <= rel_gap
 (absolute gap rel_gap * 1e-6 when the incumbent value is 0) or on a node
 limit.

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pricebounds import cpwa
-from pricebounds.encoding import big_m, encode_min, minimize_over_box
+from pricebounds.encoding import (big_m, encode_min, minimize_over_box,
+                                  _dedupe_pieces, _term_big_m)
 from pricebounds.lp import LinearProgram, solve_lp
 from conftest import rng_for, random_cpwa, min_oracle
 
@@ -111,3 +112,90 @@ def test_invalid_box_rejected():
         encode_min(cpwa.asset(1, 0), [0.0])
     with pytest.raises(ValueError):
         encode_min(cpwa.asset(2, 0), [1.0])
+
+
+def _encode_by_rows(h, box):
+    """The row-tuple construction that encode_min replaced, kept as the
+    reference: one (x-part, aux, rel, rhs) tuple per row, then a dense
+    row per tuple, stacked by LinearProgram."""
+    xbar = np.asarray(box, dtype=float)
+    d = h.dimension
+    h = cpwa.prune(h)
+    bounds = [(0.0, float(xb)) for xb in xbar]
+    obj_x = np.zeros(d)
+    n = d
+    obj_extra, rows, binaries = [], [], []
+    constant = 0.0
+    for t in h.terms:
+        pieces = _dedupe_pieces(t.pieces)
+        if len(pieces) == 1:
+            obj_x += t.sign * pieces[0][0]
+            constant += t.sign * pieces[0][1]
+            continue
+        if t.sign == 1:
+            lam = n
+            n += 1
+            bounds.append((None, None))
+            obj_extra.append(1.0)
+            for a, b in pieces:
+                rows.append((a, [(lam, -1.0)], "<=", -b))
+        else:
+            zeta = n
+            n += 1
+            bounds.append((None, None))
+            obj_extra.append(-1.0)
+            ms = _term_big_m(pieces, xbar)
+            delta_idx, iota_idx = [], []
+            for a, b in pieces:
+                delta_idx.append(n)
+                n += 1
+                bounds.append((0.0, None))
+                obj_extra.append(0.0)
+                rows.append((a, [(zeta, -1.0), (delta_idx[-1], 1.0)], "=",
+                             -b))
+            for i in range(len(pieces)):
+                iota_idx.append(n)
+                binaries.append(n)
+                n += 1
+                bounds.append((0.0, 1.0))
+                obj_extra.append(0.0)
+                rows.append((None, [(delta_idx[i], 1.0), (iota_idx[i], ms[i])],
+                             "<=", ms[i]))
+            rows.append((None, [(j, 1.0) for j in iota_idx], "=", 1.0))
+    c = np.concatenate([obj_x, np.array(obj_extra)]) if obj_extra \
+        else obj_x.copy()
+    lp_rows = []
+    for xpart, aux, rel, rhs in rows:
+        coeffs = np.zeros(n)
+        if xpart is not None:
+            coeffs[:d] = xpart
+        for j, v in aux:
+            coeffs[j] = v
+        lp_rows.append((coeffs, rel, rhs))
+    return LinearProgram(c, lp_rows, bounds), binaries, constant
+
+
+def test_matrix_matches_row_construction():
+    """encode_min fills its matrix directly; every array is bit-identical
+    to the row-tuple construction on random functions and on random
+    slack templates."""
+    rng = rng_for(404)
+    g = [cpwa.vanilla_call(2, 0, 2.0), cpwa.vanilla_put(2, 1, 3.0),
+         cpwa.call_on_max(2, [0, 1], 1.0), cpwa.asset(2, 0)]
+    tmpl = cpwa.slack_template(g, cpwa.call_on_min(2, [0, 1], 2.0))
+    for trial in range(120):
+        if trial % 2:
+            d = int(rng.integers(1, 4))
+            h = random_cpwa(rng, d, max_terms=5, max_pieces=4)
+        else:
+            d = 2
+            h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=len(g)))
+        box = rng.uniform(1, 8, size=d)
+        enc = encode_min(h, box)
+        p = enc.program
+        ref, binaries, constant = _encode_by_rows(h, box)
+        assert p.binary_vars == binaries, trial
+        assert enc.constant == constant, trial
+        for name in ("objective", "A", "b", "sense", "lo", "hi"):
+            u, v = getattr(p.base, name), getattr(ref, name)
+            assert u.dtype == v.dtype and np.array_equal(u, v), (trial, name)

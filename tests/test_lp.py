@@ -42,6 +42,52 @@ def test_unbounded_with_ray():
     assert sol.status == "unbounded"
     assert sol.ray is not None
     assert sol.ray @ np.array([-1.0]) < 0
+    _assert_ray(p, sol.ray)
+
+
+def test_unbounded_without_rows_has_a_ray():
+    """With no row left after the empty-row check, the most improving
+    column is the ray."""
+    for p, ray in [
+            (LinearProgram([-1.0], [], [(0.0, None)]), [1.0]),
+            (LinearProgram([-1.0], [(np.zeros(1), "<=", 1.0)],
+                           [(0.0, None)]), [1.0]),
+            (LinearProgram([0.5, 2.0], [(np.zeros(2), ">=", -1.0)],
+                           [(0.0, 1.0), (None, 3.0)]), [0.0, -1.0]),
+            (LinearProgram([1.0], [], [(None, None)]), [-1.0])]:
+        assert _highs(p).status == 3
+        sol = solve_lp(p)
+        assert sol.status == "unbounded"
+        assert sol.ray.tolist() == ray
+        _assert_ray(p, sol.ray)
+
+
+def test_ray_check_rejects_a_corrupted_ray(monkeypatch):
+    """Every unbounded ray goes through its check; a ray that fails it is
+    refused, and an unbounded verdict without a valid ray raises."""
+    p = LinearProgram([-1.0, -1.0], [(np.array([1.0, -1.0]), ">=", -1.0)],
+                      [(0.0, None), (0.0, None)])
+    real = lp._ray
+    seen = []
+
+    def spy(r, q):
+        seen.append((r, q))
+        return real(r, q)
+
+    monkeypatch.setattr(lp, "_ray", spy)
+    sol = solve_lp(p)
+    assert sol.status == "unbounded"
+    _assert_ray(p, sol.ray)
+    r, q = seen[-1]
+    assert q is p and real(r, p) is not None
+    assert real(-r, p) is None  # not improving
+    assert real(np.array([0.0, 1.0]), p) is None  # leaves the row
+    assert real(np.array([1.0, -0.5]), p) is None  # leaves a bound
+    monkeypatch.setattr(lp, "_ray", lambda *args: None)
+    with pytest.raises(ConditioningError):
+        solve_lp(p)
+    with pytest.raises(ConditioningError):
+        solve_lp(LinearProgram([-1.0], [], [(0.0, None)]))
 
 
 def test_duality_gap_and_constraints_random():
@@ -166,6 +212,27 @@ def test_non_finite_input_is_rejected():
             LinearProgram(objective, rows, bounds)
 
 
+def test_from_arrays_matches_rows_and_checks_input():
+    rng = rng_for(207)
+    A, b, c = rng.uniform(-2, 2, size=(3, 2)), rng.uniform(-1, 1, size=3), \
+        rng.uniform(-1, 1, size=2)
+    p = LinearProgram(c, [(A[:2], "<=", b[:2]), (A[2], "=", b[2])],
+                      [(0.0, 1.0), (None, 2.0)])
+    q = LinearProgram.from_arrays(c, A, b, [-1, -1, 0], [0.0, -np.inf],
+                                  [1.0, 2.0])
+    for name in ("objective", "A", "b", "sense", "lo", "hi"):
+        u, v = getattr(p, name), getattr(q, name)
+        assert u.dtype == v.dtype and np.array_equal(u, v), name
+    for args in [(c, A, b, [-1, 2, 0], [0.0, 0.0], [1.0, 1.0]),
+                 (c, A, b, [-1, 1], [0.0, 0.0], [1.0, 1.0]),
+                 (c, A[:, :1], b, [-1, 1, 0], [0.0, 0.0], [1.0, 1.0]),
+                 (c, A, np.full(3, np.nan), [0, 0, 0], [0.0, 0.0],
+                  [1.0, 1.0]),
+                 (c, A, b, [0, 0, 0], [0.0, 2.0], [1.0, 1.0])]:
+        with pytest.raises(ValueError):
+            LinearProgram.from_arrays(*args)
+
+
 def test_inconsistent_empty_row_has_unit_certificate():
     for rel, rhs, y in ((">=", 1.0, 1.0), ("<=", -1.0, -1.0),
                         ("=", -2.0, -1.0)):
@@ -204,6 +271,55 @@ def test_farkas_check_rejects_a_corrupted_certificate(monkeypatch):
     monkeypatch.setattr(lp, "_farkas", lambda *args: None)
     with pytest.raises(ConditioningError):
         solve_lp(p)
+
+
+def test_farkas_check_uses_the_column_bounds():
+    """y proves A x = b infeasible only if the largest y.A x over the
+    column bounds falls short of y.b."""
+    A, b = np.array([[1.0, 1.0, -1.0]]), np.array([3.0])
+    lo, hi = np.zeros(3), np.array([1.0, 1.0, np.inf])
+    assert lp._farkas(np.array([2.0]), A, b, lo, hi, 1e-9).tolist() == [1.0]
+    for y, lo_, hi_ in [
+            (np.array([1.0]), lo, np.array([1.0, 2.0, np.inf])),  # reaches 3
+            (np.array([1.0]), lo, np.array([1.0, np.inf, np.inf])),
+            (np.array([1.0]), np.array([0.0, 0.0, -1.0]), hi),  # -x2 <= 1
+            (np.array([-1.0]), lo, hi)]:
+        assert lp._farkas(y, A, b, lo_, hi_, 1e-9) is None
+    # a column pushed toward an infinite bound is ignored only while
+    # |y.A| is within FARKAS_TOL
+    A2 = np.array([[1.0, 1.0, 0.5 * lp.FARKAS_TOL]])
+    assert lp._farkas(np.array([1.0]), A2, b, lo, hi, 1e-9) is not None
+    A2[0, 2] = 2.0 * lp.FARKAS_TOL
+    assert lp._farkas(np.array([1.0]), A2, b, lo, hi, 1e-9) is None
+
+
+def test_warm_farkas_check_falls_back_and_raises(monkeypatch):
+    """A re-solve's infeasible verdict carries a certificate checked over
+    the column bounds; when the check fails the solve falls back to the
+    two-phase solve, whose own failed check raises."""
+    p = LinearProgram([1.0, 1.0], [(np.array([1.0, 1.0]), ">=", 1.5)],
+                      [(0.0, 1.0)] * 2)
+    parent = solve_lp(p)
+    child = p.fix([0], [0.0])
+    real = lp._farkas
+    seen = []
+
+    def spy(y, *args):
+        seen.append((y, args))
+        return real(y, *args)
+
+    monkeypatch.setattr(lp, "_farkas", spy)
+    sol = solve_lp(child, start=parent)
+    assert sol.status == "infeasible" and len(seen) == 1
+    _assert_farkas(child, sol.farkas)
+    y, (A, b, lo, hi, margin) = seen[0]
+    assert real(y, A, b, lo, hi, margin) is not None
+    widened = hi.copy()
+    widened[0] = 1.0  # with x0 free to reach 1 the row holds
+    assert real(y, A, b, lo, widened, margin) is None
+    monkeypatch.setattr(lp, "_farkas", lambda *args: None)
+    with pytest.raises(ConditioningError):
+        solve_lp(child, start=parent)
 
 
 def test_chebyshev_unit_square():
@@ -321,12 +437,14 @@ def test_conditioning_check_matches_row_loop():
     assert 0 < raised < 200
 
 
-def _random_node_lp(rng):
+def _random_node_lp(rng, n_max, m_max):
     """A random LP with binaries in [0, 1] whose root is feasible: the
     rows hold at a random point of the bounds, with fractional binaries,
-    so fixing a binary can make a child infeasible."""
-    n = int(rng.integers(4, 31))
-    m = int(rng.integers(2, 31))
+    so fixing a binary or narrowing a box can make a child infeasible.
+    Box rows on the variables with an infinite bound keep every
+    relaxation bounded."""
+    n = int(rng.integers(4, n_max + 1))
+    m = int(rng.integers(2, m_max + 1))
     nb = int(rng.integers(1, min(n, 6) + 1))
     kinds = rng.choice(["box", "lower", "upper", "free"], size=n - nb,
                        p=[0.5, 0.2, 0.15, 0.15])
@@ -345,18 +463,50 @@ def _random_node_lp(rng):
         rel = str(rng.choice(["<=", ">=", "="], p=[0.45, 0.4, 0.15]))
         slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[rel] * rng.uniform(0, 0.5)
         rows.append((a, rel, float(a @ x0 + slack)))
-    # a box keeps every relaxation bounded
-    for j in range(nb, n):
+    for j in nb + (kinds != "box").nonzero()[0]:
         e = np.zeros(n)
         e[j] = 1.0
         rows += [(e, "<=", 10.0), (e, ">=", -10.0)]
-    return LinearProgram(rng.uniform(-2, 2, size=n), rows, bounds), nb
+    bounded = nb + (kinds != "free").nonzero()[0]
+    return LinearProgram(rng.uniform(-2, 2, size=n), rows, bounds), nb, \
+        bounded
 
 
-def _fix(p, j, v):
-    bounds = list(p.var_bounds)
-    bounds[j] = (float(v), float(v))
-    return LinearProgram(p.objective, p.rows, bounds)
+def _branch(p, root, rng, nb, bounded, x):
+    """Two children of p that differ from it in one variable's bounds: a
+    binary fixed at 0 and at 1; a box variable's range split at its value
+    s in x (the middle of the range when x is at a bound), its lower side
+    sometimes fixed; or a one-sided variable's finite bound moved to s and
+    halfway to s.  Sometimes the second child instead widens a variable
+    that p narrows back to its range in root.  The children share p's
+    objective and row arrays."""
+    if not bounded.size or rng.uniform() < 0.5:
+        j = int(rng.integers(nb))
+        children = [p.fix([j], [v]) for v in (0.0, 1.0)]
+    else:
+        j = int(rng.choice(bounded))
+        lo, hi = p.lo[j], p.hi[j]
+        if lo > -np.inf and hi < np.inf:
+            s = x[j] if lo < x[j] < hi else 0.5 * (lo + hi)
+            children = [p.fix([j], [lo]) if rng.uniform() < 0.3 else
+                        _with_bounds(p, j, lo, s), _with_bounds(p, j, s, hi)]
+        elif lo > -np.inf:
+            s = x[j] if x[j] > lo else lo + 1.0
+            children = [_with_bounds(p, j, t, hi) for t in (s, 0.5 * (lo + s))]
+        else:
+            s = x[j] if x[j] < hi else hi - 1.0
+            children = [_with_bounds(p, j, lo, t) for t in (s, 0.5 * (hi + s))]
+    narrowed = ((p.lo != root.lo) | (p.hi != root.hi)).nonzero()[0]
+    if narrowed.size and rng.uniform() < 0.3:
+        j = int(rng.choice(narrowed))
+        children[1] = _with_bounds(p, j, root.lo[j], root.hi[j])
+    return children
+
+
+def _with_bounds(p, j, lo, hi):
+    q = p.fix([j], [lo])
+    q.hi[j] = hi
+    return q
 
 
 def _assert_farkas(p, y, tol=1e-7):
@@ -377,10 +527,44 @@ def _assert_farkas(p, y, tol=1e-7):
     assert top < y @ np.array([b for _, _, b in p.rows]) - tol
 
 
+def _assert_ray(p, r, tol=1e-7):
+    """r is an improving ray of p: c.r < 0, every row moves to the side
+    its relation allows, and no variable moves past a finite bound."""
+    r = r / np.abs(r).max()
+    assert p.objective @ r < 0
+    for a, rel, _ in p.rows:
+        v = a @ r
+        assert {"<=": v <= tol, ">=": v >= -tol, "=": abs(v) <= tol}[rel]
+    for rj, (lo, up) in zip(r, p.var_bounds):
+        assert lo is None or rj >= -tol
+        assert up is None or rj <= tol
+
+
+def _assert_solution(p, sol, ref):
+    """sol is optimal for p with ref's objective, feasible and with a
+    dual objective equal to its objective."""
+    scale = 1.0 + abs(ref)
+    assert sol.objective == pytest.approx(ref, abs=1e-7 * scale)
+    assert sol.dual_objective == pytest.approx(sol.objective,
+                                               abs=1e-7 * scale)
+    for a, rel, b in p.rows:
+        lhs = a @ sol.x
+        assert {"<=": lhs <= b + 1e-7, ">=": lhs >= b - 1e-7,
+                "=": abs(lhs - b) <= 1e-7}[rel]
+    for xj, (lo, up) in zip(sol.x, p.var_bounds):
+        assert lo is None or xj >= lo - 1e-9
+        assert up is None or xj <= up + 1e-9
+
+
 def test_warm_start_matches_cold_solve(monkeypatch):
-    """Children and grandchildren of random LPs: the solve from the
-    parent's basis agrees with the two-phase solve in status and
-    objective, and its infeasible verdicts carry a valid certificate."""
+    """Chains of four branchings on random LPs of up to 30 and up to 100
+    rows and columns, with binary fixes and moved or widened bounds: both
+    children of a node re-solve from the node's solution (sharing its
+    basis inverse), and the chain goes on from a feasible child's
+    re-solved solution.
+    Each child agrees with the two-phase solve and with HiGHS in status
+    and objective, and its infeasible verdicts carry a valid
+    certificate."""
     answered = {"optimal": 0, "infeasible": 0}
     warm = lp._solve_warm
 
@@ -392,31 +576,30 @@ def test_warm_start_matches_cold_solve(monkeypatch):
 
     monkeypatch.setattr(lp, "_solve_warm", counting)
     rng = rng_for(205)
-    for trial in range(150):
-        root, nb = _random_node_lp(rng)
-        parent = solve_lp(root)
+    children = 0
+    for trial, size in enumerate([30] * 100 + [100] * 12):
+        root, nb, bounded = _random_node_lp(rng, size, size)
+        node, parent = root, solve_lp(root)
         assert parent.status == "optimal", trial
-        for depth in range(2):
-            child = _fix(root if depth == 0 else child, int(rng.integers(nb)),
-                         int(rng.integers(2)))
-            cold = solve_lp(child)
-            sol = solve_lp(child, start=parent)
-            assert sol.status == cold.status, trial
-            if sol.status == "infeasible":
-                assert _highs(child).status == 2, trial
-                _assert_farkas(child, sol.farkas)
+        for depth in range(4):
+            feasible = []
+            for child in _branch(node, root, rng, nb, bounded, parent.x):
+                children += 1
+                cold = solve_lp(child)
+                ref = _highs(child)
+                sol = solve_lp(child, start=parent)
+                assert sol.status == cold.status, trial
+                if sol.status == "infeasible":
+                    assert ref.status == 2, trial
+                    _assert_farkas(child, sol.farkas)
+                    continue
+                assert ref.status == 0, trial
+                _assert_solution(child, sol, ref.fun)
+                _assert_solution(child, cold, ref.fun)
+                feasible.append((child, sol))
+            if not feasible:
                 break
-            scale = 1.0 + abs(cold.objective)
-            assert sol.objective == pytest.approx(cold.objective,
-                                                  abs=1e-7 * scale), trial
-            assert sol.dual_objective == pytest.approx(sol.objective,
-                                                       abs=1e-7 * scale)
-            for a, rel, b in child.rows:
-                lhs = a @ sol.x
-                assert {"<=": lhs <= b + 1e-7, ">=": lhs >= b - 1e-7,
-                        "=": abs(lhs - b) <= 1e-7}[rel], trial
-            for xj, (lo, up) in zip(sol.x, child.var_bounds):
-                assert lo is None or xj >= lo - 1e-9
-                assert up is None or xj <= up + 1e-9
-            parent = sol
-    assert answered["optimal"] > 150 and answered["infeasible"] > 30
+            node, parent = feasible[int(rng.integers(len(feasible)))]
+    # nearly every child is answered by the re-solve
+    assert answered["optimal"] + answered["infeasible"] >= 0.95 * children
+    assert answered["infeasible"] >= 5
