@@ -222,9 +222,7 @@ class _BoundedForm:
     c: np.ndarray
     lo: np.ndarray  # column bounds for the standard form's program
     hi: np.ndarray
-    index: np.ndarray  # column of each standard-form column, -1 if dropped
-    lo_inf: np.ndarray  # which variable bounds of the program are infinite
-    hi_inf: np.ndarray
+    cols: np.ndarray  # standard-form column of each column
 
 
 def _bounded(form):
@@ -234,15 +232,12 @@ def _bounded(form):
         keep = ~form.is_art
         keep[form.init_ident[k:]] = False
         cols = keep.nonzero()[0]
-        index = np.full(len(keep), -1)
-        index[cols] = np.arange(len(cols))
-        lo, hi = np.zeros(len(cols)), np.full(len(cols), np.inf)
+        hi = np.full(len(cols), np.inf)
         p = form.program
         hi[form.col[form.ub_vars]] = (p.hi - p.lo)[form.ub_vars]
         form.bounded = _BoundedForm(A=form.A[:k, cols], b=form.b[:k],
-                                    c=form.c[cols], lo=lo, hi=hi, index=index,
-                                    lo_inf=np.isinf(p.lo),
-                                    hi_inf=np.isinf(p.hi))
+                                    c=form.c[cols], lo=np.zeros(len(cols)),
+                                    hi=hi, cols=cols)
     return form.bounded
 
 
@@ -267,10 +262,10 @@ def _to_program(form, xs, base):
 
 def _farkas(y, A, b, lo, hi, margin):
     """y scaled to max-norm 1 if it proves that A x = b has no solution
-    with lo <= x <= hi: the largest y.A x over those bounds is below
-    y.b - margin.  A column with an infinite bound on the side that y.A
-    would push it to must have |y.A| <= FARKAS_TOL there.  None
-    otherwise."""
+    with lo <= x <= hi (per column, or one value for every column): the
+    largest y.A x over those bounds is below y.b - margin.  A column
+    with an infinite bound on the side that y.A would push it to must
+    have |y.A| <= FARKAS_TOL there.  None otherwise."""
     top = np.abs(y).max(initial=0.0)
     if not top > 0.0:
         return None
@@ -380,15 +375,16 @@ def _rows_of(form, v, m):
     return out
 
 
-def _finish(form, p, A, c, basis, rhs, offset, x, lo_B, hi_B, xB, y,
-            iters, upper=None):
-    """Optimal solution at the final basis of  A x = b  (the standard
-    form, or its bounded form when `upper` is given).  x holds the
-    nonbasic columns at their bounds and zero on the basis, rhs is
-    b - A x and offset is the objective's constant plus c.x; lo_B, hi_B
-    bound the basic columns.  The basis is refactorized against the
-    unpivoted matrix; the pivoted basic values xB and duals y are kept
-    only when the refactorization is singular or disagrees with them."""
+def _finish(form, p, A, c, basis, rhs, offset, x, xB, y, iters,
+            bounds=None):
+    """Optimal solution at the final basis of  A x = b: the standard form,
+    or its bounded form when `bounds` = (lo_B, hi_B, upper) gives the
+    basic columns' bounds and the nonbasic columns at their upper bound.
+    x holds the nonbasic columns at their bounds and zero on the basis,
+    rhs is b - A x and offset is the objective's constant plus c.x.  The
+    basis is refactorized against the unpivoted matrix; the pivoted basic
+    values xB and duals y are kept only when the refactorization is
+    singular or disagrees with them."""
     fac = _factor(A[:, basis])
     if fac is not None:
         xB_fac = _solve_factored(fac, rhs)
@@ -397,7 +393,12 @@ def _finish(form, p, A, c, basis, rhs, offset, x, lo_B, hi_B, xB, y,
             xB = xB_fac
             y = _solve_factored(fac, c[basis], trans=1)
     dual = float(y @ rhs) + offset
-    x[basis] = np.minimum(np.maximum(xB, lo_B), hi_B)
+    if bounds is None:
+        x[basis] = np.maximum(xB, 0.0)
+        upper = None
+    else:
+        lo_B, hi_B, upper = bounds
+        x[basis] = np.minimum(np.maximum(xB, lo_B), hi_B)
     xp = _to_program(form, x[:form.n_struct], form.base)
     return LpSolution(status="optimal", x=xp,
                       objective=float(p.objective @ xp),
@@ -432,10 +433,9 @@ def _start_state(start, form, bf):
             is_basic = np.zeros(len(form.c), dtype=bool)
             is_basic[basis] = True
             at_hi = var[~is_basic[slack]]
-            drop = np.zeros(len(form.c), dtype=bool)
-            drop[slack] = True
-            drop[at_hi] = True
-            basis = bf.index[basis[~drop[basis]]]
+            is_basic[slack] = False
+            is_basic[at_hi] = False
+            basis = np.searchsorted(bf.cols, basis[is_basic[basis]])
             if len(basis) != k:
                 return None
             upper = np.zeros(len(bf.c), dtype=bool)
@@ -463,11 +463,11 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
     if not (_same(p.objective, q.objective) and _same(p.A, q.A) and
             _same(p.b, q.b) and _same(p.sense, q.sense)):
         return None
-    bf = _bounded(form)
     # a bound that turns finite or infinite changes the columns
-    if (np.isinf(p.lo) != bf.lo_inf).any() or \
-            (np.isinf(p.hi) != bf.hi_inf).any():
+    if (np.isinf(p.lo) != np.isinf(q.lo)).any() or \
+            (np.isinf(p.hi) != np.isinf(q.hi)).any():
         return None
+    bf = _bounded(form)
     state = _start_state(start, form, bf)
     if state is None:
         return None
@@ -526,13 +526,10 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
             return LpSolution(status="infeasible",
                               farkas=_rows_of(form, y, len(p.b)),
                               iterations=it)
-        if cand.size == 1:
-            pc = int(cand[0])
-        else:
-            ratios = np.maximum(d[cand] * dirn[cand], 0.0) / s[cand]
-            ties = cand[ratios <= ratios.min() + 1e-12]
-            # deterministic: the largest pivot among tied columns
-            pc = int(ties[s[ties].argmax()])
+        ratios = np.maximum(d[cand] * dirn[cand], 0.0) / s[cand]
+        ties = cand[ratios <= ratios.min() + 1e-12]
+        # deterministic: the largest pivot among tied columns
+        pc = int(ties[s[ties].argmax()])
         col = Binv @ A[:, pc]
         theta = (xB[pr] - (hi_B[pr] if up else lo_B[pr])) / col[pr]
         xB -= theta * col
@@ -555,8 +552,8 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
     if (dirn * d < -opt_tol).any():
         return None
     return _finish(form, p, A, bf.c, basis, b - A @ x,
-                   form.offset + bf.c @ x, x, lo_B, hi_B, xB,
-                   bf.c[basis] @ Binv, it, upper)
+                   form.offset + bf.c @ x, x, xB, bf.c[basis] @ Binv, it,
+                   (lo_B, hi_B, upper))
 
 
 def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
@@ -665,9 +662,11 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
     viol = np.abs(resid)
     viol[sense * resid > 0] = 0.0  # the side a row's inequality allows
     if (viol / (1.0 + rhs_v)).max() > 1e-7:
-        # y = phase-1 duals: y.A <= 0 on the other columns, y.b > 0
-        y = _farkas(c1[init_ident] - r1[init_ident], form.A, form.b,
-                    np.zeros(N), np.where(is_art, 0.0, np.inf), FARKAS_TOL)
+        # y = phase-1 duals, checked over x >= 0 on the columns before
+        # the artificials, which are held at zero and so left out
+        y = _farkas(c1[init_ident] - r1[init_ident],
+                    form.A[:, :nt + n_slack + n_surp], form.b, 0.0, np.inf,
+                    FARKAS_TOL)
         if y is None:
             raise ConditioningError("phase-1 Farkas vector fails its check")
         return LpSolution(status="infeasible", farkas=_rows_of(form, y, m),
@@ -698,8 +697,8 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
         return _unbounded(p, _to_program(form, t[:nt], 0.0), iters)
 
     return _finish(form, p, form.A, c_full, basis, form.b, obj_offset,
-                   np.zeros(N), 0.0, np.inf, D[:, -1],
-                   c_full[init_ident] - r2[init_ident], iters)
+                   np.zeros(N), D[:, -1], c_full[init_ident] - r2[init_ident],
+                   iters)
 
 
 def chebyshev_center(A, b, scales=None, rho_cap=1e9):
