@@ -146,6 +146,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
     phi_hi = phi_high_in
     c_star, y_star = float(c0), y0.copy()
     flag = False
+    cheb = None  # the last optimal Chebyshev LP, the start of the next
     rho = {0: -1.0}
     dagger = None
     lp_count = 0
@@ -167,7 +168,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
             np.vstack([box_A, obj_band, -obj_band, cut_A]),
             np.concatenate([box_b, [phi_lo, -phi_mid], cut_b]),
             np.concatenate([np.ones(len(box_b)), [band_scale, band_scale],
-                            cscales]))
+                            cscales]), start=cheb)
         lp_count += 1
         if center is None:
             # speculative band empty: certified new lower bound via LP
@@ -197,7 +198,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
             rho[r] = -1.0
             gens[r] = []
             continue
-        v, radius = center
+        v, radius, cheb = center
         rho[r] = radius
         c_r = float(v[0])
         y_r = v[1:1 + m] - v[1 + m:1 + 2 * m]

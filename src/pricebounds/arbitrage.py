@@ -26,6 +26,10 @@ from .ecp import (MarketInstance, Box, HalfSpacePositive, EcpOptions,
 from .accp import AccpOptions, solve_accp
 
 ETA_DEFAULT = 1e-6
+# an arbitrage must cost less than -COST_TOL per unit of the largest ask:
+# on a consistent market rounding in the LPs leaves the zero payoff's
+# superhedge a cost of order 1e-17 on either side of zero
+COST_TOL = 1e-9
 
 
 @dataclass
@@ -260,8 +264,9 @@ def detect(instance: MarketInstance, epsilon=1e-3,
         c_star = res.c_star - slack
         slack = 0.0
     cost = c_star + price_pi(res.y_star, instance)
-    if cost >= 0:
-        # the lift consumed the negative cost; no certified strategy
+    if cost >= -COST_TOL * float(np.abs(instance.ask).max(initial=1.0)):
+        # the lift consumed the negative cost, or rounding made it; no
+        # certified strategy
         return DetectionResult(arbitrage_free=True, phi_lb=res.phi_lb,
                                phi_ub=res.phi_ub)
     return DetectionResult(arbitrage_free=False,

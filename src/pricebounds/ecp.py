@@ -299,6 +299,7 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
     milp_count = 0
     milp_nodes = 0
     s_r = None
+    sol = None  # the last relaxed LP, the start of the next
     phi_r = None
     c_r = None
     y_r = None
@@ -310,7 +311,8 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
                                "loop")
         A = np.vstack([fixed_A, cuts.row(range(len(cuts)), n)])
         b = np.concatenate([fixed_b, cuts.fx])
-        sol = solve_lp(LinearProgram(obj, [(A, ">=", b)], bounds))
+        sol = solve_lp(LinearProgram(obj, [(A, ">=", b)], bounds),
+                       start=sol)
         lp_count += 1
         if sol.status != "optimal":
             raise RuntimeError("relaxed LP ended with status %s"

@@ -20,18 +20,32 @@ rows, falling back to Bland's rule when the objective stalls.  Ties are
 broken deterministically, so identical inputs always produce identical
 outputs.
 
-A solve may start from the optimal solution of a program that has the
-same objective and rows and differs only in variable bounds, as a
-branch-and-bound child differs from its parent.  It runs a
-bounded-variable dual simplex (Dantzig's upper-bounding) on the bounded
-form of the parent's standard form: the program rows only, each column
-within [lo, hi] and each nonbasic column at one of its bounds, so a
-changed variable bound moves a column bound and adds no row.  A
-two-phase basis enters the bounded form once: an upper-bound row leaves
-with its slack when the slack is basic, and otherwise with its variable,
-which becomes nonbasic at its upper bound.  The inverse of the start's
-basis and its reduced costs are built from one factorization on first
-use and kept on the start, so both children of a node start from copies.
+A solve may start from the optimal solution of a related program: one
+with the same objective and the same finite variable bounds, whose bound
+values, rows and right-hand sides may differ, as a branch-and-bound child
+differs from its parent and the next LP of a cutting-plane loop from the
+last.  This one warm path runs a bounded-variable dual simplex (Dantzig's
+upper-bounding) on a bounded form of the program: the program rows only,
+one logical column per row, each column within [lo, hi] and each
+nonbasic column at one of its bounds, so a changed variable bound moves a
+column bound and adds no row.  A two-phase basis enters the bounded form
+of its standard form once: an upper-bound row leaves with its slack when
+the slack is basic, and otherwise with its variable, which becomes
+nonbasic at its upper bound.
+- Same rows: the inverse of the start's basis and its reduced costs are
+  built from one factorization on first use and kept on the start, so
+  both children of a node start from copies.
+- Changed rows: a row of the program with the coefficients and sense of a
+  row of the start's keeps that row's logical, and may have a new rhs; a
+  new row enters with its logical basic; a start row that the program
+  drops leaves with its logical, which must be basic.  The inverse comes
+  from one fresh factorization of the mapped basis, so no drift builds up
+  over a chain of re-solves, and the start stays dual feasible.
+A start that cannot be used falls back to the two-phase solve, and the
+result's `fallback` says why.  Every basis is factorized through its
+kernel: the unit columns (slacks, surpluses, artificials, logicals) make
+it block triangular, and only the rows and columns they leave are
+LU-factorized.
 """
 
 from __future__ import annotations
@@ -49,6 +63,9 @@ MAX_ITER = 100000
 # smallest pivot element a ratio test or an artificial drive-out accepts;
 # smaller pivots amplify rounding until the tableau reports false verdicts
 PIVOT_TOL = 1e-9
+# largest relative gap between a dual-simplex pivot element computed from
+# its row and from its column of B^-1 A
+PIVOT_AGREE = 1e-6
 # a Farkas vector y (max-norm 1) may have |y.A| up to FARKAS_TOL on a
 # column whose bound on that side is infinite, and a two-phase one must
 # beat the largest y.A x over the column bounds by more than FARKAS_TOL
@@ -172,16 +189,18 @@ class LpSolution:
     farkas: np.ndarray = None  # certificate over rows, if infeasible
     ray: np.ndarray = None  # improving direction, if unbounded
     iterations: int = 0
-    # final basis and standard form, if optimal: the start of a re-solve.
-    # A two-phase basis indexes the standard form's columns and has no
-    # `upper`; a dual-simplex basis indexes its bounded form's columns,
+    # why a given start was not used, if the two-phase solve answered
+    fallback: str = None
+    # final basis and its form, if optimal: the start of a re-solve.  A
+    # two-phase basis indexes its _StandardForm's columns and has no
+    # `upper`; a dual-simplex basis indexes its _BoundedForm's columns,
     # and `upper` marks the nonbasic columns at their upper bound
     basis: np.ndarray = field(default=None, repr=False)
-    form: _StandardForm = field(default=None, repr=False)
+    form: object = field(default=None, repr=False)
     upper: np.ndarray = field(default=None, repr=False)
-    # (basis, upper, B^-1, reduced costs) in the bounded form, built on the
-    # first re-solve from this solution; False if it cannot be built
-    warm: tuple = field(default=None, repr=False)
+    # (bounded form, basis, upper, B^-1, reduced costs), built on the first
+    # re-solve with this solution's rows; why not, if it cannot be built
+    warm: object = field(default=None, repr=False)
 
 
 @dataclass
@@ -204,6 +223,7 @@ class _StandardForm:
     n_struct: int
     is_art: np.ndarray
     init_ident: np.ndarray  # identity column of each row
+    unit_row: np.ndarray  # row of each column from n_struct on
     orig_rows: np.ndarray  # program row of each leading standard row
     orig_sign: np.ndarray  # -1.0 where that row was negated
     ub_vars: np.ndarray  # variable of each trailing upper-bound row
@@ -212,32 +232,67 @@ class _StandardForm:
 
 @dataclass
 class _BoundedForm:
-    """The program rows of a standard form, with bounds on its columns in
-    place of x >= 0 and the upper-bound rows: the upper-bound rows, their
-    slack columns and the artificial columns are dropped.  Column bounds
-    are at the standard form's shift, so a variable's bounds move only
-    its own column's bounds.  The structural columns keep their index."""
+    """A program's rows as  A x = b  over bounded columns: the structural
+    columns of a standard form (same shift, `col` and `sgn`), then one
+    logical column per row, at its own row only (-1 on a >= row, +1 on
+    the others, as oriented).  Column bounds are at the standard form's
+    shift, so a variable's bounds move only its own column's bounds.
+
+    The bounded form of a two-phase standard form keeps its program rows,
+    structural columns and their slack and surplus columns, and drops the
+    upper-bound rows, their slack columns and the artificial columns of
+    the other rows: the artificial of an = row is its logical.  A
+    re-solve whose rows change builds its own bounded form over its
+    program's rows in their order.  Either way every row has a logical,
+    fixed at zero on an = row."""
+    program: LinearProgram
     A: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    lo: np.ndarray  # column bounds for the standard form's program
+    lo: np.ndarray  # column bounds for `program`
     hi: np.ndarray
-    cols: np.ndarray  # standard-form column of each column
+    offset: float
+    base: np.ndarray
+    col: np.ndarray
+    sgn: np.ndarray
+    n_struct: int
+    orig_rows: np.ndarray  # program row of each row
+    orig_sign: np.ndarray  # -1.0 where that row was negated
+    logical: np.ndarray  # logical column of each row
+    unit_row: np.ndarray  # row of each logical, from column n_struct on
+    # standard-form column of each column, in the two-phase one's
+    cols: np.ndarray = None
+
+
+class _NoWarmStart(Exception):
+    """A start that the re-solve cannot use; the message says why."""
 
 
 def _bounded(form):
-    """The bounded form of form, built once and kept on it."""
+    """The bounded form of a two-phase standard form, built once and kept
+    on it."""
     if form.bounded is None:
-        k = len(form.orig_rows)
+        k, nt = len(form.orig_rows), form.n_struct
         keep = ~form.is_art
         keep[form.init_ident[k:]] = False
+        # an = row has no slack or surplus: its artificial stays, fixed
+        eq = np.ones(k, dtype=bool)
+        eq[form.unit_row[keep[nt:]]] = False
+        keep[form.init_ident[eq.nonzero()[0]]] = True
         cols = keep.nonzero()[0]
         hi = np.full(len(cols), np.inf)
         p = form.program
         hi[form.col[form.ub_vars]] = (p.hi - p.lo)[form.ub_vars]
-        form.bounded = _BoundedForm(A=form.A[:k, cols], b=form.b[:k],
-                                    c=form.c[cols], lo=np.zeros(len(cols)),
-                                    hi=hi, cols=cols)
+        unit_row = form.unit_row[cols[nt:] - nt]
+        hi[nt:][eq[unit_row]] = 0.0
+        logical = np.empty(k, dtype=int)
+        logical[unit_row] = np.arange(nt, len(cols))
+        form.bounded = _BoundedForm(
+            program=p, A=form.A[:k, cols], b=form.b[:k], c=form.c[cols],
+            lo=np.zeros(len(cols)), hi=hi, offset=form.offset,
+            base=form.base, col=form.col, sgn=form.sgn, n_struct=nt,
+            orig_rows=form.orig_rows, orig_sign=form.orig_sign,
+            logical=logical, unit_row=unit_row, cols=cols)
     return form.bounded
 
 
@@ -305,11 +360,13 @@ def _unbounded(p, r, iterations):
 
 
 def _pivot(D, r, basis, pr, pc):
+    """Pivot the tableau D (C order) and reduced-cost row r on (pr, pc)."""
     piv = D[pr, pc]
     D[pr] /= piv
     col = D[:, pc].copy()
     col[pr] = 0.0
-    D -= col[:, None] * D[pr]
+    # in place: D -= col D[pr]^T (row pr is left as is, col[pr] being 0)
+    dger(-1.0, D[pr], col, a=D.T, overwrite_a=1)
     r -= r[pc] * D[pr]
     basis[pr] = pc
 
@@ -368,6 +425,81 @@ def _solve_factored(fac, v, trans=0):
     return dgetrs(fac[0], fac[1], v, trans=trans)[0]
 
 
+@dataclass
+class _BasisFactors:
+    """Factors of a basis B = A[:, basis] of a form whose columns from
+    n_struct on are signed unit columns (slacks, surpluses, artificials,
+    logicals).  With those columns' rows r2 and the other rows r1, B is
+    block triangular,  [[B11, 0], [B21, D]]  over rows (r1, r2) and basis
+    positions (S, L) of its structural and unit columns, with D
+    diagonal; only the kernel B11 is factorized."""
+    S: np.ndarray
+    L: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    D: np.ndarray
+    B21: np.ndarray
+    fac: tuple  # LU factors of B11, None when it is empty
+
+    def solve(self, v):
+        """B^-1 v, over the basis positions."""
+        z = np.empty(len(v))
+        zS = _solve_factored(self.fac, v[self.r1]) if self.S.size else \
+            np.empty(0)
+        z[self.S] = zS
+        z[self.L] = (v[self.r2] - self.B21 @ zS) / self.D
+        return z
+
+    def solve_t(self, w):
+        """B^-T w, over the rows, for w over the basis positions."""
+        y = np.empty(len(w))
+        y[self.r2] = w[self.L] / self.D
+        if self.S.size:
+            y[self.r1] = _solve_factored(
+                self.fac, w[self.S] - y[self.r2] @ self.B21, trans=1)
+        return y
+
+    def inverse(self):
+        """B^-1: rows over the basis positions, columns over the rows;
+        None when the kernel cannot be inverted."""
+        k = len(self.S) + len(self.L)
+        Binv = np.zeros((k, k))
+        bottom = np.zeros((len(self.L), k))
+        bottom[np.arange(len(self.L)), self.r2] = 1.0 / self.D
+        if self.S.size:
+            K, info = dgetri(*self.fac)
+            if info:
+                return None
+            top = np.zeros((len(self.S), k))
+            top[:, self.r1] = K
+            Binv[self.S] = top
+            bottom[:, self.r1] = (self.B21 @ K) / -self.D[:, None]
+        Binv[self.L] = bottom
+        return Binv
+
+
+def _basis_factors(form, basis):
+    """_BasisFactors of form.A[:, basis], or None when it is singular."""
+    A, nt = form.A, form.n_struct
+    unit = basis >= nt
+    S, L = (~unit).nonzero()[0], unit.nonzero()[0]
+    cS, cL = basis[S], basis[L]
+    r2 = form.unit_row[cL - nt]
+    r1 = np.ones(len(A), dtype=bool)
+    r1[r2] = False
+    r1 = r1.nonzero()[0]
+    if len(r1) != len(S):
+        return None  # two unit columns on one row
+    AS = A[:, cS]
+    fac = None
+    if S.size:
+        fac = _factor(AS[r1])
+        if fac is None:
+            return None
+    return _BasisFactors(S=S, L=L, r1=r1, r2=r2, D=A[r2, cL], B21=AS[r2],
+                         fac=fac)
+
+
 def _rows_of(form, v, m):
     """Map a vector over standard-form rows onto the program's m rows."""
     out = np.zeros(m)
@@ -375,23 +507,23 @@ def _rows_of(form, v, m):
     return out
 
 
-def _finish(form, p, A, c, basis, rhs, offset, x, xB, y, iters,
+def _finish(form, p, c, basis, rhs, offset, x, xB, y, iters,
             bounds=None):
-    """Optimal solution at the final basis of  A x = b: the standard form,
-    or its bounded form when `bounds` = (lo_B, hi_B, upper) gives the
+    """Optimal solution at the final basis of form's  A x = b: a standard
+    form, or a bounded form when `bounds` = (lo_B, hi_B, upper) gives the
     basic columns' bounds and the nonbasic columns at their upper bound.
     x holds the nonbasic columns at their bounds and zero on the basis,
     rhs is b - A x and offset is the objective's constant plus c.x.  The
     basis is refactorized against the unpivoted matrix; the pivoted basic
     values xB and duals y are kept only when the refactorization is
     singular or disagrees with them."""
-    fac = _factor(A[:, basis])
+    fac = _basis_factors(form, basis)
     if fac is not None:
-        xB_fac = _solve_factored(fac, rhs)
+        xB_fac = fac.solve(rhs)
         drift = np.abs(xB_fac - xB).max()
         if drift <= 1e-5 * (1.0 + abs(rhs).max(initial=0.0)):
             xB = xB_fac
-            y = _solve_factored(fac, c[basis], trans=1)
+            y = fac.solve_t(c[basis])
     dual = float(y @ rhs) + offset
     if bounds is None:
         x[basis] = np.maximum(xB, 0.0)
@@ -411,83 +543,192 @@ def _same(u, v):
     return u is v or np.array_equal(u, v)
 
 
-def _start_state(start, form, bf):
-    """(basis, upper, B^-1, reduced costs) of start in the bounded form,
-    from one factorization of its basis, kept on start for the next
-    re-solve from it.  A two-phase basis enters the bounded form here: an
-    upper-bound row whose slack is basic leaves with that slack, any
-    other leaves with its variable, which is then basic (the row has no
-    other entry) and becomes nonbasic at its upper bound.  None when the
-    bounded form has no row, or the basis keeps an artificial column or
-    is singular."""
+def _start_basis(start):
+    """(bounded form, basis, upper) of start.  A two-phase basis enters
+    the bounded form of its standard form here: an upper-bound row whose
+    slack is basic leaves with that slack, any other leaves with its
+    variable, which is then basic (the row has no other entry) and
+    becomes nonbasic at its upper bound.  An artificial left basic (at
+    zero, on a row the drive-out found redundant) gives way to its row's
+    logical, which is itself on an = row and the surplus on a >= row."""
+    form = start.form
+    if isinstance(form, _BoundedForm):
+        return form, start.basis, start.upper
+    bf = _bounded(form)
+    if not len(bf.b):
+        raise _NoWarmStart("no row")
+    basis = start.basis
+    k = len(form.orig_rows)
+    slack, var = form.init_ident[k:], form.col[form.ub_vars]
+    is_basic = np.zeros(len(form.c), dtype=bool)
+    is_basic[basis] = True
+    at_hi = var[~is_basic[slack]]
+    is_basic[slack] = False
+    is_basic[at_hi] = False
+    basis = basis[is_basic[basis]]
+    art = form.is_art[basis]
+    logical = bf.logical[form.unit_row[basis[art] - form.n_struct]]
+    basis = np.searchsorted(bf.cols, basis)
+    basis[art] = logical
+    if len(basis) != k:
+        raise _NoWarmStart("basis size")
+    upper = np.zeros(len(bf.c), dtype=bool)
+    upper[at_hi] = True
+    return bf, basis, upper
+
+
+def _inverse(bf, basis):
+    """B^-1 and the reduced costs at basis, from one factorization."""
+    fac = _basis_factors(bf, basis)
+    Binv = None if fac is None else fac.inverse()
+    if Binv is None:
+        raise _NoWarmStart("singular basis")
+    return Binv, bf.c - fac.solve_t(bf.c[basis]) @ bf.A
+
+
+def _start_state(start):
+    """(bounded form, basis, upper, B^-1, reduced costs) of start, built
+    on its first re-solve and kept on it, so that both children of a node
+    start from copies of one inverse."""
     if start.warm is None:
-        start.warm = False
-        if not len(bf.b):
-            return None
-        basis, upper = start.basis, start.upper
-        if upper is None:
-            if form.is_art[basis].any():
-                return None
-            k = len(form.orig_rows)
-            slack, var = form.init_ident[k:], form.col[form.ub_vars]
-            is_basic = np.zeros(len(form.c), dtype=bool)
-            is_basic[basis] = True
-            at_hi = var[~is_basic[slack]]
-            is_basic[slack] = False
-            is_basic[at_hi] = False
-            basis = np.searchsorted(bf.cols, basis[is_basic[basis]])
-            if len(basis) != k:
-                return None
-            upper = np.zeros(len(bf.c), dtype=bool)
-            upper[at_hi] = True
-        fac = _factor(bf.A[:, basis])
-        if fac is None:
-            return None
-        Binv, info = dgetri(*fac)
-        if info:
-            return None
-        start.warm = (basis, upper, Binv,
-                      bf.c - (bf.c[basis] @ Binv) @ bf.A)
-    return start.warm or None
+        try:
+            bf, basis, upper = _start_basis(start)
+            start.warm = (bf, basis, upper) + _inverse(bf, basis)
+        except _NoWarmStart as exc:
+            start.warm = str(exc)
+    if isinstance(start.warm, str):
+        raise _NoWarmStart(start.warm)
+    return start.warm
+
+
+def _column_bounds(p, bf):
+    """Column bounds of bf's columns for p, whose variables have the same
+    finite bounds as bf's program.  A shifted column moves with its
+    variable's bounds, a negated one mirrors them; free variables have no
+    bounds to change."""
+    q = bf.program
+    ch = ((p.lo != q.lo) | (p.hi != q.hi)).nonzero()[0]
+    lo, hi = bf.lo.copy(), bf.hi.copy()
+    k, base = bf.col[ch], bf.base[ch]
+    pos = bf.sgn[k] > 0
+    lo[k] = np.where(pos, p.lo[ch] - base, base - p.hi[ch])
+    hi[k] = np.where(pos, p.hi[ch] - base, base - p.lo[ch])
+    return lo, hi
+
+
+def _row_keys(p):
+    """One hashable key per row of p: its coefficients and sense."""
+    rows = np.ascontiguousarray(np.column_stack([p.A, p.sense]))
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))
+                     ).ravel().tolist()
+
+
+def _match_rows(p, q):
+    """The row of q matched to each row of p, -1 where none: a row of q
+    with the same coefficients and sense, taken in order among equal
+    rows."""
+    mp, mq = len(p.b), len(q.b)
+    if mp >= mq and np.array_equal(p.A[:mq], q.A) and \
+            np.array_equal(p.sense[:mq], q.sense):
+        return np.concatenate([np.arange(mq), np.full(mp - mq, -1)])
+    index = {}
+    for i, key in enumerate(_row_keys(q)):
+        index.setdefault(key, []).append(i)
+    match = np.full(mp, -1)
+    for i, key in enumerate(_row_keys(p)):
+        rows = index.get(key)
+        if rows:
+            match[i] = rows.pop(0)
+    return match
+
+
+def _rebased(p, bf, basis, upper):
+    """(bounded form of p, basis, upper) mapped from bf's basis.  Each row
+    of p that matches a row of bf's program keeps that row's orientation
+    and logical; any other row of p is new, and its logical is basic.  A
+    row of bf that p does not keep is dropped with its logical, which
+    must be basic, so the basis stays square and nonsingular.  With the
+    new logicals basic at zero cost, the kept columns keep their reduced
+    costs, and the start stays dual feasible."""
+    if not p.A.any(axis=1).all():
+        raise _NoWarmStart("empty row")
+    _check_conditioning(p)
+    q, nt, k = bf.program, bf.n_struct, len(p.b)
+    srow_of = np.full(len(q.b), -1)
+    srow_of[bf.orig_rows] = np.arange(len(bf.b))
+    match = _match_rows(p, q)
+    old = (match >= 0).nonzero()[0]
+    srow = srow_of[match[old]]
+    dropped = np.ones(len(bf.b), dtype=bool)
+    dropped[srow] = False
+    is_basic = np.zeros(len(bf.c), dtype=bool)
+    is_basic[basis] = True
+    if not is_basic[bf.logical[dropped]].all():
+        raise _NoWarmStart("nonbasic logical dropped")
+
+    # columns: bf's structural columns, then the logical of row i at nt + i
+    sign = np.ones(k)
+    sign[old] = bf.orig_sign[srow]
+    oriented = p.sense * sign
+    src = np.searchsorted(bf.col, np.arange(nt), side="right") - 1
+    A = np.zeros((k, nt + k))
+    A[:, :nt] = p.A[:, src] * bf.sgn * sign[:, None]
+    A[np.arange(k), nt + np.arange(k)] = np.where(oriented > 0, -1.0, 1.0)
+    lo, hi = _column_bounds(p, bf)
+    cmap = np.full(len(bf.c), -1)
+    cmap[:nt] = np.arange(nt)
+    cmap[bf.logical[srow]] = nt + old
+    mapped = cmap[basis]
+    new = (match < 0).nonzero()[0]
+    basis_p = np.concatenate([mapped[mapped >= 0], nt + new])
+    upper_p = np.zeros(nt + k, dtype=bool)
+    kept = cmap >= 0
+    upper_p[cmap[kept]] = upper[kept]
+    form = _BoundedForm(
+        program=p, A=A, b=(p.b - p.A @ bf.base) * sign,
+        c=np.concatenate([bf.c[:nt], np.zeros(k)]),
+        lo=np.concatenate([lo[:nt], np.zeros(k)]),
+        hi=np.concatenate([hi[:nt], np.where(p.sense == 0, 0.0, np.inf)]),
+        offset=bf.offset, base=bf.base, col=bf.col, sgn=bf.sgn,
+        n_struct=nt, orig_rows=np.arange(k), orig_sign=sign,
+        logical=nt + np.arange(k), unit_row=np.arange(k))
+    return form, basis_p, upper_p
 
 
 def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
-    """Re-solve p from start's basis by a bounded-variable dual simplex
-    in the bounded form of start's standard form.  None when p is not
-    start's program with other bounds, or when the dual simplex ends
-    without a checked result."""
+    """Re-solve p from start's basis by a bounded-variable dual simplex.
+    p must have start's objective and the same finite variable bounds;
+    its bounds and rows may differ.  When p has start's rows, the solve
+    runs in start's bounded form from copies of the inverse kept on
+    start; otherwise in p's own bounded form (see _rebased), from one
+    fresh factorization of the mapped basis.  Raises _NoWarmStart when
+    the start cannot be used or the dual simplex ends without a checked
+    result."""
     form = start.form
     if form is None:
-        return None
+        raise _NoWarmStart("no basis")
     q = form.program
-    if not (_same(p.objective, q.objective) and _same(p.A, q.A) and
-            _same(p.b, q.b) and _same(p.sense, q.sense)):
-        return None
+    if not _same(p.objective, q.objective):
+        raise _NoWarmStart("objective changed")
     # a bound that turns finite or infinite changes the columns
     if (np.isinf(p.lo) != np.isinf(q.lo)).any() or \
             (np.isinf(p.hi) != np.isinf(q.hi)).any():
-        return None
-    bf = _bounded(form)
-    state = _start_state(start, form, bf)
-    if state is None:
-        return None
-    basis, upper, Binv, d = state
-    basis, upper, Binv, d = basis.copy(), upper.copy(), Binv.copy(), d.copy()
-
-    # a shifted column moves with its variable's bounds, a negated one
-    # mirrors them; free variables have no bounds to change
-    ch = ((p.lo != q.lo) | (p.hi != q.hi)).nonzero()[0]
-    lo, hi = bf.lo.copy(), bf.hi.copy()
-    k, base = form.col[ch], form.base[ch]
-    pos = form.sgn[k] > 0
-    lo[k] = np.where(pos, p.lo[ch] - base, base - p.hi[ch])
-    hi[k] = np.where(pos, p.hi[ch] - base, base - p.lo[ch])
+        raise _NoWarmStart("variables changed")
+    if _same(p.A, q.A) and _same(p.b, q.b) and _same(p.sense, q.sense):
+        bf, basis, upper, Binv, d = _start_state(start)
+        basis, upper, Binv, d = basis.copy(), upper.copy(), Binv.copy(), \
+            d.copy()
+        lo, hi = _column_bounds(p, bf)
+    else:
+        bf, basis, upper = _rebased(p, *_start_basis(start))
+        Binv, d = _inverse(bf, basis)
+        lo, hi = bf.lo, bf.hi
 
     # dirn: +1 on the nonbasic columns that may rise from their lower
     # bound, -1 on those that may fall from their upper bound, 0 on the
     # basic and the fixed columns.  Dual feasible: dirn * d >= 0, which a
-    # branching fix keeps and the pivots maintain (a widened bound that
-    # breaks it ends in the final check)
+    # branching fix, a new row and a moved rhs keep and the pivots
+    # maintain (a widened bound that breaks it ends in the final check)
     dirn = np.where(upper, -1.0, 1.0)
     dirn[lo == hi] = 0.0
     dirn[basis] = 0.0
@@ -508,7 +749,7 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
         if viol[pr] <= tol:
             break
         if it >= cap:
-            return None
+            raise _NoWarmStart("iteration cap")
         up = bool(above[pr] > below[pr])  # basic pr leaves at its upper bound
         alpha = Binv[pr] @ A  # pivot row of the tableau B^-1 A
         # x_B[pr] moves by -alpha_j per unit rise of column j; s_j > 0
@@ -522,15 +763,19 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
             y = _farkas(Binv[pr] if up else -Binv[pr], A, b, lo, hi,
                         1e-7 * scale)
             if y is None:
-                return None
+                raise _NoWarmStart("Farkas check failed")
             return LpSolution(status="infeasible",
-                              farkas=_rows_of(form, y, len(p.b)),
+                              farkas=_rows_of(bf, y, len(p.b)),
                               iterations=it)
         ratios = np.maximum(d[cand] * dirn[cand], 0.0) / s[cand]
         ties = cand[ratios <= ratios.min() + 1e-12]
         # deterministic: the largest pivot among tied columns
         pc = int(ties[s[ties].argmax()])
         col = Binv @ A[:, pc]
+        # the pivot from the column must agree with the one from the row;
+        # where it does not, B^-1 has lost the accuracy to go on
+        if not abs(col[pr] - alpha[pc]) <= PIVOT_AGREE * abs(alpha[pc]):
+            raise _NoWarmStart("unstable pivot")
         theta = (xB[pr] - (hi_B[pr] if up else lo_B[pr])) / col[pr]
         xB -= theta * col
         xB[pr] = x[pc] + theta
@@ -550,22 +795,34 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
         dirn[pc] = 0.0
         it += 1
     if (dirn * d < -opt_tol).any():
-        return None
-    return _finish(form, p, A, bf.c, basis, b - A @ x,
-                   form.offset + bf.c @ x, x, xB, bf.c[basis] @ Binv, it,
+        raise _NoWarmStart("dual infeasible")
+    return _finish(bf, p, bf.c, basis, b - A @ x,
+                   bf.offset + bf.c @ x, x, xB, bf.c[basis] @ Binv, it,
                    (lo_B, hi_B, upper))
 
 
 def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
              max_iter=MAX_ITER, start: LpSolution = None) -> LpSolution:
     """Solve p.  `start` is an optimal solution of a program with the same
-    objective and rows, differing from p only in variable bounds (the
-    parent of a branch-and-bound node); the solve then re-optimizes from
-    its basis, and falls back to the two-phase solve when it cannot."""
+    objective and the same finite variable bounds, such as the parent of
+    a branch-and-bound node or the previous LP of a cutting-plane loop;
+    p's bounds, rows and right-hand sides may differ from it.  The solve
+    then re-optimizes from its basis (see _solve_warm), and falls back to
+    the two-phase solve when it cannot; the result's `fallback` says
+    why."""
+    fallback = None
     if start is not None:
-        sol = _solve_warm(p, start, feas_tol, opt_tol, max_iter)
-        if sol is not None:
-            return sol
+        try:
+            return _solve_warm(p, start, feas_tol, opt_tol, max_iter)
+        except _NoWarmStart as exc:
+            fallback = str(exc)
+    sol = _solve_two_phase(p, feas_tol, opt_tol, max_iter)
+    sol.fallback = fallback
+    return sol
+
+
+def _solve_two_phase(p, feas_tol, opt_tol, max_iter):
+    """Solve p by the dense two-phase tableau simplex."""
     _check_conditioning(p)
     m = len(p.b)
 
@@ -630,8 +887,9 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
     art = ~le
     n_slack, n_surp = np.count_nonzero(le), np.count_nonzero(ge)
     I = np.eye(mr)
-    D = np.concatenate([A, I[:, le], -I[:, ge], I[:, art], rhs_v[:, None]],
-                       axis=1)
+    # C order, so that _pivot can update it in place through its transpose
+    D = np.ascontiguousarray(np.concatenate(
+        [A, I[:, le], -I[:, ge], I[:, art], rhs_v[:, None]], axis=1))
     N = D.shape[1] - 1
     is_art = np.zeros(N, dtype=bool)
     is_art[nt + n_slack + n_surp:] = True
@@ -645,7 +903,9 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
     form = _StandardForm(
         program=p, A=D[:, :N].copy(), b=rhs_v, c=c_full, offset=obj_offset,
         base=base, col=col, sgn=sgn, n_struct=nt, is_art=is_art,
-        init_ident=init_ident, orig_rows=keep,
+        init_ident=init_ident, unit_row=np.concatenate(
+            [le.nonzero()[0], ge.nonzero()[0], art.nonzero()[0]]),
+        orig_rows=keep,
         orig_sign=np.where(flip[:len(keep)], -1.0, 1.0), ub_vars=ub_vars)
 
     # -- phase 1 -----------------------------------------------------------
@@ -696,32 +956,38 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
         t[basis] = -D[:, pc]
         return _unbounded(p, _to_program(form, t[:nt], 0.0), iters)
 
-    return _finish(form, p, form.A, c_full, basis, form.b, obj_offset,
+    return _finish(form, p, c_full, basis, form.b, obj_offset,
                    np.zeros(N), D[:, -1], c_full[init_ident] - r2[init_ident],
                    iters)
 
 
-def chebyshev_center(A, b, scales=None, rho_cap=1e9):
+def chebyshev_center(A, b, scales=None, rho_cap=1e9, start=None):
     """Center and radius of the largest ball inscribed in {v : A v >= b}.
 
     scales: optional per-row scale replacing the default Euclidean norm of
     row i in  A_i v - scale_i * rho >= b_i.
-    Returns (center, radius) or None if the polytope is empty.
+    start: the LP solution returned by an earlier call with as many
+    columns in A, from whose basis this LP is re-solved (see solve_lp).
+    Returns (center, radius, LP solution) or None if the polytope is
+    empty.
     """
     A = np.asarray(A, dtype=float)
     if not len(A):
         raise ValueError("need at least one row")
-    n = A.shape[1]
+    m, n = A.shape
     if scales is None:
         scales = np.linalg.norm(A, axis=1)
     c = np.zeros(n + 1)
     c[-1] = -1.0
-    bounds = [(None, None)] * n + [(0.0, rho_cap)]
-    lp_rows = [(np.column_stack([A, -np.asarray(scales, dtype=float)]),
-                ">=", b)]
-    sol = solve_lp(LinearProgram(c, lp_rows, bounds))
+    lo = np.full(n + 1, -np.inf)
+    hi = np.full(n + 1, np.inf)
+    lo[-1], hi[-1] = 0.0, rho_cap
+    p = LinearProgram.from_arrays(
+        c, np.column_stack([A, -np.asarray(scales, dtype=float)]), b,
+        np.ones(m), lo, hi)
+    sol = solve_lp(p, start=start)
     if sol.status == "infeasible":
         return None
     if sol.status != "optimal":
         raise RuntimeError("chebyshev LP ended with status %s" % sol.status)
-    return sol.x[:n], float(sol.x[-1])
+    return sol.x[:n], float(sol.x[-1]), sol

@@ -10,13 +10,13 @@ conic combination of the difference vectors.
 
 `generate` enumerates the piece tuples depth first, in lexicographic
 order, one term at a time.  A prefix carries its deduplicated difference
-vectors, and its cone LP is solved only when the last term added a new
+vectors, and its cone is tested only when the last term added a new
 direction.  Once a prefix's cone is empty, every tuple extending it is
 skipped.  This is exact: a tuple's difference set contains each of its
 prefixes' sets, so a convex combination of a prefix's vectors that is
 <= 0 is also one of the tuple's (with zero weight on the other
 vectors).  The kept tuples, in their order, are those of the exhaustive
-loop over `enumerate_tuples`; only the number of cone LPs falls, from
+loop over `enumerate_tuples`; only the number of cone tests falls, from
 the product of the terms' piece counts to about the number of surviving
 prefixes.
 """
@@ -33,7 +33,7 @@ from .lp import (LinearProgram, solve_lp, ResourceLimitError,
                  ConditioningError)
 
 ROW_CAP_DEFAULT = 100000
-# cone LP witnesses: weight sign and sum, and V @ x <= 0 relative to |V|
+# cone witnesses: weight sign and sum, and V @ x <= 0 relative to |V|
 WITNESS_TOL = 1e-9
 
 
@@ -70,25 +70,62 @@ def cone_interior_empty(A) -> bool:
     """True iff some convex combination of the vectors in A is <= 0
     componentwise (which collapses the dual cone's interior in R^d_+).
 
-    An "empty" verdict discards every tuple that extends the prefix, so
-    its LP weights are checked before it is returned; a witness that
-    fails the check raises ConditioningError."""
+    In d = 1 and d = 2 the weights come in closed form (see
+    _planar_weights); in d >= 3 from an LP.  An "empty" verdict discards
+    every tuple that extends the prefix, so its weights are checked
+    before it is returned; a witness that fails the check raises
+    ConditioningError."""
     if len(A) == 0:
         return False
     V = np.asarray(np.stack(A, axis=1), dtype=float)  # (d, n)
-    n = V.shape[1]
-    rows = [(np.ones(n), "=", 1.0), (V, "<=", 0.0)]
-    sol = solve_lp(LinearProgram(np.zeros(n), rows, [(0.0, None)] * n))
-    if sol.status != "optimal":
-        return False
-    x = sol.x
+    d, n = V.shape
     tol = WITNESS_TOL * max(1.0, float(np.abs(V).max()))
+    if d <= 2:
+        x = _planar_weights(V, tol / 2.0)
+    else:
+        rows = [(np.ones(n), "=", 1.0), (V, "<=", 0.0)]
+        sol = solve_lp(LinearProgram(np.zeros(n), rows, [(0.0, None)] * n))
+        x = sol.x if sol.status == "optimal" else None
+    if x is None:
+        return False
     if (x.min() < -WITNESS_TOL or abs(x.sum() - 1.0) > WITNESS_TOL or
             (V @ x).max() > tol):
         raise ConditioningError(
             "cone LP witness fails: min weight %.3g, weight sum %.12g, "
             "max component %.3g" % (x.min(), x.sum(), (V @ x).max()))
     return True
+
+
+def _planar_weights(V, h):
+    """Weights of a convex combination of the columns of V (d <= 2 rows)
+    that is <= h componentwise, or None if there is none.
+
+    One column or two suffice: if the hull of the columns meets
+    {z <= h}, then so does its boundary, since moving from a point of
+    the hull along (-1, ..., -1) stays in {z <= h} until it leaves the
+    hull; in d <= 2 that boundary is made of the segments between two
+    columns.  The weights are the first column that is <= h, else the
+    middle of the feasible range of t on the first segment
+    (1 - t) V_i + t V_j, i < j, that has one."""
+    x = np.zeros(V.shape[1])
+    single = (V <= h).all(axis=0).nonzero()[0]
+    if single.size:
+        x[single[0]] = 1.0
+        return x
+    i, j = np.triu_indices(V.shape[1], 1)
+    a, D = V[:, i], V[:, j] - V[:, i]
+    # a_k + t D_k <= h bounds t above where D_k > 0 and below where D_k < 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = (h - a) / D
+    t_lo = np.maximum(np.where(D < 0, r, -np.inf).max(axis=0), 0.0)
+    t_hi = np.minimum(np.where(D > 0, r, np.inf).min(axis=0), 1.0)
+    ok = ((t_lo <= t_hi) & ~((D == 0) & (a > h)).any(axis=0)).nonzero()[0]
+    if not ok.size:
+        return None
+    k = ok[0]
+    t = 0.5 * (t_lo[k] + t_hi[k])
+    x[i[k]], x[j[k]] = 1.0 - t, t
+    return x
 
 
 def _piece_directions(tmpl: SlackTemplate):

@@ -193,6 +193,25 @@ def test_detect_halfspace_chain_arbitrage():
     assert res.domination_slack >= 0
 
 
+def test_detect_ignores_a_cost_left_by_rounding(monkeypatch):
+    """A consistent market's zero payoff costs 0 to superhedge; a solve
+    that ends a few ulps below zero (here a short position of 1.65e-18 in
+    the last instrument, as a re-solved relaxed LP once returned) is no
+    arbitrage."""
+    from pricebounds import arbitrage
+    chain = consistent_chain()
+    inst = chain_to_instance(chain)
+    y = np.zeros(inst.m)
+    y[-1] = -1.65e-18
+    cost = -1.65e-18 * inst.bid[-1]
+    rounded = pb.BoundsResult(phi_lb=cost, phi_ub=cost, c_star=0.0,
+                              y_star=y, support=[],
+                              status="unbounded_arbitrage")
+    monkeypatch.setattr(arbitrage, "solve_accp",
+                        lambda *args, **kwargs: (rounded, None))
+    assert detect(inst).arbitrage_free
+
+
 def test_chain_json_round_trip():
     chain = consistent_chain()
     clone = OptionChain.from_json_dict(

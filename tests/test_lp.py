@@ -325,7 +325,7 @@ def test_warm_farkas_check_falls_back_and_raises(monkeypatch):
 def test_chebyshev_unit_square():
     rows = [(np.array([1.0, 0.0]), 0.0), (np.array([-1.0, 0.0]), -1.0),
             (np.array([0.0, 1.0]), 0.0), (np.array([0.0, -1.0]), -1.0)]
-    center, radius = chebyshev_center(*_stack(rows))
+    center, radius, _ = chebyshev_center(*_stack(rows))
     assert center == pytest.approx([0.5, 0.5], abs=1e-8)
     assert radius == pytest.approx(0.5, abs=1e-8)
 
@@ -333,7 +333,7 @@ def test_chebyshev_unit_square():
 def test_chebyshev_right_triangle_incenter():
     rows = [(np.array([1.0, 0.0]), 0.0), (np.array([0.0, 1.0]), 0.0),
             (np.array([-1.0, -1.0]), -1.0)]
-    center, radius = chebyshev_center(*_stack(rows))
+    center, radius, _ = chebyshev_center(*_stack(rows))
     r = 1.0 / (2.0 + np.sqrt(2.0))
     assert radius == pytest.approx(r, abs=1e-8)
     assert center == pytest.approx([r, r], abs=1e-8)
@@ -357,11 +357,83 @@ def test_chebyshev_scaled_rows_ball_feasible():
         out = chebyshev_center(*_stack(rows))
         if out is None:
             continue
-        center, radius = out
+        center, radius, _ = out
         assert radius >= 0
         for a, b in rows:
             # every point of the inscribed ball satisfies the row
             assert a @ center - np.linalg.norm(a) * radius >= b - 1e-7
+
+
+def test_chebyshev_warm_matches_cold(monkeypatch):
+    """ACCP-like sequences of Chebyshev LPs in a box, each re-solved from
+    the last nonempty one: the band [lo, mid] halves a bracket [lo, hi]
+    on the cost obj.v; a center adds cuts that cut it off (but keep a
+    fixed point x_in) and lowers hi toward its cost, not below x_in's,
+    and drops some of the cuts that its ball clears; an empty band
+    raises lo to the least cost over the cuts.  Every sequence ends on
+    an empty band.  The warm radius equals the cold one, the warm
+    center's ball lies in the polytope (centers are not unique), and
+    empty verdicts agree and carry a valid certificate."""
+    answered = {"optimal": 0, "infeasible": 0}
+    warm = lp._solve_warm
+
+    def counting(p, start, *args):
+        sol = warm(p, start, *args)
+        answered[sol.status] += 1
+        if sol.status == "infeasible":
+            _assert_farkas(p, sol.farkas)
+        return sol
+
+    monkeypatch.setattr(lp, "_solve_warm", counting)
+    rng = rng_for(209)
+    empty = 0
+    for trial in range(8):
+        n = int(rng.integers(3, 9))
+        box_A = np.kron(np.eye(n), [[1.0], [-1.0]])
+        box_b = np.full(2 * n, -5.0)
+        obj = rng.uniform(0.2, 1.0, size=n)
+        scale = float(np.linalg.norm(obj))
+        cuts, start = [], None
+        x_in = rng.uniform(-4.0, 4.0, size=n)  # every cut keeps it
+        lo, hi = -5.0 * obj.sum(), 5.0 * obj.sum()
+        for step in range(30):
+            A = np.array([a for a, _ in cuts]).reshape(len(cuts), n)
+            b = np.array([v for _, v in cuts])
+            least = linprog(obj, A_ub=-A if len(cuts) else None,
+                            b_ub=-b if len(cuts) else None,
+                            bounds=(-5.0, 5.0), method="highs")
+            assert least.status == 0
+            mid = 0.5 * (lo + hi)
+            if step == 29:
+                # below the least cost over the cuts, above the floor
+                lo, mid = least.fun - 1.0, least.fun - 1e-3
+            rows_A = np.vstack([box_A, obj, -obj, A])
+            rows_b = np.concatenate([box_b, [lo, -mid], b])
+            scales = np.concatenate([np.ones(2 * n), [scale, scale],
+                                     np.linalg.norm(A, axis=1)])
+            out = chebyshev_center(rows_A, rows_b, scales, start=start)
+            cold = chebyshev_center(rows_A, rows_b, scales)
+            assert (out is None) == (cold is None), (trial, step)
+            if out is None:
+                assert least.fun > mid - 1e-7, (trial, step)
+                empty += 1
+                lo = least.fun
+                continue
+            v, radius, start = out
+            assert radius == pytest.approx(cold[1], abs=1e-8), (trial, step)
+            assert (rows_A @ v - scales * radius >= rows_b - 1e-7).all()
+            hi = max(float(obj @ x_in), 0.5 * (hi + float(obj @ v)))
+            clear = A @ v - scales[2 * n + 2:] * radius > b + 0.1
+            cuts = [c for c, k in zip(cuts, clear)
+                    if not k or rng.uniform() < 0.5]
+            for _ in range(int(rng.integers(1, 3))):
+                # a cut that x_in keeps and v violates, unless v is x_in
+                a = x_in - v + rng.uniform(-0.3, 0.3, size=n)
+                gap = a @ (x_in - v)
+                cuts.append((a, float(a @ v + rng.uniform(0.1, 0.9) *
+                                      max(gap, 0.0))))
+    assert empty >= 16 and answered["infeasible"] >= 16
+    assert answered["optimal"] >= 150
 
 
 def _highs(p):
@@ -611,3 +683,111 @@ def test_warm_start_matches_cold_solve(monkeypatch):
     assert answered["optimal"] + answered["infeasible"] >= 0.95 * children
     assert answered["optimal"] > 150 and answered["infeasible"] > 30
     assert answered["rebuilt"] > 100
+
+
+def _random_row(rng, n, x_ref, rels=("<=", ">=", "="), p=(0.45, 0.45, 0.1)):
+    """A sparse random row that holds at x_ref, with some slack unless it
+    is an equation."""
+    a = rng.uniform(-2, 2, size=n)
+    a[rng.uniform(size=n) < 0.5] = 0.0
+    a[int(rng.integers(n))] = rng.uniform(0.5, 2.0)
+    rel = str(rng.choice(rels, p=p))
+    slack = {"<=": 1.0, ">=": -1.0, "=": 0.0}[rel] * rng.uniform(0, 0.5)
+    return a, rel, float(a @ x_ref + slack)
+
+
+def _row_slack(x, a, rel, b):
+    return {"<=": b - a @ x, ">=": a @ x - b, "=": 0.0}[rel]
+
+
+def _next_rows(rng, rows, x, n, x_ref):
+    """rows after one cutting-plane step from a solution x: some rows
+    dropped (rows slack at x, whose logicals are basic, and now and then
+    a binding one), some right-hand sides moved, 1-5 new rows, now and
+    then a copy of a kept row, inserted anywhere, and now and then a row
+    that contradicts a kept one, which makes the program infeasible."""
+    rows = list(rows)
+    slack = [i for i, r in enumerate(rows) if _row_slack(x, *r) > 1e-6]
+    drop = set(rng.choice(slack, size=min(len(slack), int(rng.integers(3))),
+                          replace=False).tolist()) if slack else set()
+    if rng.uniform() < 0.15:
+        binding = [i for i, r in enumerate(rows)
+                   if abs(_row_slack(x, *r)) < 1e-9 and r[1] != "="]
+        if binding:
+            drop.add(int(rng.choice(binding)))
+    rows = [r for i, r in enumerate(rows) if i not in drop] or rows[:1]
+    for i in rng.choice(len(rows), size=min(len(rows), int(rng.integers(3))),
+                        replace=False):
+        a, rel, b = rows[i]
+        if rel != "=":
+            rows[i] = (a, rel, b + rng.uniform(-0.3, 0.3))
+    for _ in range(int(rng.integers(1, 6))):
+        row = _random_row(rng, n, x_ref)
+        if rng.uniform() < 0.1:
+            row = rows[int(rng.integers(len(rows)))]
+        rows.insert(int(rng.integers(len(rows) + 1)) if rng.uniform() < 0.3
+                    else len(rows), row)
+    if rng.uniform() < 0.15:
+        a, rel, b = rows[int(rng.integers(len(rows)))]
+        if rel != "=":
+            flip = "<=" if rel == ">=" else ">="
+            rows.append((a, flip, b + (1.0 if flip == ">=" else -1.0)))
+    return rows
+
+
+def test_row_changing_resolves_match_cold_solves():
+    """Chains of 24 cutting-plane steps on random LPs of up to 60
+    columns and a few more rows: each step drops rows, moves right-hand
+    sides and adds rows (see _next_rows), and its program is re-solved
+    from the last optimal solution of the chain, as ACCP and ECP do.
+    Every re-solve agrees with the two-phase solve and with HiGHS in
+    status and objective, and its infeasible verdicts carry a valid
+    certificate.  Dropping a row whose logical is nonbasic falls back to
+    the two-phase solve, which still answers correctly."""
+    rng = rng_for(208)
+    seen = {"warm": 0, "infeasible": 0, "nonbasic logical dropped": 0,
+            "other": 0}
+    for trial in range(16):
+        n = int(rng.integers(5, 61))
+        kinds = rng.choice(["box", "lower", "upper", "free"], size=n,
+                           p=[0.4, 0.3, 0.15, 0.15])
+        bounds, x_ref = [], []
+        for kind in kinds:
+            lo, up = sorted(rng.uniform(-3.0, 3.0, size=2))
+            bounds.append({"box": (lo, up), "lower": (lo, None),
+                           "upper": (None, up), "free": (None, None)}[kind])
+            x_ref.append(rng.uniform(lo, up))
+        x_ref = np.array(x_ref)
+        c = rng.uniform(-2, 2, size=n)
+        # box rows on the unbounded sides keep every program bounded
+        fixed = []
+        for j in (kinds != "box").nonzero()[0]:
+            e = np.zeros(n)
+            e[j] = 1.0
+            fixed += [(e, "<=", 10.0), (e, ">=", -10.0)]
+        rows = [_random_row(rng, n, x_ref)
+                for _ in range(int(rng.integers(3, max(4, n // 2))))]
+        start = solve_lp(LinearProgram(c, fixed + rows, bounds))
+        assert start.status == "optimal", trial
+        for step in range(24):
+            new_rows = _next_rows(rng, rows, start.x[:n], n, x_ref)
+            p = LinearProgram(c, fixed + new_rows, bounds)
+            sol = solve_lp(p, start=start)
+            cold, ref = solve_lp(p), _highs(p)
+            assert sol.status == cold.status, (trial, step)
+            seen["warm" if sol.fallback is None else
+                 sol.fallback if sol.fallback in seen else "other"] += 1
+            if sol.status == "infeasible":
+                assert ref.status == 2, (trial, step)
+                _assert_farkas(p, sol.farkas)
+                seen["infeasible"] += sol.fallback is None
+                continue
+            assert ref.status == 0, (trial, step)
+            _assert_solution(p, sol, ref.fun)
+            _assert_solution(p, cold, ref.fun)
+            rows, start = new_rows, sol
+    # 384 steps: the re-solve answers all but those that drop a row
+    # whose logical is nonbasic, a few of them infeasible
+    assert seen["warm"] >= 290 and seen["other"] == 0, seen
+    assert seen["infeasible"] >= 10, seen
+    assert seen["nonbasic logical dropped"] >= 1, seen

@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from pricebounds import cpwa
 from pricebounds import radial as radial_mod
-from pricebounds.lp import ConditioningError, LpSolution
+from pricebounds.lp import (ConditioningError, LinearProgram, LpSolution,
+                            solve_lp)
 from conftest import rng_for, random_cpwa
 
 
@@ -215,16 +217,18 @@ def test_pruned_generate_matches_exhaustive_chains():
 
 
 def test_pruned_generate_cone_lp_count(monkeypatch):
+    """The depth-first build makes few cone tests: at most two per term
+    on a chain that the exhaustive loop would test 4096 times."""
     tmpl = _chain_template(np.arange(1, 7) * 10.0)
     assert len(list(radial_mod.enumerate_tuples(tmpl))) == 4096
     calls = []
-    real = radial_mod.solve_lp
+    real = radial_mod.cone_interior_empty
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(radial_mod, "solve_lp", counting)
+    monkeypatch.setattr(radial_mod, "cone_interior_empty", counting)
     system = radial_mod.generate(tmpl)
     assert system.blocks
     assert 0 < len(calls) <= 2 * len(tmpl.terms)
@@ -247,12 +251,75 @@ def test_row_cap_matches_exhaustive():
 
 def test_cone_interior_bad_witness_raises(monkeypatch):
     """An "empty" verdict whose weights do not give a convex combination
-    <= 0 must raise instead of pruning."""
+    <= 0 must raise instead of pruning, whether the weights come from the
+    LP (d >= 3) or in closed form (d <= 2)."""
     def bogus(p, **kwargs):
         return LpSolution(status="optimal", x=np.array([0.5, 0.5]),
                           objective=0.0)
 
     monkeypatch.setattr(radial_mod, "solve_lp", bogus)
+    A = [np.array([1.0, 0.0, 0.0]), np.array([-0.5, 0.0, 0.0])]
+    with pytest.raises(ConditioningError):
+        radial_mod.cone_interior_empty(A)
+    monkeypatch.setattr(radial_mod, "_planar_weights",
+                        lambda V, h: np.array([0.5, 0.5]))
     A = [np.array([1.0, 0.0]), np.array([-0.5, 0.0])]
     with pytest.raises(ConditioningError):
         radial_mod.cone_interior_empty(A)
+
+
+def _cone_lp_verdicts(V):
+    """The verdicts of the cone LP that decides every dimension, from
+    HiGHS and from the native solver (None where it raises): is some
+    convex combination of the columns of V <= 0?  The references."""
+    n = V.shape[1]
+    ref = linprog(np.zeros(n), A_ub=V, b_ub=np.zeros(len(V)),
+                  A_eq=np.ones((1, n)), b_eq=[1.0], bounds=(0.0, None),
+                  method="highs")
+    assert ref.status in (0, 2)
+    rows = [(np.ones(n), "=", 1.0), (V, "<=", 0.0)]
+    try:
+        native = solve_lp(LinearProgram(np.zeros(n), rows,
+                                        [(0.0, None)] * n)).status
+    except ConditioningError:
+        native = None
+    return ref.status == 0, None if native is None else native == "optimal"
+
+
+def test_closed_form_cone_test_matches_the_lp():
+    """In d = 1 and d = 2 the closed-form verdict equals the cone LP's,
+    from HiGHS and from the native solver wherever that answers (its
+    Farkas check can refuse one with components of 1e-11), on random
+    vectors whose components are often zero or within 1e-11 of it, on
+    integer vectors that make exact ties, and on planar vectors of which
+    no single one is <= 0, so that pairs decide."""
+    rng = rng_for(504)
+    verdicts, pairs, refused = [], 0, 0
+    for trial in range(1500):
+        d = 2 if trial % 3 == 1 else int(rng.integers(1, 3))
+        n = int(rng.integers(1, 7))
+        if trial % 3 == 0:
+            V = rng.integers(-1, 3, size=(d, n)).astype(float)
+        elif trial % 3 == 1:
+            # each vector has one positive and one negative component
+            V = rng.uniform(0.0, 1.0, size=(d, n))
+            V[0] *= rng.choice([-1.0, 1.0], size=n)
+            V[1] *= -np.sign(V[0])
+        else:
+            V = rng.uniform(-0.2, 1.0, size=(d, n))
+        kind = rng.uniform(size=(d, n))
+        V[kind < 0.1] = 0.0
+        near = (kind >= 0.1) & (kind < 0.2)
+        V[near] = rng.choice([-1e-11, -5e-12, 5e-12, 1e-11], size=near.sum())
+        if not np.abs(V).max() > 0.0:
+            continue
+        got = radial_mod.cone_interior_empty(list(V.T))
+        highs, native = _cone_lp_verdicts(V)
+        assert got is highs, (trial, V)
+        assert native in (got, None), (trial, V)
+        refused += native is None
+        verdicts.append(got)
+        pairs += got and not (V <= 1e-9).all(axis=0).any()
+    # both verdicts are well represented, and pairs decide many
+    assert min(sum(verdicts), len(verdicts) - sum(verdicts)) > 300
+    assert pairs > 50 and refused < 20
