@@ -4,9 +4,11 @@ simplex for re-solves, and checked certificates.
 Solves  min <c, x>  s.t.  A x (sense) b,  lo <= x <= hi  for a program
 held in matrix form (see LinearProgram).  Reports primal solution, row
 duals, a checked Farkas certificate on infeasibility and a checked
-improving ray on unboundedness.  The final basis is refactorized (solve
-against the unpivoted matrix) so the reported solution and duals do not
-inherit tableau drift.
+improving ray on unboundedness.  A two-phase optimum's final basis is
+refactorized (solve against the unpivoted matrix) so the reported
+solution and duals do not inherit tableau drift.  A warm optimum is
+certified by residuals on the basis inverse its dual simplex maintains,
+and refactorized only when that check fails (see below).
 
 The standard form is built with array operations: each variable becomes
 a shifted column (lower bound), a negated shifted column (upper bound
@@ -32,16 +34,26 @@ column bound and adds no row.  A two-phase basis enters the bounded form
 of its standard form once: an upper-bound row leaves with its slack when
 the slack is basic, and otherwise with its variable, which becomes
 nonbasic at its upper bound.
-- Same rows: the inverse of the start's basis and its reduced costs are
-  built from one factorization on first use and kept on the start, so
-  both children of a node start from copies.
+- Same rows: the re-solve starts from copies of the inverse of the
+  start's basis and its reduced costs.  A certified re-solve leaves its
+  own on its result, so a branch-and-bound child hands them to its
+  children and no branched node is factorized; a start without them (a
+  two-phase root) builds them from one factorization on first use and
+  keeps them, so both of its children start from copies.
 - Changed rows: a row of the program with the coefficients and sense of a
   row of the start's keeps that row's logical, and may have a new rhs; a
   new row enters with its logical basic; a start row that the program
   drops leaves with its logical, which must be basic.  The inverse comes
   from one fresh factorization of the mapped basis, so no drift builds up
   over a chain of re-solves, and the start stays dual feasible.
-A start that cannot be used falls back to the two-phase solve, and the
+A warm optimum is returned only with a certificate computed from the
+maintained arrays, with y = c_B B^-1: the residual of the basic values,
+the recomputed reduced costs c - y A (signed on the nonbasic columns,
+zero on the basic ones) and the duality gap (see _certified).  A solve
+that fails it goes on from one fresh factorization of its basis, and
+one that fails again falls back to the two-phase solve, so drift cannot
+build up unchecked over a chain of carried inverses.  A start that
+cannot be used falls back to the two-phase solve, and the
 result's `fallback` says why.  Every basis is factorized through its
 kernel: the unit columns (slacks, surpluses, artificials, logicals) make
 it block triangular, and only the rows and columns they leave are
@@ -53,15 +65,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dger, idamax
 from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 CONDITION_RATIO_MAX = 1e12
 MAX_ITER = 100000
-# smallest pivot element a ratio test or an artificial drive-out accepts;
-# smaller pivots amplify rounding until the tableau reports false verdicts
+# smallest pivot element a ratio test or an artificial drive-out accepts,
+# in the two-phase ratio test times the larger of 1 and the entering
+# column's largest entry; smaller pivots amplify rounding until the
+# tableau reports false verdicts
 PIVOT_TOL = 1e-9
 # largest relative gap between a dual-simplex pivot element computed from
 # its row and from its column of B^-1 A
@@ -70,6 +84,9 @@ PIVOT_AGREE = 1e-6
 # column whose bound on that side is infinite, and a two-phase one must
 # beat the largest y.A x over the column bounds by more than FARKAS_TOL
 FARKAS_TOL = 1e-9
+# a warm optimum is certified without a factorization only if its basic
+# values solve B x_B = b - A_N x_N to within RESIDUAL_TOL (1 + |b - A_N x_N|)
+RESIDUAL_TOL = 1e-9
 
 _SENSE = {"<=": -1, "=": 0, ">=": 1}
 _RELATION = {-1: "<=", 0: "=", 1: ">="}
@@ -198,8 +215,9 @@ class LpSolution:
     basis: np.ndarray = field(default=None, repr=False)
     form: object = field(default=None, repr=False)
     upper: np.ndarray = field(default=None, repr=False)
-    # (bounded form, basis, upper, B^-1, reduced costs), built on the first
-    # re-solve with this solution's rows; why not, if it cannot be built
+    # (bounded form, basis, upper, B^-1, reduced costs): left by a
+    # certified re-solve, else built on the first re-solve with this
+    # solution's rows; why not, if it cannot be built
     warm: object = field(default=None, repr=False)
 
 
@@ -380,19 +398,20 @@ def _run_simplex(D, r, basis, allowed, tol, max_iter):
     stall = 0
     last_obj = r[-1]
     bland_after = 20 * (D.shape[0] + n) + 500
+    barred = np.where(allowed, 0.0, np.inf)
     while True:
         if it >= max_iter:
             raise ResourceLimitError("simplex iteration limit reached")
         use_bland = stall > bland_after
-        cand = (allowed & (r[:n] < -tol)).nonzero()[0]
-        if cand.size == 0:
-            return "optimal", None, it
         if use_bland:
-            pc = int(cand[0])
+            pc = int((allowed & (r[:n] < -tol)).argmax())
         else:
-            pc = int(cand[r[cand].argmin()])
+            # the most negative reduced cost; +inf bars the other columns
+            pc = int((r[:n] + barred).argmin())
+        if not (allowed[pc] and r[pc] < -tol):
+            return "optimal", None, it
         col = D[:, pc]
-        pos = (col > PIVOT_TOL).nonzero()[0]
+        pos = (col > PIVOT_TOL * max(1.0, abs(col[idamax(col)]))).nonzero()[0]
         if pos.size == 0:
             return "unbounded", pc, it
         ratios = D[pos, -1] / col[pos]
@@ -507,16 +526,13 @@ def _rows_of(form, v, m):
     return out
 
 
-def _finish(form, p, c, basis, rhs, offset, x, xB, y, iters,
-            bounds=None):
-    """Optimal solution at the final basis of form's  A x = b: a standard
-    form, or a bounded form when `bounds` = (lo_B, hi_B, upper) gives the
-    basic columns' bounds and the nonbasic columns at their upper bound.
-    x holds the nonbasic columns at their bounds and zero on the basis,
-    rhs is b - A x and offset is the objective's constant plus c.x.  The
-    basis is refactorized against the unpivoted matrix; the pivoted basic
-    values xB and duals y are kept only when the refactorization is
-    singular or disagrees with them."""
+def _finish(form, p, c, basis, rhs, offset, xB, y, iters):
+    """Optimal solution at the final basis of a standard form's  A x = b,
+    x >= 0, its nonbasic columns at zero.  rhs is b and offset the
+    objective's constant.  The basis is refactorized against
+    the unpivoted matrix; the tableau's basic values xB and duals y are
+    kept only when the refactorization is singular or disagrees with
+    them."""
     fac = _basis_factors(form, basis)
     if fac is not None:
         xB_fac = fac.solve(rhs)
@@ -524,19 +540,54 @@ def _finish(form, p, c, basis, rhs, offset, x, xB, y, iters,
         if drift <= 1e-5 * (1.0 + abs(rhs).max(initial=0.0)):
             xB = xB_fac
             y = fac.solve_t(c[basis])
-    dual = float(y @ rhs) + offset
-    if bounds is None:
-        x[basis] = np.maximum(xB, 0.0)
-        upper = None
-    else:
-        lo_B, hi_B, upper = bounds
-        x[basis] = np.minimum(np.maximum(xB, lo_B), hi_B)
+    x = np.zeros(len(c))
+    x[basis] = np.maximum(xB, 0.0)
     xp = _to_program(form, x[:form.n_struct], form.base)
     return LpSolution(status="optimal", x=xp,
                       objective=float(p.objective @ xp),
                       row_duals=_rows_of(form, y, len(p.b)),
-                      dual_objective=dual, iterations=iters,
-                      basis=basis.copy(), form=form, upper=upper)
+                      dual_objective=float(y @ rhs) + offset,
+                      iterations=iters, basis=basis.copy(), form=form)
+
+
+def _certified(bf, p, basis, upper, Binv, x, xB, lo_B, hi_B, dirn, iters,
+               opt_tol):
+    """The optimal solution at a dual-simplex basis of bf whose basic
+    values xB are within their bounds, if the arrays the dual simplex
+    maintained certify it; None otherwise.  x holds the nonbasic columns
+    at their bounds and zero on the basis.  Checked, with y = c_B B^-1:
+    the primal residual of xB against b - A x; the reduced costs
+    c - y A, recomputed rather than the updated ones, for their sign
+    on the nonbasic columns (dirn) and for zero on the basic ones; and
+    the gap between the primal and the dual objective.  The solution keeps
+    (bf, basis, upper, B^-1, reduced costs) as its `warm` state, so that
+    a re-solve from it starts from copies and factorizes nothing."""
+    A, b, c = bf.A, bf.b, bf.c
+    rhs = b - A @ x
+    cB = c[basis]
+    y = cB @ Binv
+    d = c - y @ A
+    # written so that a NaN fails every test
+    if not (np.abs(A[:, basis] @ xB - rhs).max() <=
+            RESIDUAL_TOL * (1.0 + np.abs(rhs).max()) and
+            (dirn * d).min() >= -opt_tol and
+            np.abs(d[basis]).max() <= opt_tol):
+        return None
+    # primal less dual objective, within the rounding of their terms
+    gap = cB @ xB - y @ rhs
+    if not abs(gap) <= opt_tol * (1.0 + np.abs(cB) @ np.abs(xB) +
+                                  np.abs(y) @ np.abs(rhs)):
+        return None
+    d[basis] = 0.0
+    dual = float(y @ rhs) + bf.offset + c @ x
+    x[basis] = np.minimum(np.maximum(xB, lo_B), hi_B)
+    xp = _to_program(bf, x[:bf.n_struct], bf.base)
+    return LpSolution(status="optimal", x=xp,
+                      objective=float(p.objective @ xp),
+                      row_duals=_rows_of(bf, y, len(p.b)),
+                      dual_objective=dual, iterations=iters, basis=basis,
+                      form=bf, upper=upper,
+                      warm=(bf, basis, upper, Binv, d))
 
 
 def _same(u, v):
@@ -587,9 +638,10 @@ def _inverse(bf, basis):
 
 
 def _start_state(start):
-    """(bounded form, basis, upper, B^-1, reduced costs) of start, built
-    on its first re-solve and kept on it, so that both children of a node
-    start from copies of one inverse."""
+    """(bounded form, basis, upper, B^-1, reduced costs) of start: what a
+    certified re-solve left on it, or else built on its first re-solve
+    and kept on it, so that both children of a node start from copies of
+    one inverse."""
     if start.warm is None:
         try:
             bf, basis, upper = _start_basis(start)
@@ -701,9 +753,10 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
     its bounds and rows may differ.  When p has start's rows, the solve
     runs in start's bounded form from copies of the inverse kept on
     start; otherwise in p's own bounded form (see _rebased), from one
-    fresh factorization of the mapped basis.  Raises _NoWarmStart when
-    the start cannot be used or the dual simplex ends without a checked
-    result."""
+    fresh factorization of the mapped basis.  An optimum is returned
+    once _certified accepts it, after at most one refactorization.
+    Raises _NoWarmStart when the start cannot be used or the dual
+    simplex ends without a checked result."""
     form = start.form
     if form is None:
         raise _NoWarmStart("no basis")
@@ -728,7 +781,7 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
     # bound, -1 on those that may fall from their upper bound, 0 on the
     # basic and the fixed columns.  Dual feasible: dirn * d >= 0, which a
     # branching fix, a new row and a moved rhs keep and the pivots
-    # maintain (a widened bound that breaks it ends in the final check)
+    # maintain (a widened bound that breaks it fails the certificate)
     dirn = np.where(upper, -1.0, 1.0)
     dirn[lo == hi] = 0.0
     dirn[basis] = 0.0
@@ -742,12 +795,24 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
     tol = feas_tol * scale
     cap = min(max_iter, 20 * (len(b) + len(x)) + 500)
     it = 0
+    refactorized = False
     while True:
         below, above = lo_B - xB, xB - hi_B
         viol = np.maximum(below, above)
         pr = int(viol.argmax())
         if viol[pr] <= tol:
-            break
+            sol = _certified(bf, p, basis, upper, Binv, x, xB, lo_B, hi_B,
+                             dirn, it, opt_tol)
+            if sol is not None:
+                return sol
+            if refactorized:
+                raise _NoWarmStart("certificate check failed")
+            # B^-1 or the reduced costs have drifted: go on from a fresh
+            # factorization of the basis, once
+            Binv, d = _inverse(bf, basis)
+            xB = Binv @ (b - A @ x)
+            refactorized = True
+            continue
         if it >= cap:
             raise _NoWarmStart("iteration cap")
         up = bool(above[pr] > below[pr])  # basic pr leaves at its upper bound
@@ -794,11 +859,6 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
         dirn[out] = 0.0 if lo[out] == hi[out] else (-1.0 if up else 1.0)
         dirn[pc] = 0.0
         it += 1
-    if (dirn * d < -opt_tol).any():
-        raise _NoWarmStart("dual infeasible")
-    return _finish(bf, p, bf.c, basis, b - A @ x,
-                   bf.offset + bf.c @ x, x, xB, bf.c[basis] @ Binv, it,
-                   (lo_B, hi_B, upper))
 
 
 def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
@@ -956,9 +1016,8 @@ def _solve_two_phase(p, feas_tol, opt_tol, max_iter):
         t[basis] = -D[:, pc]
         return _unbounded(p, _to_program(form, t[:nt], 0.0), iters)
 
-    return _finish(form, p, c_full, basis, form.b, obj_offset,
-                   np.zeros(N), D[:, -1], c_full[init_ident] - r2[init_ident],
-                   iters)
+    return _finish(form, p, c_full, basis, form.b, obj_offset, D[:, -1],
+                   c_full[init_ident] - r2[init_ident], iters)
 
 
 def chebyshev_center(A, b, scales=None, rho_cap=1e9, start=None):

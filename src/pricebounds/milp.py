@@ -3,8 +3,12 @@
 Minimizes over the LP relaxation tree, branching on the most fractional
 binary and exploring nodes in best-bound order.  Both children of a
 node are solved right after it is popped, each re-optimized from its
-optimal basis by the bounded-variable dual simplex, so they share the
-basis inverse that the first of them builds on the node's solution.
+optimal basis by the bounded-variable dual simplex, starting from
+copies of the node's basis inverse: the one the node's own re-solve
+left on its solution once its residuals certified it, or, for the root
+and a node without one, the inverse that the first child builds from a
+factorization.  Pending nodes hold their inverses up to
+WARM_STATE_BYTES.
 Terminates on a relative-gap rule (p_bar - p_low)/|p_bar| <= rel_gap
 (absolute gap rel_gap * 1e-6 when the incumbent value is 0) or on a node
 limit.
@@ -22,6 +26,10 @@ import numpy as np
 from .lp import LinearProgram, solve_lp
 
 INT_TOL = 1e-6
+# pending nodes keep their LP's re-solve state, an m x m basis inverse,
+# while these bytes of such states fit; a node over the budget keeps none,
+# and its children start from one factorization of its basis
+WARM_STATE_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -90,6 +98,8 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
 
     counter = 0
     heap = [(root.objective, counter, {}, root)]
+    m = len(p.base.b)
+    states, max_states = 0, WARM_STATE_BYTES // (8 * m * m + 1)
     p_bar = np.inf
     incumbent = None
     raw_pool = []  # (x, value incl. offset)
@@ -98,6 +108,7 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
 
     while heap:
         bound, _, fixed, sol = heapq.heappop(heap)
+        states -= sol.warm is not None
         p_low = bound + offset
         if _gap_met(p_bar, p_low, opts.rel_gap):
             status = "gap_reached" if p_bar - p_low > 1e-12 else "optimal"
@@ -127,6 +138,10 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
             if child.status == "infeasible":
                 continue
             counter += 1
+            if states < max_states:
+                states += child.warm is not None
+            else:
+                child.warm = None
             heapq.heappush(heap, (child.objective, counter, child_fixed,
                                   child))
 

@@ -6,8 +6,8 @@ import pytest
 from scipy.optimize import linprog
 
 from pricebounds import lp
-from pricebounds.lp import (LinearProgram, solve_lp, chebyshev_center,
-                            ConditioningError)
+from pricebounds.lp import (LinearProgram, LpSolution, solve_lp,
+                            chebyshev_center, ConditioningError)
 from conftest import rng_for
 
 
@@ -469,6 +469,24 @@ def test_accp_lower_bound_lp_is_not_infeasible():
     assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
+def test_phase_one_takes_no_tiny_pivot():
+    """A cone LP  min 0  s.t.  1.x = 1, V x <= 0, x >= 0  that HiGHS finds
+    feasible: x = e5 holds every row to within 1e-11.  Phase 1 once
+    pivoted on an element of 2.8e-9 in a column whose largest entry was
+    6.9, ended at a false optimum and raised on its Farkas check."""
+    V = np.array([[0.0251, 0.0231, 0.0, 0.835, 1e-11, 0.0],
+                  [0.828, -1e-11, 0.0531, 0.356, -0.144, 0.515]])
+    p = LinearProgram(np.zeros(6), [(np.ones(6), "=", 1.0),
+                                    (V, "<=", np.zeros(2))],
+                      [(0.0, None)] * 6)
+    assert _highs(p).status == 0
+    sol = solve_lp(p)
+    assert sol.status == "optimal"
+    tol = lp.FEAS_TOL * (1.0 + np.abs(p.b).max())
+    assert abs(sol.x.sum() - 1.0) <= tol
+    assert (V @ sol.x <= tol).all() and (sol.x >= -tol).all()
+
+
 def _check_conditioning_by_row(p):
     """The per-row loop that _check_conditioning replaced: the reference."""
     mags = []
@@ -791,3 +809,162 @@ def test_row_changing_resolves_match_cold_solves():
     assert seen["warm"] >= 290 and seen["other"] == 0, seen
     assert seen["infeasible"] >= 10, seen
     assert seen["nonbasic logical dropped"] >= 1, seen
+
+
+def test_carried_state_over_deep_chains(monkeypatch):
+    """Branch-and-bound chains 25 deep on random LPs of up to about 60
+    rows and 60 columns.  A certified warm optimum carries its B^-1 and
+    reduced costs, so each node starts from copies of its parent's and
+    rank-1 updates pile up along the chain without a factorization.
+    Every node agrees with the two-phase solve and HiGHS in status and
+    objective, infeasible ones carry a valid certificate, and nearly
+    every warm optimum passes the residual certificate on its first
+    check."""
+    checks = {True: 0, False: 0}
+    factorized = [0]
+    real_cert, real_inverse = lp._certified, lp._inverse
+
+    def certified(*args):
+        sol = real_cert(*args)
+        checks[sol is not None] += 1
+        return sol
+
+    def inverse(*args):
+        factorized[0] += 1
+        return real_inverse(*args)
+
+    monkeypatch.setattr(lp, "_certified", certified)
+    monkeypatch.setattr(lp, "_inverse", inverse)
+    rng = rng_for(210)
+    nodes = full = 0
+    longest = 0  # pivots on one carried inverse since its factorization
+    for trial in range(12):
+        root, nb, bounded = _random_node_lp(rng, 60, 40)
+        node, parent = root, solve_lp(root)
+        assert parent.status == "optimal", trial
+        updates = 0
+        for depth in range(25):
+            feasible = []
+            for child in _branch(node, root, rng, nb, bounded, parent.x):
+                nodes += 1
+                before = factorized[0]
+                sol = solve_lp(child, start=parent)
+                cold, ref = solve_lp(child), _highs(child)
+                assert sol.status == cold.status, (trial, depth)
+                if sol.status == "infeasible":
+                    assert ref.status == 2, (trial, depth)
+                    _assert_farkas(child, sol.farkas)
+                    continue
+                assert ref.status == 0, (trial, depth)
+                _assert_solution(child, sol, ref.fun)
+                fresh = factorized[0] > before or sol.warm is None
+                feasible.append((child, sol, fresh))
+            if not feasible:
+                break
+            node, parent, fresh = feasible[int(rng.integers(len(feasible)))]
+            updates = parent.iterations + (0 if fresh else updates)
+            longest = max(longest, updates)
+        full += depth == 24
+    assert full >= 8 and nodes >= 400
+    assert checks[True] >= 0.95 * (checks[True] + checks[False]), checks
+    # one factorization per chain for the root's basis, and few others
+    assert factorized[0] <= 0.05 * nodes, (factorized[0], nodes)
+    assert longest >= 40, longest
+
+
+def test_corrupted_carried_state_is_refactorized(monkeypatch):
+    """A carried state whose B^-1 is off by 1e-5 in one entry, or whose
+    reduced costs were lost, does not certify its re-solves: the residual
+    or reduced-cost check fails, the solve goes on from a fresh
+    factorization (or falls back to the two-phase solve) and answers as
+    the cold solve does."""
+    seen = []
+    real_cert = lp._certified
+
+    def certified(*args):
+        seen.append(real_cert(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(lp, "_certified", certified)
+    rng = rng_for(211)
+    rejected = {"inverse": 0, "reduced costs": 0}
+    refactorized = 0
+    for trial in range(30):
+        root, nb, bounded = _random_node_lp(rng, 30, 30)
+        parent = solve_lp(root)
+        first = _branch(root, root, rng, nb, bounded, parent.x)[0]
+        node = solve_lp(first, start=parent)
+        if node.status != "optimal" or not isinstance(node.warm, tuple):
+            continue
+        bf, basis, upper, Binv, d = node.warm
+        i, j = np.unravel_index(np.abs(Binv).argmax(), Binv.shape)
+        bent = Binv.copy()
+        bent[i, j] += 1e-5
+        for kind, state in [("inverse", (bf, basis, upper, bent, d)),
+                            ("reduced costs", (bf, basis, upper, Binv,
+                                               np.zeros_like(d)))]:
+            for child in _branch(first, root, rng, nb, bounded, node.x):
+                start = LpSolution(**{**node.__dict__, "warm": state})
+                del seen[:]
+                sol = solve_lp(child, start=start)
+                cold = solve_lp(child)
+                assert sol.status == cold.status, (trial, kind)
+                if sol.status == "infeasible":
+                    _assert_farkas(child, sol.farkas)
+                    continue
+                _assert_solution(child, sol, cold.objective)
+                if seen and seen[0] is None:
+                    rejected[kind] += 1
+                    refactorized += seen[-1] is not None
+    assert rejected["inverse"] >= 20 and rejected["reduced costs"] >= 5, \
+        rejected
+    assert refactorized >= 10
+
+
+def test_certificate_needs_zero_basic_reduced_costs(monkeypatch):
+    """A carried B^-1 that is off only along a direction v with
+    v.(b - A x_N) = 0 and v.A_j = 0 on the degenerate nonbasic columns
+    leaves the basic values, the residual, the gap and the sign of every
+    nonbasic reduced cost as they were, but moves y = c_B B^-1 off the
+    basis: c_B - y A_B is no longer zero, and the certificate refuses
+    it."""
+    from scipy.linalg import null_space
+    seen = []
+    real = lp._certified
+
+    def spy(*args):
+        seen.append([a.copy() if isinstance(a, np.ndarray) else a
+                     for a in args])
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_certified", spy)
+    rng = rng_for(212)
+    refused = 0
+    for trial in range(20):
+        root, nb, bounded = _random_node_lp(rng, 20, 20)
+        parent = solve_lp(root)
+        child = _branch(root, root, rng, nb, bounded, parent.x)[1]
+        del seen[:]
+        if solve_lp(child, start=parent).status != "optimal" or not seen:
+            continue
+        bf, p, basis, upper, Binv, x, xB, *rest = seen[-1]
+        dirn, opt_tol = rest[2], rest[4]
+        rhs = bf.b - bf.A @ x
+        d = bf.c - bf.c[basis] @ Binv @ bf.A
+        tight = (dirn != 0) & (np.abs(d) < 1e-3)
+        v = null_space(np.column_stack([rhs, bf.A[:, tight]]).T)
+        cB = bf.c[basis]
+        if not v.shape[1] or not np.abs(cB).max() > 0.1:
+            continue
+        v = v[:, 0]
+        i = int(np.abs(cB).argmax())
+        bent = Binv.copy()
+        bent[i] += 1e-6 * v
+        args = [bf, p, basis, upper, bent, x.copy(), xB] + rest
+        d_bent = bf.c - cB @ bent @ bf.A
+        assert (dirn * d_bent).min() >= -opt_tol
+        assert real(bf, p, basis, upper, Binv, x.copy(), xB,
+                    *rest) is not None
+        assert real(*args) is None, trial
+        refused += 1
+    assert refused >= 10

@@ -1,9 +1,11 @@
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+from pricebounds import lp, milp as milp_module
 from pricebounds.lp import LinearProgram, solve_lp
 from pricebounds.milp import (MixedIntegerProgram, MilpOptions,
                               MilpResult, solve_milp)
@@ -141,9 +143,35 @@ def test_binary_bound_validation():
             LinearProgram([1.0], [], [(0.0, 2.0)]), [0])
 
 
-def test_random_milps_vs_highs():
+def _assert_optimal_certificate(q, sol, tol=1e-7):
+    """sol holds q's rows by their sense and q's bounds, and its objective
+    equals its dual objective."""
+    scale = 1.0 + np.abs(q.b).max(initial=0.0)
+    r = q.A @ sol.x - q.b
+    assert (r[q.sense < 0] <= tol * scale).all()
+    assert (r[q.sense > 0] >= -tol * scale).all()
+    assert (np.abs(r[q.sense == 0]) <= tol * scale).all()
+    assert (sol.x >= q.lo - 1e-9).all() and (sol.x <= q.hi + 1e-9).all()
+    assert abs(sol.objective - sol.dual_objective) <= \
+        tol * (1.0 + abs(sol.objective))
+
+
+def test_random_milps_vs_highs(monkeypatch):
     """Branch and bound with warm-started node LPs against scipy's HiGHS
-    MILP on random programs with up to 12 binaries."""
+    MILP on random programs with up to 12 binaries.  Every node LP that
+    the warm path calls optimal is checked against its own program:
+    primal residual by row sense, bounds and duality gap."""
+    checked = [0]
+    warm = lp._solve_warm
+
+    def checking(q, start, *args):
+        sol = warm(q, start, *args)
+        if sol.status == "optimal":
+            _assert_optimal_certificate(q, sol)
+            checked[0] += 1
+        return sol
+
+    monkeypatch.setattr(lp, "_solve_warm", checking)
     rng = rng_for(304)
     infeasible = 0
     nodes = []
@@ -181,3 +209,31 @@ def test_random_milps_vs_highs():
     # both verdicts occur, and some programs need a real search
     assert 0 < infeasible < 80
     assert max(nodes) > 10
+    assert checked[0] > 250
+
+
+def test_pending_states_stay_within_budget(monkeypatch):
+    """Pending nodes keep the basis inverses their re-solves left on them
+    only while WARM_STATE_BYTES holds them; with no budget none is kept,
+    each branched node factorizes its basis, and the answers agree."""
+    rng = rng_for(305)
+    programs = [_random_milp(rng) for _ in range(60)]
+    held = []
+    real_push = heapq.heappush
+
+    def push(heap, entry):
+        real_push(heap, entry)
+        held.append(sum(isinstance(e[3].warm, tuple) for e in heap))
+
+    monkeypatch.setattr(milp_module.heapq, "heappush", push)
+    results = [solve_milp(p) for p in programs]
+    assert max(held) >= 2
+    del held[:]
+    monkeypatch.setattr(milp_module, "WARM_STATE_BYTES", 0)
+    for p, res in zip(programs, results):
+        again = solve_milp(p)
+        assert again.status == res.status
+        if res.incumbent_value is not None:
+            assert again.incumbent_value == pytest.approx(
+                res.incumbent_value, abs=1e-9)
+    assert held and max(held) == 0
