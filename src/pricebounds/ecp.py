@@ -183,6 +183,7 @@ class CutSet:
 
     def __init__(self, instance: MarketInstance, f: CpwaFunction, box):
         self.g = instance.g
+        self._g_at = cpwa.Stacked(instance.g)
         self.f = f
         self.box = box
         self.x = []
@@ -205,7 +206,7 @@ class CutSet:
             return i, False
         self._index[key] = i = len(self.x)
         self.x.append(x)
-        self.gx.append(np.array([cpwa.evaluate(gj, x) for gj in self.g]))
+        self.gx.append(self._g_at(x))
         self.fx.append(cpwa.evaluate(self.f, x))
         return i, True
 

@@ -8,6 +8,14 @@ big-M disjunctions with one binary per piece (exactly one active).
 Big-M constants are computed in closed form by coordinatewise box
 maximization.  Terms whose pieces coincide collapse to plain affine
 addends with no auxiliary variables.
+
+The program carries a completion (`MixedIntegerProgram.complete`): any
+box point x extends in closed form to an integer-feasible point whose
+objective plus the encoding's constant is h(x).  Each lambda_k and
+zeta_k takes its term's largest piece value, delta_{k,i} = zeta_k -
+v_{k,i}, and iota_k is one-hot on the first piece attaining the max.
+Branch and bound completes every node LP's point this way, so each node
+gives an exact upper bound on the minimum.
 """
 
 from __future__ import annotations
@@ -19,11 +27,6 @@ import numpy as np
 from .cpwa import CpwaFunction, prune as prune_cpwa, PRUNE_THRESHOLD
 from .lp import LinearProgram
 from .milp import MixedIntegerProgram, MilpOptions, solve_milp
-
-
-def _box_max(coef, const, xbar):
-    """max over 0 <= x <= xbar of <coef, x> + const, in closed form."""
-    return float(np.where(coef > 0, coef * xbar, 0.0).sum() + const)
 
 
 def _dedupe_pieces(pieces):
@@ -38,10 +41,16 @@ def _dedupe_pieces(pieces):
 
 
 def _term_big_m(pieces, xbar):
-    """big_m's row for one term's deduplicated pieces (at least two)."""
-    return [max(_box_max(aj - ai, bj - bi, xbar)
-                for j, (aj, bj) in enumerate(pieces) if j != i)
-            for i, (ai, bi) in enumerate(pieces)]
+    """big_m's row for one term's deduplicated pieces (at least two).
+    Entry [i, j] of `gap` is the max over 0 <= x <= xbar of piece j minus
+    piece i, in closed form: the positive coefficients at xbar."""
+    a = np.array([a for a, _ in pieces])
+    b = np.array([b for _, b in pieces])
+    diff = a[None, :, :] - a[:, None, :]
+    gap = (np.where(diff > 0, diff * xbar, 0.0).sum(axis=2)
+           + (b[None, :] - b[:, None]))
+    np.fill_diagonal(gap, -np.inf)
+    return gap.max(axis=1).tolist()
 
 
 def big_m(h: CpwaFunction, box) -> list:
@@ -54,6 +63,44 @@ def big_m(h: CpwaFunction, box) -> list:
         pieces = _dedupe_pieces(t.pieces)
         out.append(_term_big_m(pieces, xbar) if len(pieces) > 1 else [])
     return out
+
+
+@dataclass(eq=False)
+class _Completion:
+    """encode_min's completion: the box part of a point, clipped to the
+    box, extended to an integer-feasible point of the program (see the
+    module docstring).  Every retained term's pieces are stacked once, so
+    a call is one matvec and a few segment reductions."""
+    xbar: np.ndarray
+    n: int  # variables of the program
+    a: np.ndarray  # retained pieces, term after term, by d
+    b: np.ndarray
+    starts: np.ndarray  # per term: its first piece
+    top: np.ndarray  # per term: its lambda or zeta
+    term: np.ndarray  # per piece: its term
+    neg: np.ndarray  # the pieces of negative terms
+    neg_starts: np.ndarray  # per negative term: its first entry of neg
+    delta: np.ndarray  # per entry of neg: its delta
+    iota: np.ndarray  # per entry of neg: its iota
+
+    def __call__(self, x_full):
+        d = len(self.xbar)
+        out = np.zeros(self.n)
+        out[:d] = x = np.clip(x_full[:d], 0.0, self.xbar)
+        if not len(self.starts):
+            return out
+        v = self.a @ x + self.b
+        top = np.maximum.reduceat(v, self.starts)
+        out[self.top] = top
+        if not len(self.neg):
+            return out
+        out[self.delta] = gap = (top[self.term] - v)[self.neg]
+        # iota is one-hot on each negative term's first piece with gap 0
+        first = np.minimum.reduceat(
+            np.where(gap == 0.0, np.arange(len(gap)), len(gap)),
+            self.neg_starts)
+        out[self.iota[first]] = 1.0
+        return out
 
 
 @dataclass
@@ -115,10 +162,18 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
     lo[:d], hi[:d] = 0.0, xbar
     binaries, term_vars = [], []
+    # the completion's stacked pieces: their rows, and per term its first
+    # piece and its lambda or zeta; the pieces of negative terms, with the
+    # first of each term and each piece's delta and iota
+    prows, starts, top = [], [], []
+    neg, neg_starts, delta, iota = [], [], [], []
     i, j = 0, d  # next row, next variable
     for sign, pieces in terms:
         P = len(pieces)
         piece_rows = slice(i, i + P)
+        starts.append(len(prows))
+        prows += range(i, i + P)
+        top.append(j)
         A[piece_rows, :d] = [a for a, _ in pieces]
         rhs[piece_rows] = [-b for _, b in pieces]
         if sign == 1:
@@ -146,12 +201,25 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
         # exactly one piece is selected
         A[i + 2 * P, io:io + P] = rhs[i + 2 * P] = 1.0
         binaries += range(io, io + P)
+        neg_starts.append(len(neg))
+        neg += range(starts[-1], starts[-1] + P)
+        delta += range(dl, io)
+        iota += range(io, io + P)
         term_vars.append(("minmax", zeta, list(range(dl, io)),
                           list(range(io, io + P))))
         i, j = i + 2 * P + 1, io + P
 
+    sizes = np.diff(starts + [len(prows)])
+    complete = _Completion(
+        xbar=xbar, n=n, a=A[prows, :d], b=-rhs[prows],
+        starts=np.array(starts, dtype=int), top=np.array(top, dtype=int),
+        term=np.repeat(np.arange(len(terms)), sizes),
+        neg=np.array(neg, dtype=int),
+        neg_starts=np.array(neg_starts, dtype=int),
+        delta=np.array(delta, dtype=int), iota=np.array(iota, dtype=int))
     program = MixedIntegerProgram(
-        LinearProgram.from_arrays(c, A, rhs, sense, lo, hi), binaries)
+        LinearProgram.from_arrays(c, A, rhs, sense, lo, hi), binaries,
+        complete)
     return Encoding(program=program, x_indices=list(range(d)),
                     constant=constant, term_vars=term_vars)
 

@@ -14,12 +14,22 @@ Terminates on a relative-gap rule (p_bar - p_low)/|p_bar| <= rel_gap
 limit.
 Keeps a pool of integer-feasible solutions whose objective clears a
 caller-supplied threshold fraction of the incumbent value.
+
+Incumbents and pool points come from integral node LP optima and, for a
+program with a completion (`MixedIntegerProgram.complete`, which
+`encoding.encode_min` sets), from the completed point of the root's and
+of every feasible child's LP solution.  A completed point is used only
+once it holds the program's rows within COMPLETION_TOL (1 + |b|_inf),
+its bounds, and is exactly 0 or 1 on every binary.  The bound p_low
+still comes from node LPs only.  Early incumbents prune nodes, and let a
+loose rel_gap stop the search before the optimal node is popped.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -30,12 +40,17 @@ INT_TOL = 1e-6
 # while these bytes of such states fit; a node over the budget keeps none,
 # and its children start from one factorization of its basis
 WARM_STATE_BYTES = 32 * 2**20
+# a completed point's row residuals, relative to 1 + |b|_inf
+COMPLETION_TOL = 1e-9
 
 
 @dataclass
 class MixedIntegerProgram:
     base: LinearProgram
     binary_vars: list
+    # maps a point of the LP relaxation to a candidate integer-feasible
+    # point of the program; None where the program has no such map
+    complete: Callable = None
 
     def __post_init__(self):
         n = len(self.base.objective)
@@ -72,6 +87,24 @@ def _gap_met(p_bar, p_low, zeta):
     return (p_bar - p_low) / abs(p_bar) <= zeta
 
 
+def _checker(q: LinearProgram, bset):
+    """A test of whether x holds q's rows by their sense within
+    COMPLETION_TOL (1 + |b|_inf), q's bounds, and is 0 or 1 at the
+    indices bset."""
+    eq, sign = q.sense == 0, -q.sense.astype(float)
+    tol = COMPLETION_TOL * (1.0 + np.abs(q.b).max(initial=0.0))
+
+    def holds(x):
+        r = q.A @ x - q.b
+        # by how much each row misses its sense
+        miss = np.where(eq, np.abs(r), sign * r)
+        # a binary within its bounds [0, 1] is 0 or 1 when it is integral
+        return bool(miss.max(initial=0.0) <= tol
+                    and (x >= q.lo).all() and (x <= q.hi).all()
+                    and not (x[bset] % 1.0).any())
+    return holds
+
+
 def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
                offset=0.0) -> MilpResult:
     """All reported values (incumbent, bound, pool) include `offset`."""
@@ -106,6 +139,23 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
     nodes = 0
     status = "optimal"
 
+    def offer(x, v):
+        nonlocal p_bar, incumbent
+        raw_pool.append((x, v))
+        if v < p_bar:
+            p_bar, incumbent = v, x
+
+    holds = None if p.complete is None else _checker(p.base, bset)
+
+    def offer_completion(x):
+        if holds is None:
+            return
+        xc = p.complete(x)
+        if holds(xc):
+            offer(xc, float(p.base.objective @ xc) + offset)
+
+    offer_completion(root.x)
+
     while heap:
         bound, _, fixed, sol = heapq.heappop(heap)
         states -= sol.warm is not None
@@ -124,11 +174,7 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
         xb = sol.x[bset]
         frac = np.abs(xb - np.round(xb))
         if frac.max(initial=0.0) <= INT_TOL:
-            v = sol.objective + offset
-            raw_pool.append((sol.x.copy(), v))
-            if v < p_bar:
-                p_bar = v
-                incumbent = sol.x.copy()
+            offer(sol.x.copy(), sol.objective + offset)
             continue
         j = int(bset[np.argmax(frac)])
         for val in (0, 1):
@@ -137,6 +183,7 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
             child = node_lp(child_fixed, sol)
             if child.status == "infeasible":
                 continue
+            offer_completion(child.x)
             counter += 1
             if states < max_states:
                 states += child.warm is not None

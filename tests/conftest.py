@@ -74,6 +74,21 @@ def min_oracle(h, box, tol=1e-9):
     return float(vals[i]), pts[i]
 
 
+def assert_integer_feasible(p, x, row_tol=1e-9, int_tol=0.0):
+    """x holds the MILP p's rows by their sense within row_tol (1 +
+    |b|_inf) and p's bounds, and is within int_tol of 0 or 1 on every
+    binary."""
+    q = p.base
+    r = q.A @ x - q.b
+    tol = row_tol * (1.0 + np.abs(q.b).max(initial=0.0))
+    assert (r[q.sense < 0] <= tol).all()
+    assert (r[q.sense > 0] >= -tol).all()
+    assert (np.abs(r[q.sense == 0]) <= tol).all()
+    assert (x >= q.lo).all() and (x <= q.hi).all()
+    xb = x[p.binary_vars]
+    assert (np.minimum(np.abs(xb), np.abs(xb - 1.0)) <= int_tol).all()
+
+
 def grid_points(box, step):
     axes = [np.arange(0.0, b + step / 2, step) for b in box]
     return np.array(list(itertools.product(*axes)))

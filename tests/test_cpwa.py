@@ -196,3 +196,19 @@ def test_json_round_trip():
             x = rng.uniform(0, 5, size=f.dimension)
             assert cpwa.evaluate(g, x) == pytest.approx(
                 cpwa.evaluate(f, x), abs=1e-12)
+
+
+def test_stacked_matches_evaluate():
+    """Evaluating several functions at once from their stacked pieces
+    gives evaluate's values to 1e-12 relative."""
+    rng = rng_for(205)
+    for trial in range(200):
+        d = int(rng.integers(1, 4))
+        fs = [random_cpwa(rng, d, max_terms=4, max_pieces=4)
+              for _ in range(int(rng.integers(1, 8)))]
+        at = cpwa.Stacked(fs)
+        for _ in range(5):
+            x = rng.uniform(0, 10, size=d)
+            ref = np.array([cpwa.evaluate(f, x) for f in fs])
+            assert np.allclose(at(x), ref, rtol=1e-12, atol=1e-12), trial
+    assert cpwa.Stacked([])(np.zeros(2)).shape == (0,)

@@ -228,6 +228,23 @@ def test_cut_set_exact_point_is_not_rounded():
     assert cuts.add([1.00001, 1.0]) == (0, False)
 
 
+def test_cut_set_payoffs_match_per_instrument_evaluation():
+    """A cut's instrument payoffs, evaluated from the stacked pieces, are
+    the per-instrument evaluations to 1e-12 relative."""
+    rng = rng_for(607)
+    for trial in range(20):
+        d = int(rng.integers(1, 4))
+        extra = [random_cpwa(rng, d) for _ in range(2)]
+        inst = random_box_instance(rng, d, 5, extra=extra)
+        cuts = CutSet(inst, cpwa.call_on_max(d, list(range(d)), 3.0),
+                      inst.box_array())
+        for _ in range(10):
+            i, _ = cuts.add(rng.uniform(0, 25, size=d))
+            ref = [cpwa.evaluate(gj, cuts.x[i]) for gj in inst.g]
+            assert np.allclose(cuts.gx[i], ref, rtol=1e-12, atol=1e-12), \
+                trial
+
+
 def test_cut_set_row_layout():
     inst, cuts = _cut_set()
     i, _ = cuts.add([3.0, 4.0])

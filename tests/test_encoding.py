@@ -5,7 +5,8 @@ from pricebounds import cpwa
 from pricebounds.encoding import (big_m, encode_min, minimize_over_box,
                                   _dedupe_pieces, _term_big_m)
 from pricebounds.lp import LinearProgram, solve_lp
-from conftest import rng_for, random_cpwa, min_oracle
+from conftest import (rng_for, random_cpwa, random_box_instance, min_oracle,
+                      assert_integer_feasible)
 
 
 def test_big_m_call_term():
@@ -199,3 +200,78 @@ def test_matrix_matches_row_construction():
         for name in ("objective", "A", "b", "sense", "lo", "hi"):
             u, v = getattr(p.base, name), getattr(ref, name)
             assert u.dtype == v.dtype and np.array_equal(u, v), (trial, name)
+
+
+def _box_max_loop(pieces, xbar):
+    """The per-pair closed form that _term_big_m vectorizes."""
+    def box_max(coef, const):
+        return float(np.where(coef > 0, coef * xbar, 0.0).sum() + const)
+    return [max(box_max(aj - ai, bj - bi)
+                for j, (aj, bj) in enumerate(pieces) if j != i)
+            for i, (ai, bi) in enumerate(pieces)]
+
+
+def test_term_big_m_matches_pairwise_loop():
+    """One array expression per term gives the per-pair loop's big-M
+    constants bit for bit, over coefficient scales from 1e-3 to 1e5."""
+    rng = rng_for(405)
+    for trial in range(400):
+        d = int(rng.integers(1, 10))
+        pieces = [(rng.normal(size=d) * 10 ** rng.uniform(-3, 5),
+                   float(rng.normal() * 10 ** rng.uniform(-3, 5)))
+                  for _ in range(int(rng.integers(2, 7)))]
+        xbar = rng.uniform(0.1, 100, size=d)
+        assert _term_big_m(pieces, xbar) == _box_max_loop(pieces, xbar), \
+            trial
+
+
+def test_completion_is_feasible_and_exact():
+    """The completion of a box point is integer-feasible, and its
+    objective plus the encoding's constant is h at that point, on random
+    functions and on slack functions of random box instances.  Only the
+    box part of its argument counts, clipped to the box."""
+    rng = rng_for(406)
+    checked = 0
+    for trial in range(200):
+        d = int(rng.integers(1, 4))
+        if trial % 2:
+            h = random_cpwa(rng, d, max_terms=5, max_pieces=4)
+            box = rng.uniform(1, 8, size=d)
+        else:
+            inst = random_box_instance(rng, d, int(rng.integers(1, 5)))
+            f = cpwa.call_on_max(d, list(range(d)), 2.0)
+            tmpl = cpwa.slack_template(inst.g, f)
+            h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=inst.m))
+            box = inst.box_array()
+        enc = encode_min(h, box)
+        p = enc.program
+        n = len(p.base.objective)
+        for _ in range(5):
+            x = rng.uniform(-0.1, 1.1, size=d) * box
+            junk = rng.uniform(-5, 5, size=n - d)
+            xc = p.complete(np.concatenate([x, junk]))
+            assert_integer_feasible(p, xc)
+            x = np.clip(x, 0.0, box)
+            assert np.array_equal(xc[:d], x)
+            s = p.base.objective @ xc + enc.constant
+            assert abs(s - cpwa.evaluate(h, x)) <= 1e-9 * (1 + abs(s)), \
+                trial
+            checked += 1
+    assert checked == 1000
+
+
+def test_completion_selects_the_first_top_piece():
+    """At a tie the one-hot iota picks the lowest-index piece, whose
+    delta is 0; the other deltas are the gaps to the max."""
+    # -max(x - 1, 2x - 2, 3 - 3x): all three pieces are 0 at x = 1
+    h = cpwa.make_function(1, [(-1, [([1.0], -1.0), ([2.0], -2.0),
+                                     ([-3.0], 3.0)])])
+    enc = encode_min(h, [4.0])
+    dec = enc.decode(enc.program.complete(np.array([1.0])))
+    assert dec["zetas"] == [0.0]
+    assert dec["deltas"] == [[0.0, 0.0, 0.0]]
+    assert dec["iotas"] == [[1, 0, 0]]
+    dec = enc.decode(enc.program.complete(np.array([3.0])))
+    assert dec["zetas"] == [4.0]
+    assert dec["deltas"] == [[2.0, 0.0, 10.0]]
+    assert dec["iotas"] == [[0, 1, 0]]

@@ -7,11 +7,12 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 
 from pricebounds import lp, milp as milp_module
 from pricebounds.lp import LinearProgram, solve_lp
-from pricebounds.milp import (MixedIntegerProgram, MilpOptions,
+from pricebounds.milp import (INT_TOL, MixedIntegerProgram, MilpOptions,
                               MilpResult, solve_milp)
-from pricebounds.encoding import minimize_over_box
+from pricebounds.encoding import encode_min, minimize_over_box
 from pricebounds import cpwa
-from conftest import rng_for
+from conftest import (rng_for, random_cpwa, random_box_instance, min_oracle,
+                      assert_integer_feasible)
 
 
 def brute_force(p: MixedIntegerProgram):
@@ -237,3 +238,112 @@ def test_pending_states_stay_within_budget(monkeypatch):
             assert again.incumbent_value == pytest.approx(
                 res.incumbent_value, abs=1e-9)
     assert held and max(held) == 0
+
+
+def _plain(p):
+    """p without its completion."""
+    return MixedIntegerProgram(p.base, p.binary_vars)
+
+
+def test_completed_search_agrees_with_oracle_and_plain_search():
+    """At rel_gap 1e-9 the slack MILPs, solved with their completions,
+    agree with the arrangement-vertex oracle and with the search that
+    finds incumbents only at integral nodes, in fewer nodes."""
+    rng = rng_for(306)
+    nodes, plain_nodes = 0, 0
+    for trial in range(100):
+        d = int(rng.integers(1, 3))
+        box = rng.uniform(1, 8, size=d)
+        h = random_cpwa(rng, d, max_terms=5, max_pieces=4)
+        enc, res = minimize_over_box(h, box, MilpOptions(rel_gap=1e-9))
+        plain = solve_milp(_plain(enc.program), MilpOptions(rel_gap=1e-9),
+                           offset=enc.constant)
+        oracle, _ = min_oracle(h, box)
+        assert res.incumbent_value == pytest.approx(oracle, abs=1e-7), trial
+        assert res.incumbent_value == pytest.approx(plain.incumbent_value,
+                                                    abs=1e-7), trial
+        nodes += res.nodes
+        plain_nodes += plain.nodes
+    assert nodes < plain_nodes
+
+
+def test_loose_gap_brackets_the_minimum_and_pools_feasible_points():
+    """At rel_gap 0.8 the search stops early on some programs; the bound
+    and the incumbent still bracket the oracle's minimum, and every pool
+    point is integer-feasible, priced by the objective and within the
+    pool threshold."""
+    rng = rng_for(307)
+    stopped, pooled = 0, 0
+    for trial in range(100):
+        d = int(rng.integers(1, 3))
+        if trial % 2:
+            h = random_cpwa(rng, d, max_terms=5, max_pieces=4)
+            box = rng.uniform(1, 8, size=d)
+        else:
+            inst = random_box_instance(rng, d, int(rng.integers(1, 5)))
+            tmpl = cpwa.slack_template(
+                inst.g, cpwa.call_on_max(d, list(range(d)), 2.0))
+            h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=inst.m))
+            box = inst.box_array()
+        enc, res = minimize_over_box(
+            h, box, MilpOptions(rel_gap=0.8, pool_threshold=0.7))
+        oracle, _ = min_oracle(h, box)
+        assert res.best_bound <= oracle + 1e-9, trial
+        assert oracle <= res.incumbent_value + 1e-9, trial
+        p_bar = res.incumbent_value
+        thr = 0.7 * p_bar if p_bar < 0 else p_bar
+        for x, v in res.pool:
+            assert_integer_feasible(enc.program, x, row_tol=1e-9,
+                                    int_tol=INT_TOL)
+            assert v == pytest.approx(
+                enc.program.base.objective @ x + enc.constant,
+                abs=1e-9 * (1 + abs(v)))
+            assert v <= thr + 1e-9 or v <= p_bar + 1e-12
+            pooled += 1
+        stopped += res.status == "gap_reached"
+    assert stopped > 10 and pooled > 100
+
+
+@pytest.mark.parametrize("mutation", ["negative_delta", "no_iota"])
+def test_broken_completion_is_never_accepted(mutation):
+    """A completion whose point has a negative delta (its rows still
+    hold) or an all-zero iota fails the check: none of its points
+    becomes the incumbent or enters the pool, and the search runs as if
+    the program had no completion."""
+    rng = rng_for(308)
+    checked = 0
+    for trial in range(40):
+        d = int(rng.integers(1, 3))
+        inst = random_box_instance(rng, d, int(rng.integers(1, 5)))
+        tmpl = cpwa.slack_template(
+            inst.g, cpwa.call_on_max(d, list(range(d)), 2.0))
+        h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=inst.m))
+        enc = encode_min(h, inst.box_array())
+        minmax = [tv for tv in enc.term_vars if tv[0] == "minmax"]
+        if not minmax:
+            continue
+        _, zeta, deltas, iotas = minmax[0]
+        good, made = enc.program.complete, []
+
+        def broken(x):
+            xc = good(x)
+            if mutation == "negative_delta":
+                xc[zeta] -= 1e-3
+                xc[deltas] -= 1e-3
+            else:
+                xc[iotas] = 0.0
+            made.append(xc)
+            return xc
+
+        p = MixedIntegerProgram(enc.program.base, enc.program.binary_vars,
+                                broken)
+        res = solve_milp(p, offset=enc.constant)
+        plain = solve_milp(_plain(p), offset=enc.constant)
+        assert made, trial
+        accepted = [res.incumbent] + [x for x, _ in res.pool]
+        assert not any(x is y for x in made for y in accepted), trial
+        assert res.nodes == plain.nodes, trial
+        assert res.incumbent_value == plain.incumbent_value, trial
+        assert np.array_equal(res.incumbent, plain.incumbent), trial
+        checked += 1
+    assert checked > 20
