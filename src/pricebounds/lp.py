@@ -1,63 +1,66 @@
-"""Dense two-phase tableau simplex LP solver, a bounded-variable dual
-simplex for re-solves, and checked certificates.
+"""Bounded-variable dual simplex LP solver with checked certificates.
 
 Solves  min <c, x>  s.t.  A x (sense) b,  lo <= x <= hi  for a program
-held in matrix form (see LinearProgram).  Reports primal solution, row
-duals, a checked Farkas certificate on infeasibility and a checked
-improving ray on unboundedness.  A two-phase optimum's final basis is
-refactorized (solve against the unpivoted matrix) so the reported
-solution and duals do not inherit tableau drift.  A warm optimum is
-certified by residuals on the basis inverse its dual simplex maintains,
-and refactorized only when that check fails (see below).
+held in matrix form (see LinearProgram).  Reports the primal solution,
+row duals, a checked Farkas certificate on infeasibility and a checked
+improving ray on unboundedness.
 
-The standard form is built with array operations: each variable becomes
-a shifted column (lower bound), a negated shifted column (upper bound
-only) or a pair of columns (free), every row gets its rhs shifted and is
-negated where that rhs is negative, and slack, surplus and artificial
-columns are placed by masks over the row senses.  A variable with both
-bounds gets an upper-bound row.
+Every solve, cold or warm, runs one bounded-variable dual simplex
+(Koberstein 2005, PhD thesis, Paderborn, ch. 4) on the bounded form of
+the program: A x + L s = b over the program's own columns, each within
+its own [lo, hi], and one logical column per row (-1 on a >= row, +1 on
+the others), within [0, 0] on an = row and [0, inf) on the others.  A
+changed variable bound moves a column bound and adds no row.  The basis
+inverse B^-1 is kept as a dense array and updated by one rank-1 step per
+pivot.  Each nonbasic column sits at one of its bounds, or at zero when
+it has none.  The leaving row is the one whose basic value is furthest
+outside its bounds; the entering column passes the dual ratio test, with
+the largest pivot among tied columns, so identical inputs always produce
+identical outputs.  After a run of degenerate pivots longer than the
+column count, Bland's rule (the least basic column leaves, the least
+tied column enters) takes over until the dual objective moves again, so
+that a degenerate cycle ends.
 
-Pivoting is Dantzig's rule, leaving on the largest pivot among tied
-rows, falling back to Bland's rule when the objective stalls.  Ties are
-broken deterministically, so identical inputs always produce identical
-outputs.
+- Cold start: the slack basis, with B^-1 = diag(+-1) and the reduced
+  costs equal to c.  Each nonbasic column starts at the bound that its
+  cost prefers, and a free column with zero cost at zero.  A column whose
+  preferred bound is infinite gets an artificial bound instead, 1e6
+  (1 + |b|_inf) from zero, which makes the start dual feasible.  At an
+  optimum, a column still at an artificial bound moves to its own bound
+  (or to zero) when its reduced cost is zero.  Otherwise its ray
+  e_j - B^-1 a_j is checked, and a valid ray makes the verdict
+  unbounded.  Failing that, every artificial bound is widened once, by
+  1e6, and the solve goes on from the same basis; a second such optimum
+  raises ConditioningError.
+- Warm start: the optimal solution of a related program, one with the
+  same objective and the same finite variable bounds, whose bound values,
+  rows and right-hand sides may differ, as a branch-and-bound child
+  differs from its parent and the next LP of a cutting-plane loop from
+  the last.  With the same rows, the re-solve starts from copies of the
+  start's B^-1 and reduced costs, which its certified solve left on it,
+  so a branch-and-bound child hands them on to its own children and no
+  branched node is factorized.  With changed rows, a row of the program
+  with the coefficients and sense of a row of the start's keeps that
+  row's logical, a new row enters with its logical basic, and a dropped
+  row leaves with its logical, which must be basic; the inverse comes
+  from one fresh factorization of the mapped basis.  A start that cannot
+  be used, or a re-solve that ends without a checked result, falls back
+  to the cold start, and the result's `fallback` says why.
 
-A solve may start from the optimal solution of a related program: one
-with the same objective and the same finite variable bounds, whose bound
-values, rows and right-hand sides may differ, as a branch-and-bound child
-differs from its parent and the next LP of a cutting-plane loop from the
-last.  This one warm path runs a bounded-variable dual simplex (Dantzig's
-upper-bounding) on a bounded form of the program: the program rows only,
-one logical column per row, each column within [lo, hi] and each
-nonbasic column at one of its bounds, so a changed variable bound moves a
-column bound and adds no row.  A two-phase basis enters the bounded form
-of its standard form once: an upper-bound row leaves with its slack when
-the slack is basic, and otherwise with its variable, which becomes
-nonbasic at its upper bound.
-- Same rows: the re-solve starts from copies of the inverse of the
-  start's basis and its reduced costs.  A certified re-solve leaves its
-  own on its result, so a branch-and-bound child hands them to its
-  children and no branched node is factorized; a start without them (a
-  two-phase root) builds them from one factorization on first use and
-  keeps them, so both of its children start from copies.
-- Changed rows: a row of the program with the coefficients and sense of a
-  row of the start's keeps that row's logical, and may have a new rhs; a
-  new row enters with its logical basic; a start row that the program
-  drops leaves with its logical, which must be basic.  The inverse comes
-  from one fresh factorization of the mapped basis, so no drift builds up
-  over a chain of re-solves, and the start stays dual feasible.
-A warm optimum is returned only with a certificate computed from the
-maintained arrays, with y = c_B B^-1: the residual of the basic values,
-the recomputed reduced costs c - y A (signed on the nonbasic columns,
-zero on the basic ones) and the duality gap (see _certified).  A solve
-that fails it goes on from one fresh factorization of its basis, and
-one that fails again falls back to the two-phase solve, so drift cannot
-build up unchecked over a chain of carried inverses.  A start that
-cannot be used falls back to the two-phase solve, and the
-result's `fallback` says why.  Every basis is factorized through its
-kernel: the unit columns (slacks, surpluses, artificials, logicals) make
-it block triangular, and only the rows and columns they leave are
-LU-factorized.
+No verdict leaves without its checked certificate.  An optimum is
+certified from the maintained arrays, with y = c_B B^-1 (see
+_certified); an infeasible verdict carries row r of B^-1, checked as a
+Farkas vector over the true column bounds (see _farkas); an unbounded
+verdict carries a checked ray (see _ray).  An optimum or a Farkas vector
+that fails its check, or a pivot that B^-1 computes inconsistently,
+makes the solve go on from one fresh factorization of its basis; a
+Farkas vector that still fails widens the artificial bounds, once, as
+an artificial bound may be what blocks its row; any other failure right
+after a factorization ends the solve.  A cold solve that ends without a
+checked result raises ConditioningError, or ResourceLimitError at its
+iteration cap.  Every basis is factorized through its kernel: the
+logicals make it block triangular, and only the rows and columns they
+leave are LU-factorized.
 """
 
 from __future__ import annotations
@@ -65,27 +68,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import dger, idamax
-from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
+from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dgetrf, dgetri
 
 FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 CONDITION_RATIO_MAX = 1e12
 MAX_ITER = 100000
-# smallest pivot element a ratio test or an artificial drive-out accepts,
-# in the two-phase ratio test times the larger of 1 and the entering
-# column's largest entry; smaller pivots amplify rounding until the
-# tableau reports false verdicts
+# smallest pivot element the dual ratio test accepts
 PIVOT_TOL = 1e-9
 # largest relative gap between a dual-simplex pivot element computed from
 # its row and from its column of B^-1 A
 PIVOT_AGREE = 1e-6
 # a Farkas vector y (max-norm 1) may have |y.A| up to FARKAS_TOL on a
-# column whose bound on that side is infinite, and a two-phase one must
-# beat the largest y.A x over the column bounds by more than FARKAS_TOL
+# column whose bound on that side is infinite, and must beat the largest
+# y.A x over the column bounds by more than FARKAS_TOL (1 + |b|_inf)
 FARKAS_TOL = 1e-9
-# a warm optimum is certified without a factorization only if its basic
-# values solve B x_B = b - A_N x_N to within RESIDUAL_TOL (1 + |b - A_N x_N|)
+# an optimum is certified only if its basic values solve
+# B x_B = b - A_N x_N to within RESIDUAL_TOL (1 + |b - A_N x_N|)
 RESIDUAL_TOL = 1e-9
 
 _SENSE = {"<=": -1, "=": 0, ">=": 1}
@@ -206,112 +206,57 @@ class LpSolution:
     farkas: np.ndarray = None  # certificate over rows, if infeasible
     ray: np.ndarray = None  # improving direction, if unbounded
     iterations: int = 0
-    # why a given start was not used, if the two-phase solve answered
+    # why a given start was not used, if the cold start answered
     fallback: str = None
-    # final basis and its form, if optimal: the start of a re-solve.  A
-    # two-phase basis indexes its _StandardForm's columns and has no
-    # `upper`; a dual-simplex basis indexes its _BoundedForm's columns,
-    # and `upper` marks the nonbasic columns at their upper bound
+    # if optimal, the start of a re-solve: the final basis over the
+    # columns of `form` (the program's columns, then one logical per
+    # row), and `upper` marking the nonbasic columns at their upper bound
     basis: np.ndarray = field(default=None, repr=False)
     form: object = field(default=None, repr=False)
     upper: np.ndarray = field(default=None, repr=False)
-    # (bounded form, basis, upper, B^-1, reduced costs): left by a
-    # certified re-solve, else built on the first re-solve with this
-    # solution's rows; why not, if it cannot be built
+    # (form, basis, upper, B^-1, reduced costs), left by the certified
+    # solve; a holder may drop it, and a re-solve from this solution then
+    # builds it again from one factorization and keeps it here
     warm: object = field(default=None, repr=False)
 
 
 @dataclass
-class _StandardForm:
-    """A program as  min c.x + offset  s.t.  A x = b, x >= 0  over its
-    transformed variables (leading n_struct columns), slacks, surpluses
-    and artificials.  Variable j is base[j] plus sgn[k] x'[k] summed over
-    its columns k: col[j] alone, or col[j] and col[j] + 1 when it is
-    free.  A, c and the row orientation depend only on the objective, the
-    rows and which variable bounds are finite; b, offset and base are
-    those of `program`."""
-    program: LinearProgram
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    offset: float
-    base: np.ndarray  # lower bound, else upper bound, else zero
-    col: np.ndarray  # first column of each variable
-    sgn: np.ndarray  # -1.0 on the columns that enter negated
-    n_struct: int
-    is_art: np.ndarray
-    init_ident: np.ndarray  # identity column of each row
-    unit_row: np.ndarray  # row of each column from n_struct on
-    orig_rows: np.ndarray  # program row of each leading standard row
-    orig_sign: np.ndarray  # -1.0 where that row was negated
-    ub_vars: np.ndarray  # variable of each trailing upper-bound row
-    bounded: _BoundedForm = field(default=None, repr=False)
-
-
-@dataclass
 class _BoundedForm:
-    """A program's rows as  A x = b  over bounded columns: the structural
-    columns of a standard form (same shift, `col` and `sgn`), then one
-    logical column per row, at its own row only (-1 on a >= row, +1 on
-    the others, as oriented).  Column bounds are at the standard form's
-    shift, so a variable's bounds move only its own column's bounds.
-
-    The bounded form of a two-phase standard form keeps its program rows,
-    structural columns and their slack and surplus columns, and drops the
-    upper-bound rows, their slack columns and the artificial columns of
-    the other rows: the artificial of an = row is its logical.  A
-    re-solve whose rows change builds its own bounded form over its
-    program's rows in their order.  Either way every row has a logical,
-    fixed at zero on an = row."""
+    """A program's rows as  A x + L s = b:  the program's columns, then
+    the logical column of row i at n + i, -1 on a >= row and +1 on the
+    others (see _bounds for the column bounds).  c is the objective over
+    all columns, zero on the logicals."""
     program: LinearProgram
     A: np.ndarray
-    b: np.ndarray
     c: np.ndarray
-    lo: np.ndarray  # column bounds for `program`
-    hi: np.ndarray
-    offset: float
-    base: np.ndarray
-    col: np.ndarray
-    sgn: np.ndarray
-    n_struct: int
-    orig_rows: np.ndarray  # program row of each row
-    orig_sign: np.ndarray  # -1.0 where that row was negated
-    logical: np.ndarray  # logical column of each row
-    unit_row: np.ndarray  # row of each logical, from column n_struct on
-    # standard-form column of each column, in the two-phase one's
-    cols: np.ndarray = None
 
 
-class _NoWarmStart(Exception):
-    """A start that the re-solve cannot use; the message says why."""
+class _Unsolved(Exception):
+    """A solve that ends without a checked result: a start that cannot be
+    used, or a dual simplex that cannot go on.  The message says why;
+    `error` is the public error a cold solve raises for it."""
+
+    def __init__(self, why, error=ConditioningError):
+        super().__init__(why)
+        self.error = error
 
 
-def _bounded(form):
-    """The bounded form of a two-phase standard form, built once and kept
-    on it."""
-    if form.bounded is None:
-        k, nt = len(form.orig_rows), form.n_struct
-        keep = ~form.is_art
-        keep[form.init_ident[k:]] = False
-        # an = row has no slack or surplus: its artificial stays, fixed
-        eq = np.ones(k, dtype=bool)
-        eq[form.unit_row[keep[nt:]]] = False
-        keep[form.init_ident[eq.nonzero()[0]]] = True
-        cols = keep.nonzero()[0]
-        hi = np.full(len(cols), np.inf)
-        p = form.program
-        hi[form.col[form.ub_vars]] = (p.hi - p.lo)[form.ub_vars]
-        unit_row = form.unit_row[cols[nt:] - nt]
-        hi[nt:][eq[unit_row]] = 0.0
-        logical = np.empty(k, dtype=int)
-        logical[unit_row] = np.arange(nt, len(cols))
-        form.bounded = _BoundedForm(
-            program=p, A=form.A[:k, cols], b=form.b[:k], c=form.c[cols],
-            lo=np.zeros(len(cols)), hi=hi, offset=form.offset,
-            base=form.base, col=form.col, sgn=form.sgn, n_struct=nt,
-            orig_rows=form.orig_rows, orig_sign=form.orig_sign,
-            logical=logical, unit_row=unit_row, cols=cols)
-    return form.bounded
+def _form(p):
+    """The bounded form of p."""
+    n, m = len(p.objective), len(p.b)
+    A = np.zeros((m, n + m))
+    A[:, :n] = p.A
+    A[np.arange(m), n + np.arange(m)] = np.where(p.sense > 0, -1.0, 1.0)
+    return _BoundedForm(program=p, A=A,
+                        c=np.concatenate([p.objective, np.zeros(m)]))
+
+
+def _bounds(p):
+    """Column bounds of p's bounded form: the variables' own, then [0, 0]
+    for the logical of an = row and [0, inf) for the others."""
+    m = len(p.b)
+    return (np.concatenate([p.lo, np.zeros(m)]),
+            np.concatenate([p.hi, np.where(p.sense == 0, 0.0, np.inf)]))
 
 
 def _check_conditioning(p: LinearProgram):
@@ -325,12 +270,6 @@ def _check_conditioning(p: LinearProgram):
         raise ConditioningError(
             "coefficient dynamic range %.3g exceeds %.3g" %
             (hi / lo, CONDITION_RATIO_MAX))
-
-
-def _to_program(form, xs, base):
-    """Program variables from values xs of the structural columns, with
-    shift `base` (zero for a direction)."""
-    return base + np.add.reduceat(xs * form.sgn, form.col)
 
 
 def _farkas(y, A, b, lo, hi, margin):
@@ -353,9 +292,11 @@ def _farkas(y, A, b, lo, hi, margin):
 
 
 def _ray(r, p):
-    """r scaled to max-norm 1 if it is an improving ray of p: c.r < 0,
-    A r moves every row to the side its sense allows and r moves no
-    variable past a finite bound.  None otherwise."""
+    """r scaled to max-norm 1 if it is an improving ray of p: A r moves
+    every row to the side its sense allows and r moves no variable past a
+    finite bound, each within FEAS_TOL (1 + the l1-norm of its
+    coefficients), and c.r is below minus that tolerance for c, so that a
+    ray the rows cannot tell from zero is refused.  None otherwise."""
     top = np.abs(r).max(initial=0.0)
     if not top > 0.0:
         return None
@@ -363,215 +304,96 @@ def _ray(r, p):
     Ar = p.A @ r
     tol = FEAS_TOL * (1.0 + np.abs(p.A).sum(axis=1))
     rows_ok = np.where(p.sense == 0, np.abs(Ar) <= tol, p.sense * Ar >= -tol)
-    if not (p.objective @ r < 0.0 and rows_ok.all() and
+    if not (p.objective @ r < -FEAS_TOL * (1.0 + np.abs(p.objective).sum())
+            and rows_ok.all() and
             (r[np.isfinite(p.lo)] >= -FEAS_TOL).all() and
             (r[np.isfinite(p.hi)] <= FEAS_TOL).all()):
         return None
     return r
 
 
-def _unbounded(p, r, iterations):
-    ray = _ray(r, p)
-    if ray is None:
-        raise ConditioningError("unbounded ray fails its check")
-    return LpSolution(status="unbounded", ray=ray, iterations=iterations)
-
-
-def _pivot(D, r, basis, pr, pc):
-    """Pivot the tableau D (C order) and reduced-cost row r on (pr, pc)."""
-    piv = D[pr, pc]
-    D[pr] /= piv
-    col = D[:, pc].copy()
-    col[pr] = 0.0
-    # in place: D -= col D[pr]^T (row pr is left as is, col[pr] being 0)
-    dger(-1.0, D[pr], col, a=D.T, overwrite_a=1)
-    r -= r[pc] * D[pr]
-    basis[pr] = pc
-
-
-def _run_simplex(D, r, basis, allowed, tol, max_iter):
-    """Pivot until optimal/unbounded.  r is the reduced-cost row
-    augmented with -objective in its last entry.  Returns
-    (status, entering_or_None, iterations)."""
-    n = D.shape[1] - 1
-    it = 0
-    stall = 0
-    last_obj = r[-1]
-    bland_after = 20 * (D.shape[0] + n) + 500
-    barred = np.where(allowed, 0.0, np.inf)
-    while True:
-        if it >= max_iter:
-            raise ResourceLimitError("simplex iteration limit reached")
-        use_bland = stall > bland_after
-        if use_bland:
-            pc = int((allowed & (r[:n] < -tol)).argmax())
-        else:
-            # the most negative reduced cost; +inf bars the other columns
-            pc = int((r[:n] + barred).argmin())
-        if not (allowed[pc] and r[pc] < -tol):
-            return "optimal", None, it
-        col = D[:, pc]
-        pos = (col > PIVOT_TOL * max(1.0, abs(col[idamax(col)]))).nonzero()[0]
-        if pos.size == 0:
-            return "unbounded", pc, it
-        ratios = D[pos, -1] / col[pos]
-        best = ratios.min()
-        ties = pos[ratios <= best + 1e-12]
-        if use_bland:
-            # Bland's rule: smallest basis index among tied rows
-            pr = int(ties[basis[ties].argmin()])
-        else:
-            # the largest pivot among tied rows; smaller ones lengthen
-            # degenerate runs and amplify rounding
-            pr = int(ties[col[ties].argmax()])
-        _pivot(D, r, basis, pr, pc)
-        it += 1
-        if r[-1] < last_obj - 1e-12:
-            last_obj = r[-1]
-            stall = 0
-        else:
-            stall += 1
-
-
-def _factor(B):
-    """LU factors of B, or None when B is singular."""
-    lu, piv, info = dgetrf(B)
-    return None if info else (lu, piv)
-
-
-def _solve_factored(fac, v, trans=0):
-    """Solve B x = v (trans=0) or B^T x = v (trans=1) from B's factors."""
-    return dgetrs(fac[0], fac[1], v, trans=trans)[0]
-
-
-@dataclass
-class _BasisFactors:
-    """Factors of a basis B = A[:, basis] of a form whose columns from
-    n_struct on are signed unit columns (slacks, surpluses, artificials,
-    logicals).  With those columns' rows r2 and the other rows r1, B is
-    block triangular,  [[B11, 0], [B21, D]]  over rows (r1, r2) and basis
-    positions (S, L) of its structural and unit columns, with D
-    diagonal; only the kernel B11 is factorized."""
-    S: np.ndarray
-    L: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    D: np.ndarray
-    B21: np.ndarray
-    fac: tuple  # LU factors of B11, None when it is empty
-
-    def solve(self, v):
-        """B^-1 v, over the basis positions."""
-        z = np.empty(len(v))
-        zS = _solve_factored(self.fac, v[self.r1]) if self.S.size else \
-            np.empty(0)
-        z[self.S] = zS
-        z[self.L] = (v[self.r2] - self.B21 @ zS) / self.D
-        return z
-
-    def solve_t(self, w):
-        """B^-T w, over the rows, for w over the basis positions."""
-        y = np.empty(len(w))
-        y[self.r2] = w[self.L] / self.D
-        if self.S.size:
-            y[self.r1] = _solve_factored(
-                self.fac, w[self.S] - y[self.r2] @ self.B21, trans=1)
-        return y
-
-    def inverse(self):
-        """B^-1: rows over the basis positions, columns over the rows;
-        None when the kernel cannot be inverted."""
-        k = len(self.S) + len(self.L)
-        Binv = np.zeros((k, k))
-        bottom = np.zeros((len(self.L), k))
-        bottom[np.arange(len(self.L)), self.r2] = 1.0 / self.D
-        if self.S.size:
-            K, info = dgetri(*self.fac)
-            if info:
-                return None
-            top = np.zeros((len(self.S), k))
-            top[:, self.r1] = K
-            Binv[self.S] = top
-            bottom[:, self.r1] = (self.B21 @ K) / -self.D[:, None]
-        Binv[self.L] = bottom
-        return Binv
-
-
-def _basis_factors(form, basis):
-    """_BasisFactors of form.A[:, basis], or None when it is singular."""
-    A, nt = form.A, form.n_struct
-    unit = basis >= nt
+def _inverse(bf, basis):
+    """B^-1 and the reduced costs at basis, from one factorization.  With
+    the logicals' rows r2 and the other rows r1, B is block triangular,
+    [[B11, 0], [B21, D]] over rows (r1, r2) and basis positions (S, L) of
+    its structural columns and its logicals, with D diagonal; only the
+    kernel B11 is factorized."""
+    A, n = bf.A, len(bf.program.objective)
+    m = len(A)
+    unit = basis >= n
     S, L = (~unit).nonzero()[0], unit.nonzero()[0]
-    cS, cL = basis[S], basis[L]
-    r2 = form.unit_row[cL - nt]
-    r1 = np.ones(len(A), dtype=bool)
+    r2 = basis[L] - n
+    r1 = np.ones(m, dtype=bool)
     r1[r2] = False
     r1 = r1.nonzero()[0]
-    if len(r1) != len(S):
-        return None  # two unit columns on one row
-    AS = A[:, cS]
-    fac = None
+    D = A[r2, basis[L]]
+    Binv = np.zeros((m, m))
+    bottom = np.zeros((len(L), m))
+    bottom[np.arange(len(L)), r2] = 1.0 / D
     if S.size:
-        fac = _factor(AS[r1])
-        if fac is None:
-            return None
-    return _BasisFactors(S=S, L=L, r1=r1, r2=r2, D=A[r2, cL], B21=AS[r2],
-                         fac=fac)
+        AS = A[:, basis[S]]
+        lu, piv, info = dgetrf(AS[r1])
+        if not info:
+            K, info = dgetri(lu, piv)
+        if info:
+            raise _Unsolved("singular basis")
+        top = np.zeros((len(S), m))
+        top[:, r1] = K
+        Binv[S] = top
+        bottom[:, r1] = (AS[r2] @ K) / -D[:, None]
+    Binv[L] = bottom
+    return Binv, bf.c - (bf.c[basis] @ Binv) @ A
 
 
-def _rows_of(form, v, m):
-    """Map a vector over standard-form rows onto the program's m rows."""
-    out = np.zeros(m)
-    out[form.orig_rows] = form.orig_sign * v[:len(form.orig_rows)]
-    return out
+def _nonbasic(lo, hi, upper, basis):
+    """(x, dirn, free) for a basis: x holds each nonbasic column at its
+    bound (the upper one where `upper` says so), a column without that
+    bound at zero, and zero on the basis; dirn is +1 on the nonbasic
+    columns that may rise from their lower bound, -1 on those that may
+    fall from their upper bound, and 0 on the basic, fixed and free ones;
+    free marks the nonbasic columns without a bound, which may move
+    either way."""
+    x = np.where(upper, hi, lo)
+    free = np.isinf(x)
+    x[free] = 0.0
+    dirn = np.where(upper, -1.0, 1.0)
+    dirn[free | (lo == hi)] = 0.0
+    x[basis] = dirn[basis] = 0.0
+    free[basis] = False
+    return x, dirn, free
 
 
-def _finish(form, p, c, basis, rhs, offset, xB, y, iters):
-    """Optimal solution at the final basis of a standard form's  A x = b,
-    x >= 0, its nonbasic columns at zero.  rhs is b and offset the
-    objective's constant.  The basis is refactorized against
-    the unpivoted matrix; the tableau's basic values xB and duals y are
-    kept only when the refactorization is singular or disagrees with
-    them."""
-    fac = _basis_factors(form, basis)
-    if fac is not None:
-        xB_fac = fac.solve(rhs)
-        drift = np.abs(xB_fac - xB).max()
-        if drift <= 1e-5 * (1.0 + abs(rhs).max(initial=0.0)):
-            xB = xB_fac
-            y = fac.solve_t(c[basis])
-    x = np.zeros(len(c))
-    x[basis] = np.maximum(xB, 0.0)
-    xp = _to_program(form, x[:form.n_struct], form.base)
-    return LpSolution(status="optimal", x=xp,
-                      objective=float(p.objective @ xp),
-                      row_duals=_rows_of(form, y, len(p.b)),
-                      dual_objective=float(y @ rhs) + offset,
-                      iterations=iters, basis=basis.copy(), form=form)
-
-
-def _certified(bf, p, basis, upper, Binv, x, xB, lo_B, hi_B, dirn, iters,
-               opt_tol):
-    """The optimal solution at a dual-simplex basis of bf whose basic
-    values xB are within their bounds, if the arrays the dual simplex
-    maintained certify it; None otherwise.  x holds the nonbasic columns
-    at their bounds and zero on the basis.  Checked, with y = c_B B^-1:
-    the primal residual of xB against b - A x; the reduced costs
-    c - y A, recomputed rather than the updated ones, for their sign
-    on the nonbasic columns (dirn) and for zero on the basic ones; and
-    the gap between the primal and the dual objective.  The solution keeps
-    (bf, basis, upper, B^-1, reduced costs) as its `warm` state, so that
-    a re-solve from it starts from copies and factorizes nothing."""
-    A, b, c = bf.A, bf.b, bf.c
-    rhs = b - A @ x
+def _certified(bf, p, basis, upper, Binv, x, xB, lo, hi, dirn, free, tol,
+               iters, opt_tol):
+    """The optimal solution of p at a dual-simplex basis of bf, if the
+    arrays the dual simplex maintained certify it; None otherwise.  x
+    holds the nonbasic columns (see _nonbasic) and zero on the basis.
+    Checked, with y = c_B B^-1: the basic values xB, within tol of their
+    bounds, and their residual against b - A x; the reduced costs
+    c - y A, recomputed rather than the updated ones, for their sign on
+    the nonbasic columns (dirn) and for zero on the basic and the free
+    ones, each within opt_tol times the size of its terms
+    |c_j| + |y| |A_j|; and the gap between the primal and the dual
+    objective, within opt_tol times the size of its terms.  The
+    solution keeps (bf, basis, upper, B^-1, reduced costs) as its `warm`
+    state, so that a re-solve from it starts from copies and factorizes
+    nothing."""
+    A, c = bf.A, bf.c
+    rhs = p.b - A @ x
     cB = c[basis]
     y = cB @ Binv
     d = c - y @ A
+    lo_B, hi_B = lo[basis], hi[basis]
+    zero = free.copy()
+    zero[basis] = True
+    # each reduced cost relative to the size of its terms
+    dn = d / (1.0 + np.abs(c) + np.abs(y) @ np.abs(A))
     # written so that a NaN fails every test
-    if not (np.abs(A[:, basis] @ xB - rhs).max() <=
-            RESIDUAL_TOL * (1.0 + np.abs(rhs).max()) and
-            (dirn * d).min() >= -opt_tol and
-            np.abs(d[basis]).max() <= opt_tol):
+    if not (np.abs(A[:, basis] @ xB - rhs).max(initial=0.0) <=
+            RESIDUAL_TOL * (1.0 + np.abs(rhs).max(initial=0.0)) and
+            np.maximum(lo_B - xB, xB - hi_B).max(initial=0.0) <= tol and
+            (dirn * dn).min(initial=0.0) >= -opt_tol and
+            np.abs(dn[zero]).max(initial=0.0) <= opt_tol):
         return None
     # primal less dual objective, within the rounding of their terms
     gap = cB @ xB - y @ rhs
@@ -579,93 +401,199 @@ def _certified(bf, p, basis, upper, Binv, x, xB, lo_B, hi_B, dirn, iters,
                                   np.abs(y) @ np.abs(rhs)):
         return None
     d[basis] = 0.0
-    dual = float(y @ rhs) + bf.offset + c @ x
+    dual = float(y @ rhs + c @ x)
     x[basis] = np.minimum(np.maximum(xB, lo_B), hi_B)
-    xp = _to_program(bf, x[:bf.n_struct], bf.base)
+    xp = x[:len(p.objective)].copy()
     return LpSolution(status="optimal", x=xp,
-                      objective=float(p.objective @ xp),
-                      row_duals=_rows_of(bf, y, len(p.b)),
+                      objective=float(p.objective @ xp), row_duals=y,
                       dual_objective=dual, iterations=iters, basis=basis,
                       form=bf, upper=upper,
                       warm=(bf, basis, upper, Binv, d))
+
+
+def _widen(lo, hi, lo_t, hi_t):
+    """Widen the artificial bounds of lo and hi (where they differ from
+    the true bounds lo_t, hi_t) in place by 1e6; False if there are
+    none."""
+    art_lo, art_hi = lo != lo_t, hi != hi_t
+    lo[art_lo] *= 1e6
+    hi[art_hi] *= 1e6
+    return bool(art_lo.any() or art_hi.any())
+
+
+def _simplex(p, bf, basis, upper, Binv, d, lo, hi, fresh, feas_tol, opt_tol,
+             max_iter):
+    """Solve p by the bounded dual simplex on its bounded form bf from a
+    dual feasible basis, with B^-1 and reduced costs d, and with
+    nonbasic columns as `upper` places them within lo and hi.  Where lo
+    and hi differ from p's column bounds, they are artificial bounds (see
+    the module docstring).  fresh says whether B^-1 comes from a
+    factorization or is exact.  Returns a certified optimum, an
+    infeasible verdict with its checked Farkas vector or an unbounded one
+    with its checked ray; raises _Unsolved otherwise."""
+    A, b = bf.A, p.b
+    lo_t, hi_t = _bounds(p)
+    x, dirn, free = _nonbasic(lo, hi, upper, basis)
+    xB = Binv @ (b - A @ x)
+    lo_B, hi_B = lo[basis], hi[basis]
+    # tolerances from the row data: bound values, real or artificial,
+    # must not loosen them
+    scale = 1.0 + np.abs(b).max(initial=0.0)
+    tol = feas_tol * scale
+    cap = min(max_iter, 20 * (len(b) + len(x)) + 500)
+    it = stall = 0
+    drifted = widened = False
+    while True:
+        below, above = lo_B - xB, xB - hi_B
+        viol = np.maximum(below, above)
+        pr = int(viol.argmax()) if len(viol) else -1
+        # a degenerate run longer than the columns may cycle: Bland's rule
+        # (the least basic column leaves, the least tied column enters)
+        # until the dual objective moves again
+        bland = stall > len(x)
+        if bland and viol[pr] > tol:
+            rows = (viol > tol).nonzero()[0]
+            pr = int(rows[basis[rows].argmin()])
+        failed = None  # why B^-1 or the reduced costs may have drifted
+        if pr < 0 or viol[pr] <= tol:
+            if drifted:
+                # the updates' rounding grows with their step sizes:
+                # recompute the basic values before trusting the point
+                xB = Binv @ (b - A @ x)
+                drifted = False
+                continue
+            at_art = np.where(upper, hi != hi_t, lo != lo_t)
+            at_art[basis] = False
+            flat = at_art & (np.abs(d) <= opt_tol)
+            if not at_art.any():
+                sol = _certified(bf, p, basis, upper, Binv, x, xB, lo, hi,
+                                 dirn, free, tol, it, opt_tol)
+                if sol is not None:
+                    return sol
+                failed = "certificate check failed"
+            elif flat.any():
+                # the optimum does not move along these columns: each
+                # goes to its own bound, or to zero where it has none
+                lo[flat], hi[flat] = lo_t[flat], hi_t[flat]
+                upper[flat] = np.isinf(lo[flat]) & np.isfinite(hi[flat])
+            else:
+                for j in at_art.nonzero()[0]:
+                    # the way the cost improves: down from an artificial
+                    # lower bound, up from an artificial upper one
+                    t = 1.0 if upper[j] else -1.0
+                    r = np.zeros(len(x))
+                    r[j] = t
+                    r[basis] = -t * (Binv @ A[:, j])
+                    ray = _ray(r[:len(p.objective)], p)
+                    if ray is not None:
+                        return LpSolution(status="unbounded", ray=ray,
+                                          iterations=it)
+                if widened:
+                    raise _Unsolved("artificial bound stays active")
+                widened = _widen(lo, hi, lo_t, hi_t)
+        else:
+            up = bool(above[pr] > below[pr])  # x_B[pr] leaves at its upper
+            alpha = Binv[pr] @ A  # pivot row of the tableau B^-1 A
+            # x_B[pr] moves by -alpha_j per unit rise of column j; s_j > 0
+            # where moving j its allowed way moves x_B[pr] toward its bound
+            s = alpha * dirn if up else alpha * -dirn
+            s[free] = np.abs(alpha[free])
+            cand = (s > PIVOT_TOL).nonzero()[0]
+            if cand.size:
+                if it >= cap:
+                    raise _Unsolved("iteration cap", ResourceLimitError)
+                ratios = np.maximum(d[cand] * dirn[cand], 0.0) / s[cand]
+                step = ratios.min()
+                ties = cand[ratios <= step + 1e-12]
+                # deterministic: the largest pivot among tied columns, or
+                # the least one under Bland's rule
+                pc = int(ties[0] if bland else ties[s[ties].argmax()])
+                col = Binv @ A[:, pc]
+                # the pivot from the column must agree with the one from
+                # the row; where it does not, B^-1 has lost its accuracy
+                if abs(col[pr] - alpha[pc]) <= PIVOT_AGREE * abs(alpha[pc]):
+                    theta = (xB[pr] - (hi_B[pr] if up else lo_B[pr])) / \
+                        col[pr]
+                    xB -= theta * col
+                    xB[pr] = x[pc] + theta
+                    row = Binv[pr] / col[pr]
+                    # in place: Binv -= col row^T
+                    Binv = dger(-1.0, row, col, a=Binv.T, overwrite_a=1).T
+                    Binv[pr] = row
+                    d -= d[pc] / alpha[pc] * alpha
+                    d[pc] = 0.0
+                    out = basis[pr]
+                    basis[pr] = pc
+                    lo_B[pr], hi_B[pr] = lo[pc], hi[pc]
+                    x[out] = hi[out] if up else lo[out]
+                    x[pc] = 0.0
+                    upper[out], upper[pc] = up, False
+                    dirn[out] = 0.0 if lo[out] == hi[out] else (
+                        -1.0 if up else 1.0)
+                    dirn[pc] = 0.0
+                    free[pc] = False
+                    fresh, drifted = False, True
+                    stall = 0 if step > 1e-12 else stall + 1
+                    it += 1
+                    continue
+                failed = "unstable pivot"
+            else:
+                # no column can move x_B[pr] toward its bounds: row pr of
+                # B^-1, oriented against the violation, is a Farkas
+                # certificate if it holds over the true column bounds with
+                # a margin
+                y = _farkas(Binv[pr] if up else -Binv[pr], A, b, lo_t, hi_t,
+                            FARKAS_TOL * scale)
+                if y is not None:
+                    return LpSolution(status="infeasible", farkas=y,
+                                      iterations=it)
+                # with an exact B^-1, an artificial bound may be what
+                # blocks the row
+                if fresh and not widened and _widen(lo, hi, lo_t, hi_t):
+                    widened = True
+                else:
+                    failed = "Farkas check failed"
+        if failed:
+            if fresh:
+                raise _Unsolved(failed)
+            # go on from a fresh factorization of the basis
+            Binv, d = _inverse(bf, basis)
+            fresh = True
+        # B^-1 or a bound changed: place the nonbasic columns again
+        x, dirn, free = _nonbasic(lo, hi, upper, basis)
+        xB = Binv @ (b - A @ x)
+        lo_B, hi_B = lo[basis], hi[basis]
+
+
+def _solve_cold(p, feas_tol, opt_tol, max_iter):
+    """Solve p from the slack basis (see the module docstring)."""
+    _check_conditioning(p)
+    bf = _form(p)
+    n, m = len(p.objective), len(p.b)
+    lo, hi = _bounds(p)
+    c = bf.c
+    big = 1e6 * (1.0 + np.abs(p.b).max(initial=0.0))
+    lo[(c > 0.0) & np.isinf(lo)] = -big
+    hi[(c < 0.0) & np.isinf(hi)] = big
+    upper = (c < 0.0) | ((c == 0.0) & np.isinf(lo) & np.isfinite(hi))
+    return _simplex(p, bf, n + np.arange(m), upper,
+                    np.diag(bf.A[:, n:].diagonal()), c.copy(), lo, hi, True,
+                    feas_tol, opt_tol, max_iter)
 
 
 def _same(u, v):
     return u is v or np.array_equal(u, v)
 
 
-def _start_basis(start):
-    """(bounded form, basis, upper) of start.  A two-phase basis enters
-    the bounded form of its standard form here: an upper-bound row whose
-    slack is basic leaves with that slack, any other leaves with its
-    variable, which is then basic (the row has no other entry) and
-    becomes nonbasic at its upper bound.  An artificial left basic (at
-    zero, on a row the drive-out found redundant) gives way to its row's
-    logical, which is itself on an = row and the surplus on a >= row."""
-    form = start.form
-    if isinstance(form, _BoundedForm):
-        return form, start.basis, start.upper
-    bf = _bounded(form)
-    if not len(bf.b):
-        raise _NoWarmStart("no row")
-    basis = start.basis
-    k = len(form.orig_rows)
-    slack, var = form.init_ident[k:], form.col[form.ub_vars]
-    is_basic = np.zeros(len(form.c), dtype=bool)
-    is_basic[basis] = True
-    at_hi = var[~is_basic[slack]]
-    is_basic[slack] = False
-    is_basic[at_hi] = False
-    basis = basis[is_basic[basis]]
-    art = form.is_art[basis]
-    logical = bf.logical[form.unit_row[basis[art] - form.n_struct]]
-    basis = np.searchsorted(bf.cols, basis)
-    basis[art] = logical
-    if len(basis) != k:
-        raise _NoWarmStart("basis size")
-    upper = np.zeros(len(bf.c), dtype=bool)
-    upper[at_hi] = True
-    return bf, basis, upper
-
-
-def _inverse(bf, basis):
-    """B^-1 and the reduced costs at basis, from one factorization."""
-    fac = _basis_factors(bf, basis)
-    Binv = None if fac is None else fac.inverse()
-    if Binv is None:
-        raise _NoWarmStart("singular basis")
-    return Binv, bf.c - fac.solve_t(bf.c[basis]) @ bf.A
-
-
 def _start_state(start):
-    """(bounded form, basis, upper, B^-1, reduced costs) of start: what a
-    certified re-solve left on it, or else built on its first re-solve
-    and kept on it, so that both children of a node start from copies of
-    one inverse."""
+    """(form, basis, upper, B^-1, reduced costs) of start: what its
+    certified solve left on it, or else built from one factorization of
+    its basis and kept on it, so that both children of a node start from
+    copies of one inverse."""
     if start.warm is None:
-        try:
-            bf, basis, upper = _start_basis(start)
-            start.warm = (bf, basis, upper) + _inverse(bf, basis)
-        except _NoWarmStart as exc:
-            start.warm = str(exc)
-    if isinstance(start.warm, str):
-        raise _NoWarmStart(start.warm)
+        start.warm = (start.form, start.basis, start.upper) + \
+            _inverse(start.form, start.basis)
     return start.warm
-
-
-def _column_bounds(p, bf):
-    """Column bounds of bf's columns for p, whose variables have the same
-    finite bounds as bf's program.  A shifted column moves with its
-    variable's bounds, a negated one mirrors them; free variables have no
-    bounds to change."""
-    q = bf.program
-    ch = ((p.lo != q.lo) | (p.hi != q.hi)).nonzero()[0]
-    lo, hi = bf.lo.copy(), bf.hi.copy()
-    k, base = bf.col[ch], bf.base[ch]
-    pos = bf.sgn[k] > 0
-    lo[k] = np.where(pos, p.lo[ch] - base, base - p.hi[ch])
-    hi[k] = np.where(pos, p.hi[ch] - base, base - p.lo[ch])
-    return lo, hi
 
 
 def _row_keys(p):
@@ -695,170 +623,64 @@ def _match_rows(p, q):
 
 
 def _rebased(p, bf, basis, upper):
-    """(bounded form of p, basis, upper) mapped from bf's basis.  Each row
-    of p that matches a row of bf's program keeps that row's orientation
-    and logical; any other row of p is new, and its logical is basic.  A
-    row of bf that p does not keep is dropped with its logical, which
-    must be basic, so the basis stays square and nonsingular.  With the
-    new logicals basic at zero cost, the kept columns keep their reduced
+    """(bounded form of p, basis, upper) mapped from a basis of bf.  Each
+    row of p that matches a row of bf's program keeps that row's logical;
+    any other row of p is new, and its logical is basic.  A row of bf
+    that p does not keep is dropped with its logical, which must be
+    basic, so the basis stays square and nonsingular.  With the new
+    logicals basic at zero cost, the kept columns keep their reduced
     costs, and the start stays dual feasible."""
-    if not p.A.any(axis=1).all():
-        raise _NoWarmStart("empty row")
     _check_conditioning(p)
-    q, nt, k = bf.program, bf.n_struct, len(p.b)
-    srow_of = np.full(len(q.b), -1)
-    srow_of[bf.orig_rows] = np.arange(len(bf.b))
+    q, n = bf.program, len(p.objective)
     match = _match_rows(p, q)
     old = (match >= 0).nonzero()[0]
-    srow = srow_of[match[old]]
-    dropped = np.ones(len(bf.b), dtype=bool)
-    dropped[srow] = False
-    is_basic = np.zeros(len(bf.c), dtype=bool)
+    # column of p's form for each column of bf, -1 for a dropped logical
+    cmap = np.full(n + len(q.b), -1)
+    cmap[:n] = np.arange(n)
+    cmap[n + match[old]] = n + old
+    is_basic = np.zeros(len(cmap), dtype=bool)
     is_basic[basis] = True
-    if not is_basic[bf.logical[dropped]].all():
-        raise _NoWarmStart("nonbasic logical dropped")
-
-    # columns: bf's structural columns, then the logical of row i at nt + i
-    sign = np.ones(k)
-    sign[old] = bf.orig_sign[srow]
-    oriented = p.sense * sign
-    src = np.searchsorted(bf.col, np.arange(nt), side="right") - 1
-    A = np.zeros((k, nt + k))
-    A[:, :nt] = p.A[:, src] * bf.sgn * sign[:, None]
-    A[np.arange(k), nt + np.arange(k)] = np.where(oriented > 0, -1.0, 1.0)
-    lo, hi = _column_bounds(p, bf)
-    cmap = np.full(len(bf.c), -1)
-    cmap[:nt] = np.arange(nt)
-    cmap[bf.logical[srow]] = nt + old
+    if not is_basic[cmap < 0].all():
+        raise _Unsolved("nonbasic logical dropped")
     mapped = cmap[basis]
-    new = (match < 0).nonzero()[0]
-    basis_p = np.concatenate([mapped[mapped >= 0], nt + new])
-    upper_p = np.zeros(nt + k, dtype=bool)
+    basis_p = np.concatenate([mapped[mapped >= 0],
+                              n + (match < 0).nonzero()[0]])
+    upper_p = np.zeros(n + len(p.b), dtype=bool)
     kept = cmap >= 0
     upper_p[cmap[kept]] = upper[kept]
-    form = _BoundedForm(
-        program=p, A=A, b=(p.b - p.A @ bf.base) * sign,
-        c=np.concatenate([bf.c[:nt], np.zeros(k)]),
-        lo=np.concatenate([lo[:nt], np.zeros(k)]),
-        hi=np.concatenate([hi[:nt], np.where(p.sense == 0, 0.0, np.inf)]),
-        offset=bf.offset, base=bf.base, col=bf.col, sgn=bf.sgn,
-        n_struct=nt, orig_rows=np.arange(k), orig_sign=sign,
-        logical=nt + np.arange(k), unit_row=np.arange(k))
-    return form, basis_p, upper_p
+    return _form(p), basis_p, upper_p
 
 
 def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
-    """Re-solve p from start's basis by a bounded-variable dual simplex.
-    p must have start's objective and the same finite variable bounds;
-    its bounds and rows may differ.  When p has start's rows, the solve
-    runs in start's bounded form from copies of the inverse kept on
-    start; otherwise in p's own bounded form (see _rebased), from one
-    fresh factorization of the mapped basis.  An optimum is returned
-    once _certified accepts it, after at most one refactorization.
-    Raises _NoWarmStart when the start cannot be used or the dual
+    """Re-solve p from start's basis.  p must have start's objective and
+    the same finite variable bounds; its bounds and rows may differ.  When
+    p has start's rows, the solve runs in start's bounded form from
+    copies of the inverse kept on start; otherwise in p's own bounded
+    form (see _rebased), from one fresh factorization of the mapped
+    basis.  Raises _Unsolved when the start cannot be used or the dual
     simplex ends without a checked result."""
-    form = start.form
-    if form is None:
-        raise _NoWarmStart("no basis")
-    q = form.program
+    bf = start.form
+    if bf is None:
+        raise _Unsolved("no basis")
+    q = bf.program
     if not _same(p.objective, q.objective):
-        raise _NoWarmStart("objective changed")
-    # a bound that turns finite or infinite changes the columns
+        raise _Unsolved("objective changed")
+    # a bound that turns finite or infinite can strand a nonbasic column
     if (np.isinf(p.lo) != np.isinf(q.lo)).any() or \
             (np.isinf(p.hi) != np.isinf(q.hi)).any():
-        raise _NoWarmStart("variables changed")
+        raise _Unsolved("variables changed")
     if _same(p.A, q.A) and _same(p.b, q.b) and _same(p.sense, q.sense):
         bf, basis, upper, Binv, d = _start_state(start)
         basis, upper, Binv, d = basis.copy(), upper.copy(), Binv.copy(), \
             d.copy()
-        lo, hi = _column_bounds(p, bf)
+        fresh = False
     else:
-        bf, basis, upper = _rebased(p, *_start_basis(start))
+        bf, basis, upper = _rebased(p, bf, start.basis, start.upper)
         Binv, d = _inverse(bf, basis)
-        lo, hi = bf.lo, bf.hi
-
-    # dirn: +1 on the nonbasic columns that may rise from their lower
-    # bound, -1 on those that may fall from their upper bound, 0 on the
-    # basic and the fixed columns.  Dual feasible: dirn * d >= 0, which a
-    # branching fix, a new row and a moved rhs keep and the pivots
-    # maintain (a widened bound that breaks it fails the certificate)
-    dirn = np.where(upper, -1.0, 1.0)
-    dirn[lo == hi] = 0.0
-    dirn[basis] = 0.0
-    A, b = bf.A, bf.b
-    x = np.where(upper, hi, lo)
-    x[basis] = 0.0
-    rhs = b - A @ x
-    xB = Binv @ rhs
-    lo_B, hi_B = lo[basis], hi[basis]
-    scale = 1.0 + np.abs(rhs).max()
-    tol = feas_tol * scale
-    cap = min(max_iter, 20 * (len(b) + len(x)) + 500)
-    it = 0
-    refactorized = False
-    while True:
-        below, above = lo_B - xB, xB - hi_B
-        viol = np.maximum(below, above)
-        pr = int(viol.argmax())
-        if viol[pr] <= tol:
-            sol = _certified(bf, p, basis, upper, Binv, x, xB, lo_B, hi_B,
-                             dirn, it, opt_tol)
-            if sol is not None:
-                return sol
-            if refactorized:
-                raise _NoWarmStart("certificate check failed")
-            # B^-1 or the reduced costs have drifted: go on from a fresh
-            # factorization of the basis, once
-            Binv, d = _inverse(bf, basis)
-            xB = Binv @ (b - A @ x)
-            refactorized = True
-            continue
-        if it >= cap:
-            raise _NoWarmStart("iteration cap")
-        up = bool(above[pr] > below[pr])  # basic pr leaves at its upper bound
-        alpha = Binv[pr] @ A  # pivot row of the tableau B^-1 A
-        # x_B[pr] moves by -alpha_j per unit rise of column j; s_j > 0
-        # where moving j its allowed way moves x_B[pr] toward its bound
-        s = alpha * dirn if up else alpha * -dirn
-        cand = (s > PIVOT_TOL).nonzero()[0]
-        if cand.size == 0:
-            # no column can move x_B[pr] toward its bounds: row pr of B^-1,
-            # oriented against the violation, is a Farkas certificate if it
-            # holds over the column bounds with a margin
-            y = _farkas(Binv[pr] if up else -Binv[pr], A, b, lo, hi,
-                        1e-7 * scale)
-            if y is None:
-                raise _NoWarmStart("Farkas check failed")
-            return LpSolution(status="infeasible",
-                              farkas=_rows_of(bf, y, len(p.b)),
-                              iterations=it)
-        ratios = np.maximum(d[cand] * dirn[cand], 0.0) / s[cand]
-        ties = cand[ratios <= ratios.min() + 1e-12]
-        # deterministic: the largest pivot among tied columns
-        pc = int(ties[s[ties].argmax()])
-        col = Binv @ A[:, pc]
-        # the pivot from the column must agree with the one from the row;
-        # where it does not, B^-1 has lost the accuracy to go on
-        if not abs(col[pr] - alpha[pc]) <= PIVOT_AGREE * abs(alpha[pc]):
-            raise _NoWarmStart("unstable pivot")
-        theta = (xB[pr] - (hi_B[pr] if up else lo_B[pr])) / col[pr]
-        xB -= theta * col
-        xB[pr] = x[pc] + theta
-        row = Binv[pr] / col[pr]
-        # in place: Binv -= col row^T
-        Binv = dger(-1.0, row, col, a=Binv.T, overwrite_a=1).T
-        Binv[pr] = row
-        d -= d[pc] / alpha[pc] * alpha
-        d[pc] = 0.0
-        out = basis[pr]
-        basis[pr] = pc
-        lo_B[pr], hi_B[pr] = lo[pc], hi[pc]
-        x[out] = hi[out] if up else lo[out]
-        x[pc] = 0.0
-        upper[out], upper[pc] = up, False
-        dirn[out] = 0.0 if lo[out] == hi[out] else (-1.0 if up else 1.0)
-        dirn[pc] = 0.0
-        it += 1
+        fresh = True
+    lo, hi = _bounds(p)
+    return _simplex(p, bf, basis, upper, Binv, d, lo, hi, fresh, feas_tol,
+                    opt_tol, max_iter)
 
 
 def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
@@ -868,156 +690,21 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
     a branch-and-bound node or the previous LP of a cutting-plane loop;
     p's bounds, rows and right-hand sides may differ from it.  The solve
     then re-optimizes from its basis (see _solve_warm), and falls back to
-    the two-phase solve when it cannot; the result's `fallback` says
-    why."""
+    the cold start when it cannot; the result's `fallback` says why.  A
+    cold solve that ends without a checked result raises
+    ConditioningError, or ResourceLimitError at its iteration cap."""
     fallback = None
     if start is not None:
         try:
             return _solve_warm(p, start, feas_tol, opt_tol, max_iter)
-        except _NoWarmStart as exc:
+        except _Unsolved as exc:
             fallback = str(exc)
-    sol = _solve_two_phase(p, feas_tol, opt_tol, max_iter)
+    try:
+        sol = _solve_cold(p, feas_tol, opt_tol, max_iter)
+    except _Unsolved as exc:
+        raise exc.error("dual simplex: %s" % exc) from None
     sol.fallback = fallback
     return sol
-
-
-def _solve_two_phase(p, feas_tol, opt_tol, max_iter):
-    """Solve p by the dense two-phase tableau simplex."""
-    _check_conditioning(p)
-    m = len(p.b)
-
-    # -- columns: x_j = base_j + x'_k, base_j - x'_k (upper bound only) or
-    # x'_k - x'_k+1 (free); src is each column's variable, sgn its sign
-    has_lo, has_hi = np.isfinite(p.lo), np.isfinite(p.hi)
-    free = ~(has_lo | has_hi)
-    width = 1 + free
-    src = np.repeat(np.arange(len(width)), width)
-    col = np.cumsum(width) - width
-    nt = len(src)
-    sgn = np.ones(nt)
-    sgn[col[has_hi & ~has_lo]] = -1.0
-    sgn[col[free] + 1] = -1.0
-    base = np.where(has_lo, p.lo, np.where(has_hi, p.hi, 0.0))
-    c_t = p.objective[src] * sgn
-    obj_offset = float(p.objective @ base)
-    rhs = p.b - p.A @ base
-
-    nonzero = p.A.any(axis=1)
-    if not nonzero.all():
-        # an empty row is checked outright; its unit vector is the
-        # certificate
-        viol = np.where(p.sense == 0, np.abs(rhs), p.sense * rhs)
-        bad = (~nonzero & (viol > feas_tol * 10)).nonzero()[0]
-        if bad.size:
-            farkas = np.zeros(m)
-            farkas[bad[0]] = np.sign(rhs[bad[0]])
-            return LpSolution(status="infeasible", farkas=farkas)
-
-    # program rows that are not empty, then x'_k <= hi_j - lo_j for every
-    # variable with both bounds
-    keep = nonzero.nonzero()[0]
-    ub_vars = (has_lo & has_hi).nonzero()[0]
-    A = np.zeros((len(keep) + len(ub_vars), nt))
-    A[:len(keep)] = p.A[keep[:, None], src] * sgn
-    A[len(keep) + np.arange(len(ub_vars)), col[ub_vars]] = 1.0
-    rhs_v = np.concatenate([rhs[keep], (p.hi - p.lo)[ub_vars]])
-    sense = np.concatenate([p.sense[keep], np.full(len(ub_vars), -1)])
-    mr = len(rhs_v)
-    if mr == 0:
-        # unconstrained over x' >= 0: the most improving column is a ray
-        k = int(c_t.argmin())
-        if c_t[k] < -opt_tol:
-            ray = np.zeros(len(p.objective))
-            ray[src[k]] = sgn[k]
-            return _unbounded(p, ray, 0)
-        return LpSolution(status="optimal", x=base.copy(),
-                          objective=obj_offset, row_duals=np.zeros(m),
-                          dual_objective=obj_offset)
-
-    # normalize rhs >= 0
-    flip = rhs_v < 0
-    A[flip] *= -1.0
-    rhs_v[flip] *= -1.0
-    sense[flip] *= -1
-
-    # columns: structural, a slack per <= row, a surplus per >= row, an
-    # artificial per >= and = row; a row's slack or artificial is its
-    # first basic column
-    le, ge = sense < 0, sense > 0
-    art = ~le
-    n_slack, n_surp = np.count_nonzero(le), np.count_nonzero(ge)
-    I = np.eye(mr)
-    # C order, so that _pivot can update it in place through its transpose
-    D = np.ascontiguousarray(np.concatenate(
-        [A, I[:, le], -I[:, ge], I[:, art], rhs_v[:, None]], axis=1))
-    N = D.shape[1] - 1
-    is_art = np.zeros(N, dtype=bool)
-    is_art[nt + n_slack + n_surp:] = True
-    init_ident = np.empty(mr, dtype=int)
-    init_ident[le] = nt + np.arange(n_slack)
-    init_ident[art] = nt + n_slack + n_surp + np.arange(mr - n_slack)
-    basis = init_ident.copy()
-
-    c_full = np.zeros(N)
-    c_full[:nt] = c_t
-    form = _StandardForm(
-        program=p, A=D[:, :N].copy(), b=rhs_v, c=c_full, offset=obj_offset,
-        base=base, col=col, sgn=sgn, n_struct=nt, is_art=is_art,
-        init_ident=init_ident, unit_row=np.concatenate(
-            [le.nonzero()[0], ge.nonzero()[0], art.nonzero()[0]]),
-        orig_rows=keep,
-        orig_sign=np.where(flip[:len(keep)], -1.0, 1.0), ub_vars=ub_vars)
-
-    # -- phase 1 -----------------------------------------------------------
-    c1 = is_art.astype(float)
-    r1 = np.concatenate([c1, [0.0]])
-    for i in art.nonzero()[0]:
-        r1 -= D[i]
-    allowed = np.ones(N, dtype=bool)
-    status, _, it1 = _run_simplex(D, r1, basis, allowed, opt_tol, max_iter)
-    # feasibility decided by per-row scaled residuals of the phase-1 point
-    x1 = np.zeros(N)
-    x1[basis] = D[:, -1]
-    resid = form.A[:, :nt] @ x1[:nt] - rhs_v
-    viol = np.abs(resid)
-    viol[sense * resid > 0] = 0.0  # the side a row's inequality allows
-    if (viol / (1.0 + rhs_v)).max() > 1e-7:
-        # y = phase-1 duals, checked over x >= 0 on the columns before
-        # the artificials, which are held at zero and so left out
-        y = _farkas(c1[init_ident] - r1[init_ident],
-                    form.A[:, :nt + n_slack + n_surp], form.b, 0.0, np.inf,
-                    FARKAS_TOL)
-        if y is None:
-            raise ConditioningError("phase-1 Farkas vector fails its check")
-        return LpSolution(status="infeasible", farkas=_rows_of(form, y, m),
-                          iterations=it1)
-
-    # drive artificials out of the basis
-    for i in is_art[basis].nonzero()[0]:
-        row = D[i, :N].copy()
-        row[is_art] = 0.0
-        nz = np.where(np.abs(row) > PIVOT_TOL)[0]
-        if nz.size:
-            pc = int(nz[np.argmax(np.abs(row[nz]))])
-            _pivot(D, r1, basis, i, pc)
-
-    # -- phase 2 -----------------------------------------------------------
-    r2 = np.concatenate([c_full, [0.0]])
-    for i in c_full[basis].nonzero()[0]:
-        r2 -= c_full[basis[i]] * D[i]
-    allowed = ~is_art
-    status, pc, it2 = _run_simplex(D, r2, basis, allowed, opt_tol,
-                                   max_iter)
-    iters = it1 + it2
-
-    if status == "unbounded":
-        t = np.zeros(N)
-        t[pc] = 1.0
-        t[basis] = -D[:, pc]
-        return _unbounded(p, _to_program(form, t[:nt], 0.0), iters)
-
-    return _finish(form, p, c_full, basis, form.b, obj_offset, D[:, -1],
-                   c_full[init_ident] - r2[init_ident], iters)
 
 
 def chebyshev_center(A, b, scales=None, rho_cap=1e9, start=None):

@@ -4,11 +4,11 @@ Minimizes over the LP relaxation tree, branching on the most fractional
 binary and exploring nodes in best-bound order.  Both children of a
 node are solved right after it is popped, each re-optimized from its
 optimal basis by the bounded-variable dual simplex, starting from
-copies of the node's basis inverse: the one the node's own re-solve
-left on its solution once its residuals certified it, or, for the root
-and a node without one, the inverse that the first child builds from a
-factorization.  Pending nodes hold their inverses up to
-WARM_STATE_BYTES.
+copies of the node's basis inverse: the one the node's own solve, the
+root's cold one included, left on its solution once its residuals
+certified it, or, for a node that holds none, the inverse that the
+first child builds from a factorization.  Pending nodes, the root
+included, hold their inverses up to WARM_STATE_BYTES.
 Terminates on a relative-gap rule (p_bar - p_low)/|p_bar| <= rel_gap
 (absolute gap rel_gap * 1e-6 when the incumbent value is 0) or on a node
 limit.
@@ -129,10 +129,22 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
                           incumbent_value=v, best_bound=v,
                           pool=[(root.x, v)], nodes=1)
 
+    heap = []
     counter = 0
-    heap = [(root.objective, counter, {}, root)]
     m = len(p.base.b)
     states, max_states = 0, WARM_STATE_BYTES // (8 * m * m + 1)
+
+    def push(fixed, sol):
+        """Push a node, with its re-solve state while the budget holds."""
+        nonlocal counter, states
+        if states < max_states:
+            states += sol.warm is not None
+        else:
+            sol.warm = None
+        heapq.heappush(heap, (sol.objective, counter, fixed, sol))
+        counter += 1
+
+    push({}, root)
     p_bar = np.inf
     incumbent = None
     raw_pool = []  # (x, value incl. offset)
@@ -184,13 +196,7 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
             if child.status == "infeasible":
                 continue
             offer_completion(child.x)
-            counter += 1
-            if states < max_states:
-                states += child.warm is not None
-            else:
-                child.warm = None
-            heapq.heappush(heap, (child.objective, counter, child_fixed,
-                                  child))
+            push(child_fixed, child)
 
     if incumbent is None:
         if status in ("node_limit", "gap_reached"):

@@ -46,8 +46,9 @@ def test_unbounded_with_ray():
 
 
 def test_unbounded_without_rows_has_a_ray():
-    """With no row left after the empty-row check, the most improving
-    column is the ray."""
+    """With no row, or only empty ones, the cold start leaves each
+    improving column at an artificial bound, and the first one's column
+    is the ray."""
     for p, ray in [
             (LinearProgram([-1.0], [], [(0.0, None)]), [1.0]),
             (LinearProgram([-1.0], [(np.zeros(1), "<=", 1.0)],
@@ -83,6 +84,13 @@ def test_ray_check_rejects_a_corrupted_ray(monkeypatch):
     assert real(-r, p) is None  # not improving
     assert real(np.array([0.0, 1.0]), p) is None  # leaves the row
     assert real(np.array([1.0, -0.5]), p) is None  # leaves a bound
+    # a floor row equal to the objective bounds it below, so a direction
+    # that the rows cannot tell from zero is no ray
+    c = np.array([1.0, -1.0])
+    floor = LinearProgram(c, [(c, ">=", -1.0)], [(None, None)] * 2)
+    r = np.array([1.0, 1.0 + 1e-13])
+    assert -2e-13 < c @ r < 0.0
+    assert real(r, floor) is None
     monkeypatch.setattr(lp, "_ray", lambda *args: None)
     with pytest.raises(ConditioningError):
         solve_lp(p)
@@ -90,7 +98,7 @@ def test_ray_check_rejects_a_corrupted_ray(monkeypatch):
         solve_lp(LinearProgram([-1.0], [], [(0.0, None)]))
 
 
-def test_duality_gap_and_constraints_random():
+def test_duality_gap_and_constraints_random(monkeypatch):
     rng = rng_for(201)
     for trial in range(60):
         n = int(rng.integers(2, 6))
@@ -133,6 +141,42 @@ def test_duality_gap_and_constraints_random():
         # strong duality
         assert sol.dual_objective == pytest.approx(
             sol.objective, abs=1e-7 * (1 + abs(sol.objective)))
+    # cold starts through artificial bounds: an optimum beyond the first
+    # one (x0 = 1e7 with |b| = 0), reached after widening it; an optimum
+    # on an unbounded optimal face, where a column left at one has zero
+    # reduced cost and moves to zero; an unbounded program whose ray
+    # leaves through one; an infeasible one with free columns, whose
+    # Farkas vector is checked against their infinite bounds
+    widened = []
+    real_widen = lp._widen
+
+    def widen(*args):
+        widened.append(real_widen(*args))
+        return widened[-1]
+
+    monkeypatch.setattr(lp, "_widen", widen)
+    free = [(None, None)] * 2
+    for p, status in [
+            (LinearProgram([-1.0, 0.0], [(np.array([1.0, -1e7]), "<=", 0.0)],
+                           [(None, None), (0.0, 1.0)]), "optimal"),
+            (LinearProgram([1.0, -1.0], [(np.array([1.0, -1.0]), ">=", 0.0)],
+                           free), "optimal"),
+            (LinearProgram([-1.0, 0.5], [(np.array([1.0, -1.0]), "<=", 1.0)],
+                           free), "unbounded"),
+            (LinearProgram([1.0, 1.0], [(np.ones(2), ">=", 1.0),
+                                        (np.ones(2), "<=", 0.0)], free),
+             "infeasible")]:
+        ref, sol = _highs(p), solve_lp(p)
+        assert ref.status == {"optimal": 0, "infeasible": 2,
+                              "unbounded": 3}[status]
+        assert sol.status == status
+        if status == "optimal":
+            _assert_solution(p, sol, ref.fun)
+        elif status == "unbounded":
+            _assert_ray(p, sol.ray)
+        else:
+            _assert_farkas(p, sol.farkas)
+    assert widened == [True]
 
 
 def test_determinism():
@@ -246,10 +290,11 @@ def test_inconsistent_empty_row_has_unit_certificate():
 
 
 def test_farkas_check_rejects_a_corrupted_certificate(monkeypatch):
-    """The two-phase Farkas vector goes through the same check as the
-    warm one; a vector that fails it is refused, and a two-phase verdict
+    """The cold solve's Farkas vector goes through the same check as the
+    warm one; a vector that fails it is refused, and a cold verdict
     without a valid vector raises."""
-    p = LinearProgram([1.0, 1.0], [(np.array([1.0, 1.0]), ">=", 3.0)],
+    p = LinearProgram([1.0, 1.0], [(np.array([1.0, 1.0]), ">=", 3.0),
+                                   (np.array([1.0, -1.0]), "<=", 5.0)],
                       [(0.0, 1.0)] * 2)
     real = lp._farkas
     seen = []
@@ -296,7 +341,7 @@ def test_farkas_check_uses_the_column_bounds():
 def test_warm_farkas_check_falls_back_and_raises(monkeypatch):
     """A re-solve's infeasible verdict carries a certificate checked over
     the column bounds; when the check fails the solve falls back to the
-    two-phase solve, whose own failed check raises."""
+    cold solve, whose own failed check raises."""
     p = LinearProgram([1.0, 1.0], [(np.array([1.0, 1.0]), ">=", 1.5)],
                       [(0.0, 1.0)] * 2)
     parent = solve_lp(p)
@@ -469,11 +514,49 @@ def test_accp_lower_bound_lp_is_not_infeasible():
     assert sol.objective == pytest.approx(ref.fun, abs=1e-7)
 
 
+def test_captured_chebyshev_lps_are_solved_cold():
+    """Chebyshev-center LPs captured from ACCP, each solved cold to
+    HiGHS's radius within 1e-9 with every row held to within
+    1e-9 (1 + |b|_inf), although the radius variable starts at its cap
+    rho_cap = 1e9:
+    - accp_chebyshev_lp: 480 x 112, on the 55-instrument five-asset rung
+      (five_asset_family(1, mc_samples=20000), assets + vanilla calls,
+      call_on_max of all five assets, K = 5, CLI defaults), which a
+      two-phase tableau once called infeasible with a Farkas vector that
+      failed its check;
+    - two on a d = 20 box market (random_family(20, 1), the assets and
+      calls at K = 1 and 2 on each asset, the equal-weight basket call at
+      K = 1, CLI defaults): accp_d20_farkas_lp (663 x 122), where a row
+      of a drifted B^-1 finds no entering column and fails the Farkas
+      check until the basis is refactorized, and accp_d20_cycling_lp
+      (595 x 122), where the largest-infeasibility rule cycles through
+      92 degenerate pivots at the optimum until Bland's rule ends it."""
+    for name, shape in [("accp_chebyshev_lp", (480, 112)),
+                        ("accp_d20_farkas_lp", (663, 122)),
+                        ("accp_d20_cycling_lp", (595, 122))]:
+        path = os.path.join(os.path.dirname(__file__), "data",
+                            name + ".npz")
+        with np.load(path) as data:
+            p = LinearProgram.from_arrays(*(data[k] for k in (
+                "objective", "A", "b", "sense", "lo", "hi")))
+        assert p.A.shape == shape and p.hi[-1] == 1e9, name
+        ref = _highs(p)
+        assert ref.status == 0, name
+        sol = solve_lp(p)
+        assert sol.status == "optimal", name
+        assert sol.x[-1] == pytest.approx(-ref.fun, abs=1e-9), name
+        assert (p.A @ sol.x - p.b).min() >= \
+            -1e-9 * (1.0 + np.abs(p.b).max()), name
+        if name == "accp_chebyshev_lp":
+            assert sol.x[-1] == pytest.approx(0.10509, abs=1e-5)
+
+
 def test_phase_one_takes_no_tiny_pivot():
     """A cone LP  min 0  s.t.  1.x = 1, V x <= 0, x >= 0  that HiGHS finds
-    feasible: x = e5 holds every row to within 1e-11.  Phase 1 once
-    pivoted on an element of 2.8e-9 in a column whose largest entry was
-    6.9, ended at a false optimum and raised on its Farkas check."""
+    feasible: x = e5 holds every row to within 1e-11.  A two-phase
+    tableau once pivoted in phase 1 on an element of 2.8e-9 in a column
+    whose largest entry was 6.9, ended at a false optimum and raised on
+    its Farkas check."""
     V = np.array([[0.0251, 0.0231, 0.0, 0.835, 1e-11, 0.0],
                   [0.828, -1e-11, 0.0531, 0.356, -0.144, 0.515]])
     p = LinearProgram(np.zeros(6), [(np.ones(6), "=", 1.0),
@@ -657,8 +740,8 @@ def test_warm_start_matches_cold_solve(monkeypatch):
     children of a node re-solve from the node's solution (sharing its
     basis inverse), and the chain goes on from a feasible child's
     re-solved solution.
-    Each child agrees with the two-phase solve and with HiGHS in status
-    and objective, and its infeasible verdicts carry a valid
+    Each child agrees with the cold solve and with HiGHS in status and
+    objective, and its infeasible verdicts carry a valid
     certificate."""
     answered = {"optimal": 0, "infeasible": 0, "rebuilt": 0}
     warm = lp._solve_warm
@@ -758,10 +841,10 @@ def test_row_changing_resolves_match_cold_solves():
     columns and a few more rows: each step drops rows, moves right-hand
     sides and adds rows (see _next_rows), and its program is re-solved
     from the last optimal solution of the chain, as ACCP and ECP do.
-    Every re-solve agrees with the two-phase solve and with HiGHS in
-    status and objective, and its infeasible verdicts carry a valid
+    Every re-solve agrees with the cold solve and with HiGHS in status
+    and objective, and its infeasible verdicts carry a valid
     certificate.  Dropping a row whose logical is nonbasic falls back to
-    the two-phase solve, which still answers correctly."""
+    the cold solve, which still answers correctly."""
     rng = rng_for(208)
     seen = {"warm": 0, "infeasible": 0, "nonbasic logical dropped": 0,
             "other": 0}
@@ -816,12 +899,15 @@ def test_carried_state_over_deep_chains(monkeypatch):
     rows and 60 columns.  A certified warm optimum carries its B^-1 and
     reduced costs, so each node starts from copies of its parent's and
     rank-1 updates pile up along the chain without a factorization.
-    Every node agrees with the two-phase solve and HiGHS in status and
+    Every node agrees with the cold solve and HiGHS in status and
     objective, infeasible ones carry a valid certificate, and nearly
     every warm optimum passes the residual certificate on its first
-    check."""
+    check.  The cold solves, the roots' included, leave their inverses
+    and factorize nothing, so the warm solves' factorizations are
+    counted apart from theirs."""
     checks = {True: 0, False: 0}
     factorized = [0]
+    warm_factorized = 0
     real_cert, real_inverse = lp._certified, lp._inverse
 
     def certified(*args):
@@ -849,7 +935,11 @@ def test_carried_state_over_deep_chains(monkeypatch):
                 nodes += 1
                 before = factorized[0]
                 sol = solve_lp(child, start=parent)
+                fresh = factorized[0] > before or sol.warm is None
+                warm_factorized += factorized[0] - before
+                before = factorized[0]
                 cold, ref = solve_lp(child), _highs(child)
+                assert factorized[0] == before, (trial, depth)
                 assert sol.status == cold.status, (trial, depth)
                 if sol.status == "infeasible":
                     assert ref.status == 2, (trial, depth)
@@ -857,7 +947,6 @@ def test_carried_state_over_deep_chains(monkeypatch):
                     continue
                 assert ref.status == 0, (trial, depth)
                 _assert_solution(child, sol, ref.fun)
-                fresh = factorized[0] > before or sol.warm is None
                 feasible.append((child, sol, fresh))
             if not feasible:
                 break
@@ -867,8 +956,9 @@ def test_carried_state_over_deep_chains(monkeypatch):
         full += depth == 24
     assert full >= 8 and nodes >= 400
     assert checks[True] >= 0.95 * (checks[True] + checks[False]), checks
-    # one factorization per chain for the root's basis, and few others
-    assert factorized[0] <= 0.05 * nodes, (factorized[0], nodes)
+    # the roots' cold solves leave their inverses, so a warm solve
+    # factorizes only when a certificate or a pivot check fails
+    assert warm_factorized <= 0.05 * nodes, (warm_factorized, nodes)
     assert longest >= 40, longest
 
 
@@ -876,8 +966,8 @@ def test_corrupted_carried_state_is_refactorized(monkeypatch):
     """A carried state whose B^-1 is off by 1e-5 in one entry, or whose
     reduced costs were lost, does not certify its re-solves: the residual
     or reduced-cost check fails, the solve goes on from a fresh
-    factorization (or falls back to the two-phase solve) and answers as
-    the cold solve does."""
+    factorization (or falls back to the cold solve) and answers as the
+    cold solve does."""
     seen = []
     real_cert = lp._certified
 
@@ -927,7 +1017,9 @@ def test_certificate_needs_zero_basic_reduced_costs(monkeypatch):
     leaves the basic values, the residual, the gap and the sign of every
     nonbasic reduced cost as they were, but moves y = c_B B^-1 off the
     basis: c_B - y A_B is no longer zero, and the certificate refuses
-    it."""
+    it.  The certificate checks the basic values against their bounds
+    itself: a bound moved past a basic value is refused, though the
+    residual, the reduced costs and the gap still hold."""
     from scipy.linalg import null_space
     seen = []
     real = lp._certified
@@ -948,8 +1040,8 @@ def test_certificate_needs_zero_basic_reduced_costs(monkeypatch):
         if solve_lp(child, start=parent).status != "optimal" or not seen:
             continue
         bf, p, basis, upper, Binv, x, xB, *rest = seen[-1]
-        dirn, opt_tol = rest[2], rest[4]
-        rhs = bf.b - bf.A @ x
+        dirn, opt_tol = rest[2], rest[-1]
+        rhs = p.b - bf.A @ x
         d = bf.c - bf.c[basis] @ Binv @ bf.A
         tight = (dirn != 0) & (np.abs(d) < 1e-3)
         v = null_space(np.column_stack([rhs, bf.A[:, tight]]).T)
@@ -966,5 +1058,9 @@ def test_certificate_needs_zero_basic_reduced_costs(monkeypatch):
         assert real(bf, p, basis, upper, Binv, x.copy(), xB,
                     *rest) is not None
         assert real(*args) is None, trial
+        lo_bent = rest[0].copy()
+        lo_bent[basis[0]] = xB[0] + 1.0
+        assert real(bf, p, basis, upper, Binv, x.copy(), xB, lo_bent,
+                    *rest[1:]) is None, trial
         refused += 1
     assert refused >= 10
