@@ -5,6 +5,13 @@ a factor-structured t-copula.  A family of such models prices each
 instrument (single-asset vanilla calls in closed form, everything else
 by Monte Carlo), and the bid/ask quotes of the generated market are the
 minimum/maximum prices across the family's models.
+
+The closed forms and the sampler call scipy.special's normal and
+Student t functions (ndtr, ndtri, stdtr) directly: the values are those
+of scipy.stats' norm and t, without their per-call dispatch.  Each
+model's Monte Carlo prices come from one pass over its samples:
+`cpwa.Stacked.means` evaluates every non-vanilla instrument together,
+block of rows by block of rows.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr, ndtri, stdtr
 
 from . import cpwa
 from .cpwa import CpwaFunction
@@ -103,16 +110,16 @@ class MarketModelFamily:
 
 def _trunc_lognorm_ppf(u, mu, sigma, xbar):
     """Quantile of a lognormal(mu, sigma^2) conditioned to [0, xbar]."""
-    alpha = stats.norm.cdf((np.log(xbar) - mu) / sigma)
-    return np.exp(mu + sigma * stats.norm.ppf(u * alpha))
+    alpha = ndtr((np.log(xbar) - mu) / sigma)
+    return np.exp(mu + sigma * ndtri(u * alpha))
 
 
 def trunc_lognorm_cdf(x, mu, sigma, xbar):
-    alpha = stats.norm.cdf((np.log(xbar) - mu) / sigma)
+    alpha = ndtr((np.log(xbar) - mu) / sigma)
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
-    out[pos] = stats.norm.cdf((np.log(x[pos]) - mu) / sigma) / alpha
+    out[pos] = ndtr((np.log(x[pos]) - mu) / sigma) / alpha
     return np.clip(out, 0.0, 1.0)
 
 
@@ -131,7 +138,7 @@ def sample_joint(marginal: MarginalModel, copula: CopulaModel, n,
     z = factors @ copula.loadings.T + idio
     w = rng.chisquare(copula.nu, size=n) / copula.nu
     t = z / np.sqrt(w)[:, None]
-    u = stats.t.cdf(t, df=copula.nu)
+    u = stdtr(copula.nu, t)
     u = np.clip(u, 1e-15, 1.0 - 1e-15)
     sigma = np.sqrt(marginal.sigma2)
     return _trunc_lognorm_ppf(u, marginal.mu, sigma, marginal.xbar)
@@ -142,16 +149,15 @@ def trunc_lognorm_call_price(mu, sigma2, xbar, strike) -> float:
     [0, xbar]."""
     sigma = np.sqrt(sigma2)
     d_hi = (np.log(xbar) - mu) / sigma
-    alpha = stats.norm.cdf(d_hi)
-    mean = np.exp(mu + sigma2 / 2.0) * stats.norm.cdf(d_hi - sigma) / alpha
+    alpha = ndtr(d_hi)
     if strike <= 0:
+        mean = np.exp(mu + sigma2 / 2.0) * ndtr(d_hi - sigma) / alpha
         return float(mean - strike)
     if strike >= xbar:
         return 0.0
     d_k = (np.log(strike) - mu) / sigma
-    num = (np.exp(mu + sigma2 / 2.0) *
-           (stats.norm.cdf(sigma - d_k) - stats.norm.cdf(sigma - d_hi)) -
-           strike * (stats.norm.cdf(d_hi) - stats.norm.cdf(d_k)))
+    num = (np.exp(mu + sigma2 / 2.0) * (ndtr(sigma - d_k) - ndtr(sigma - d_hi))
+           - strike * (alpha - ndtr(d_k)))
     return float(num / alpha)
 
 
@@ -174,7 +180,9 @@ def price_payoff(marginal: MarginalModel, copula: CopulaModel,
 def as_vanilla_call(payoff: CpwaFunction):
     """Recognize (x_i - strike)^+ (including the plain asset x_i, a
     zero-strike call on the positive domain): returns (asset, strike)
-    or None."""
+    or None.  The direction must be the unit vector e_i to within 1e-12
+    in every coordinate: (1.000001 x_i - strike)^+ is not a call on
+    x_i."""
     if len(payoff.terms) != 1 or payoff.terms[0].sign != 1:
         return None
     pieces = [(np.asarray(a), float(b)) for a, b in
@@ -187,7 +195,7 @@ def as_vanilla_call(payoff: CpwaFunction):
     j = int(np.argmax(np.abs(a)))
     e = np.zeros(payoff.dimension)
     e[j] = 1.0
-    if not np.allclose(a, e, atol=1e-12):
+    if not np.allclose(a, e, rtol=0.0, atol=1e-12):
         return None
     strike = -b
     if zero:
@@ -202,30 +210,33 @@ def as_vanilla_call(payoff: CpwaFunction):
 def build_market(family: MarketModelFamily, instruments) -> MarketInstance:
     """Price every instrument under every model; bid = min, ask = max.
 
-    Vanilla calls (and plain assets) are priced in closed form, other
-    payoffs by one Monte Carlo batch per model, shared across
-    instruments."""
+    Vanilla calls (and plain assets) are priced in closed form.  The
+    other payoffs are stacked once into a `cpwa.Stacked`, and each
+    model prices all of them from one batch of samples: the distinct
+    piece directions are applied to a block of sample rows at a time,
+    and every instrument's payoff is summed over the block from those
+    products (see `cpwa.Stacked.means`)."""
     d = family.dimension
     xbar = family.models[0][0].xbar
     for marg, _ in family.models:
         if not np.allclose(marg.xbar, xbar):
             raise ValueError("models must share the truncation bounds")
+    if any(payoff.dimension != d for payoff in instruments):
+        raise ValueError("instrument dimension mismatch")
+    calls = [as_vanilla_call(payoff) for payoff in instruments]
+    mc = [j for j, vc in enumerate(calls) if vc is None]
+    stacked = cpwa.Stacked([instruments[j] for j in mc])
     prices = np.zeros((len(family.models), len(instruments)))
     for i, (marg, cop) in enumerate(family.models):
-        batch = None
-        for j, payoff in enumerate(instruments):
-            if payoff.dimension != d:
-                raise ValueError("instrument dimension mismatch")
-            vc = as_vanilla_call(payoff)
+        for j, vc in enumerate(calls):
             if vc is not None:
                 a, k = vc
                 prices[i, j] = trunc_lognorm_call_price(
                     marg.mu[a], marg.sigma2[a], marg.xbar[a], k)
-            else:
-                if batch is None:
-                    batch = sample_joint(marg, cop, family.mc_samples,
-                                         seed=family.seed + i)
-                prices[i, j] = cpwa.evaluate_many(payoff, batch).mean()
+        if mc:
+            xs = sample_joint(marg, cop, family.mc_samples,
+                              seed=family.seed + i)
+            prices[i, mc] = stacked.means(xs)
     return MarketInstance(dimension=d, domain=Box(tuple(float(v)
                                                         for v in xbar)),
                           g=list(instruments), bid=prices.min(axis=0),

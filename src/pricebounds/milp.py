@@ -20,9 +20,10 @@ program with a completion (`MixedIntegerProgram.complete`, which
 `encoding.encode_min` sets), from the completed point of the root's and
 of every feasible child's LP solution.  A completed point is used only
 once it holds the program's rows within COMPLETION_TOL (1 + |b|_inf),
-its bounds, and is exactly 0 or 1 on every binary.  The bound p_low
-still comes from node LPs only.  Early incumbents prune nodes, and let a
-loose rel_gap stop the search before the optimal node is popped.
+its bounds, and is exactly 0 or 1 on every binary, and is checked and
+pooled once per search however many nodes complete to it.  The bound
+p_low still comes from node LPs only.  Early incumbents prune nodes, and
+let a loose rel_gap stop the search before the optimal node is popped.
 """
 
 from __future__ import annotations
@@ -158,11 +159,16 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
             p_bar, incumbent = v, x
 
     holds = None if p.complete is None else _checker(p.base, bset)
+    completed = set()
 
     def offer_completion(x):
         if holds is None:
             return
         xc = p.complete(x)
+        key = xc.tobytes()
+        if key in completed:
+            return  # this point was checked and offered already
+        completed.add(key)
         if holds(xc):
             offer(xc, float(p.base.objective @ xc) + offset)
 

@@ -212,3 +212,24 @@ def test_stacked_matches_evaluate():
             ref = np.array([cpwa.evaluate(f, x) for f in fs])
             assert np.allclose(at(x), ref, rtol=1e-12, atol=1e-12), trial
     assert cpwa.Stacked([])(np.zeros(2)).shape == (0,)
+
+
+def test_stacked_means_match_evaluate_many():
+    """Means over more rows than one block, of functions that share piece
+    directions, agree with evaluate_many's means to 1e-12 of the mean
+    absolute value."""
+    rng = rng_for(206)
+    n = cpwa.MEAN_BLOCK_ROWS + 123
+    for trial in range(10):
+        d = int(rng.integers(1, 4))
+        fs = [random_cpwa(rng, d, max_terms=3, max_pieces=4)
+              for _ in range(4)]
+        fs += [cpwa.call_on_min(d, list(range(d)), 1.0),
+               cpwa.linear_combination([1.0, -1.0], fs[:2])]
+        xs = rng.uniform(0, 10, size=(n, d))
+        vals = [cpwa.evaluate_many(f, xs) for f in fs]
+        ref = np.array([v.mean() for v in vals])
+        scale = np.array([np.abs(v).mean() for v in vals])
+        means = cpwa.Stacked(fs).means(xs)
+        assert np.all(np.abs(means - ref) <= 1e-12 * scale), trial
+    assert cpwa.Stacked([]).means(np.zeros((3, 2))).shape == (0,)

@@ -171,3 +171,83 @@ def test_random_family_parameter_ranges():
     assert np.all(m2.sigma2 >= m1.sigma2)
     assert np.all(m2.sigma2 <= m1.sigma2 + 0.1)
     assert c1.nu == 3.0 and c2.nu == 20.0
+
+
+def _reference_call(mu, s2, xbar, k):
+    """The truncated call in closed form through scipy.stats.norm.cdf."""
+    cdf = stats.norm.cdf
+    sigma = np.sqrt(s2)
+    d_hi = (np.log(xbar) - mu) / sigma
+    alpha = cdf(d_hi)
+    if k <= 0:
+        return float(np.exp(mu + s2 / 2.0) * cdf(d_hi - sigma) / alpha - k)
+    if k >= xbar:
+        return 0.0
+    d_k = (np.log(k) - mu) / sigma
+    return float((np.exp(mu + s2 / 2.0) * (cdf(sigma - d_k) -
+                                           cdf(sigma - d_hi)) -
+                  k * (cdf(d_hi) - cdf(d_k))) / alpha)
+
+
+def test_closed_forms_equal_the_scipy_stats_formula():
+    grid = [(mu, s2, xbar, k)
+            for mu in (-0.3, 0.5, 1.0) for s2 in (0.2, 0.8)
+            for xbar in (10.0, 100.0)
+            for k in (-1.0, 0.0, 0.5, 3.0, 9.99, 10.0, 12.0, 100.0, 150.0)]
+    for mu, s2, xbar, k in grid:
+        call = _reference_call(mu, s2, xbar, k)
+        mean = _reference_call(mu, s2, xbar, 0.0)
+        assert market.trunc_lognorm_call_price(mu, s2, xbar, k) == call
+        assert (market.trunc_lognorm_put_price(mu, s2, xbar, k) ==
+                float(call - mean + k))
+
+
+def test_full_preset_quotes_match_closed_form_and_per_instrument_mc():
+    """All 439 instruments: vanilla quotes are the closed form bit for
+    bit, Monte Carlo quotes the per-instrument sample means to 1e-12."""
+    fam = market.five_asset_family(seed=6, mc_samples=4000)
+    instruments = market.five_asset_instruments()
+    inst = market.build_market(fam, instruments)
+    samples = [market.sample_joint(marg, cop, fam.mc_samples,
+                                   seed=fam.seed + i)
+               for i, (marg, cop) in enumerate(fam.models)]
+    mc = 0
+    for j, g in enumerate(instruments):
+        vc = market.as_vanilla_call(g)
+        if vc is not None:
+            a, k = vc
+            prices = [market.trunc_lognorm_call_price(
+                marg.mu[a], marg.sigma2[a], marg.xbar[a], k)
+                for marg, _ in fam.models]
+            assert inst.bid[j] == min(prices) and inst.ask[j] == max(prices)
+        else:
+            prices = [cpwa.evaluate_many(g, xs).mean() for xs in samples]
+            assert inst.bid[j] == pytest.approx(min(prices), rel=1e-12)
+            assert inst.ask[j] == pytest.approx(max(prices), rel=1e-12)
+            mc += 1
+    assert mc == 384
+
+
+def test_one_instrument_market_builds():
+    """A single Monte Carlo instrument (all-vanilla markets are built in
+    test_build_market_spread_and_determinism)."""
+    fam = market.five_asset_family(seed=2, mc_samples=500)
+    one = market.build_market(fam, [cpwa.basket_call([0.2] * 5, 3.0)])
+    assert one.m == 1 and 0.0 < one.bid[0] <= one.ask[0]
+
+
+def test_near_unit_direction_is_priced_by_monte_carlo():
+    """(1.000001 x_0 - 3)^+ is not the vanilla call (x_0 - 3)^+."""
+    w = np.zeros(5)
+    w[0] = 1.0 + 1e-6
+    near = cpwa.basket_call(w, 3.0)
+    assert market.as_vanilla_call(near) is None
+    assert market.as_vanilla_call(cpwa.vanilla_call(5, 0, 3.0)) == (0, 3.0)
+    fam = market.five_asset_family(seed=3, mc_samples=2000)
+    inst = market.build_market(fam, [near, cpwa.vanilla_call(5, 0, 3.0)])
+    prices = [cpwa.evaluate_many(near, market.sample_joint(
+        marg, cop, fam.mc_samples, seed=fam.seed + i)).mean()
+        for i, (marg, cop) in enumerate(fam.models)]
+    assert inst.bid[0] == pytest.approx(min(prices), rel=1e-12)
+    assert inst.ask[0] == pytest.approx(max(prices), rel=1e-12)
+    assert inst.bid[0] != inst.bid[1] and inst.ask[0] != inst.ask[1]

@@ -347,3 +347,45 @@ def test_broken_completion_is_never_accepted(mutation):
         assert np.array_equal(res.incumbent, plain.incumbent), trial
         checked += 1
     assert checked > 20
+
+
+def test_each_completed_point_is_checked_once(monkeypatch):
+    """The search checks and offers each distinct completed point once,
+    the same set of points that it completes, however many nodes
+    complete to the same point."""
+    checked = []
+    checker = milp_module._checker
+
+    def logging_checker(q, bset):
+        holds = checker(q, bset)
+
+        def logged(x):
+            checked.append(x.tobytes())
+            return holds(x)
+        return logged
+
+    monkeypatch.setattr(milp_module, "_checker", logging_checker)
+    rng = rng_for(309)
+    repeats = 0
+    for trial in range(60):
+        d = int(rng.integers(1, 3))
+        inst = random_box_instance(rng, d, int(rng.integers(1, 5)))
+        tmpl = cpwa.slack_template(
+            inst.g, cpwa.call_on_max(d, list(range(d)), 2.0))
+        h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=inst.m))
+        enc = encode_min(h, inst.box_array())
+        prog, completed = enc.program, []
+
+        def logged(x):
+            xc = prog.complete(x)
+            completed.append(xc.tobytes())
+            return xc
+
+        del checked[:]
+        solve_milp(MixedIntegerProgram(prog.base, prog.binary_vars, logged),
+                   MilpOptions(rel_gap=0.8, pool_threshold=0.7),
+                   offset=enc.constant)
+        assert len(checked) == len(set(checked)), trial
+        assert set(checked) == set(completed), trial
+        repeats += len(completed) - len(checked)
+    assert repeats > 0
