@@ -28,6 +28,9 @@ from .encoding import encode_min
 from .ecp import (MarketInstance, BoundsResult, CutSet, price_pi,
                   compute_lower_phi, dominating_cash, verify_hedge)
 
+MAX_ITERATIONS = 100000
+NODE_LIMIT = 50000  # branch-and-bound nodes per slack MILP
+
 
 class LpContradictionError(RuntimeError):
     """The Chebyshev LP found the speculative band empty, but the
@@ -47,8 +50,6 @@ class AccpOptions:
     phi_high: float = None
     initial_portfolio: tuple = None  # (c0, y0), must dominate f
     initial_support: list = field(default_factory=list)
-    node_limit: int = 50000
-    max_iterations: int = 100000
 
 
 @dataclass
@@ -155,7 +156,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
     r = 0
     while phi_hi - phi_lo > eps:
         r += 1
-        if r > opts.max_iterations:
+        if r > MAX_ITERATIONS:
             raise RuntimeError("iteration limit reached")
         phi_mid = (phi_lo + phi_hi) / 2.0
         if flag:
@@ -208,7 +209,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         res = solve_milp(enc.program,
                          MilpOptions(rel_gap=opts.zeta,
                                      pool_threshold=opts.delta,
-                                     node_limit=opts.node_limit),
+                                     node_limit=NODE_LIMIT),
                          offset=enc.constant + c_r)
         milp_count += 1
         milp_nodes += res.nodes

@@ -79,12 +79,13 @@ class OptionChain:
 
     @staticmethod
     def from_json_dict(obj):
-        return OptionChain(strikes=obj["strikes"],
-                           call_bid=obj["call"]["bid"],
-                           call_ask=obj["call"]["ask"],
-                           put_bid=obj["put"]["bid"],
-                           put_ask=obj["put"]["ask"],
-                           xbar=obj.get("xbar"))
+        """to_json_dict's chain; ValueError names a bad field."""
+        read = cpwa.json_field
+        return OptionChain(
+            strikes=read(obj, "strikes"), call_bid=read(obj, "call.bid"),
+            call_ask=read(obj, "call.ask"), put_bid=read(obj, "put.bid"),
+            put_ask=read(obj, "put.ask"), xbar=None
+            if obj.get("xbar") is None else read(obj, "xbar", float))
 
 
 @dataclass

@@ -33,26 +33,29 @@ EXIT_RESOURCE = 3
 
 def parse_payoff_spec(spec, d):
     """Parse 'kind:key=value,...' payoff strings.  List values use '+'
-    separators, e.g. 'call_on_max:assets=1+2+3,strike=5'."""
+    separators, e.g. 'call_on_max:assets=1+2+3,strike=5'; `assets`,
+    `weights` and `strikes` are lists even with one entry.  A bad spec,
+    or an asset index not an integer in [0, d), raises ValueError."""
     kind, _, rest = spec.partition(":")
     params = {"d": d}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not _:
-                raise ValueError("bad payoff parameter %r" % item)
-            if "+" in val:
-                vals = [float(v) for v in val.split("+")]
-                if key in ("assets",):
-                    vals = [int(v) for v in vals]
-                params[key.strip()] = vals
-            else:
-                fv = float(val)
-                params[key.strip()] = (int(fv) if key in
-                                       ("asset", "long", "short") else fv)
-    if "assets" in params:
-        params["assets"] = [int(v) for v in params["assets"]]
-    return cpwa.make_payoff(kind.strip(), params)
+    for item in rest.split(",") if rest else []:
+        key, eq, val = item.partition("=")
+        key = key.strip()
+        is_list = key in ("assets", "weights", "strikes")
+        vals = val.split("+")
+        if not eq or len(vals) > 1 and not is_list:
+            raise ValueError("bad payoff parameter %r" % item)
+        vals = [float(v) for v in vals]
+        if key in ("asset", "long", "short", "assets"):
+            if not all(v.is_integer() and 0 <= v < d for v in vals):
+                raise ValueError("bad asset index in %r" % item)
+            vals = [int(v) for v in vals]
+        params[key] = vals if is_list else vals[0]
+    try:
+        return cpwa.make_payoff(kind.strip(), params)
+    except KeyError as exc:
+        raise ValueError("payoff %r needs the parameter %s"
+                         % (kind.strip(), exc)) from None
 
 
 def _load_instance(path):
@@ -79,20 +82,18 @@ def solve_one(instance, f, algo, epsilon, tau, delta, gamma, zeta,
     # and phi(-f) >= -max(f) follow from any feasible measure
     c_f = dominating_cash(instance, f)
     c_nf = dominating_cash(instance, neg_f)
-    if algo == "ecp":
-        up = solve_ecp(instance, f, EcpOptions(
-            epsilon=epsilon, tau=tau, delta=delta, xbar=xbar,
-            phi_low=-c_nf, initial_support=support))
-        lo = solve_ecp(instance, neg_f, EcpOptions(
-            epsilon=epsilon, tau=tau, delta=delta, xbar=xbar,
-            phi_low=-c_f, initial_support=up.support))
-    else:
-        up, _ = solve_accp(instance, f, AccpOptions(
-            epsilon=epsilon, tau=tau, delta=delta, gamma=gamma,
-            zeta=zeta, phi_low=-c_nf, initial_support=support))
-        lo, _ = solve_accp(instance, neg_f, AccpOptions(
-            epsilon=epsilon, tau=tau, delta=delta, gamma=gamma,
-            zeta=zeta, phi_low=-c_f, initial_support=up.support))
+
+    def bound(g, phi_low, initial_support):
+        if algo == "ecp":
+            return solve_ecp(instance, g, EcpOptions(
+                epsilon=epsilon, tau=tau, delta=delta, xbar=xbar,
+                phi_low=phi_low, initial_support=initial_support))
+        return solve_accp(instance, g, AccpOptions(
+            epsilon=epsilon, tau=tau, delta=delta, gamma=gamma, zeta=zeta,
+            phi_low=phi_low, initial_support=initial_support))[0]
+
+    up = bound(f, -c_nf, support)
+    lo = bound(neg_f, -c_f, up.support)
     return {"ub": up.phi_ub, "lb": -lo.phi_ub,
             "ub_lb_gap": (up.phi_ub - up.phi_lb,
                           lo.phi_ub - lo.phi_lb),
@@ -118,8 +119,8 @@ def _sweep_strikes(sweep_spec):
     if len(parts) != 3:
         raise ValueError("--sweep expects start:stop:step")
     start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise ValueError("--sweep step must be positive")
+    if step <= 0 or stop < start:
+        raise ValueError("--sweep needs start <= stop and a positive step")
     n = int(np.floor((stop - start) / step + 1e-9)) + 1
     return [start + i * step for i in range(n)]
 

@@ -195,15 +195,15 @@ def linear_combination(coeffs, fs) -> CpwaFunction:
     return CpwaFunction(d, tuple(terms))
 
 
-def prune(f: CpwaFunction, threshold=PRUNE_THRESHOLD) -> CpwaFunction:
-    """Drop near-zero pieces from terms that have more than one piece."""
+def prune(f: CpwaFunction) -> CpwaFunction:
+    """Drop pieces within PRUNE_THRESHOLD of zero from multi-piece terms."""
     terms = []
     for t in f.terms:
         pieces = t.pieces
         if len(pieces) > 1:
             kept = tuple(p for p in pieces
-                         if np.abs(p[0]).max(initial=0.0) > threshold
-                         or abs(p[1]) > threshold)
+                         if np.abs(p[0]).max(initial=0.0) > PRUNE_THRESHOLD
+                         or abs(p[1]) > PRUNE_THRESHOLD)
             if len(kept) < len(pieces):
                 # keep an explicit zero piece so the max is unchanged
                 kept = kept + ((np.zeros(f.dimension), 0.0),)
@@ -383,6 +383,22 @@ def to_json_dict(f: CpwaFunction) -> dict:
             for t in f.terms
         ],
     }
+
+
+def json_field(obj, path, convert=None):
+    """convert(value) (by default a float array) of the JSON field at path,
+    'key' or 'key.subkey'.  A missing field, or a value that convert
+    rejects, raises ValueError naming the field."""
+    value = obj
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError("missing field %r" % path)
+        value = value[key]
+    try:
+        return (np.asarray(value, dtype=float) if convert is None
+                else convert(value))
+    except (TypeError, ValueError, KeyError, IndexError) as exc:
+        raise ValueError("bad field %r: %r" % (path, exc)) from None
 
 
 def from_json_dict(obj) -> CpwaFunction:

@@ -29,6 +29,7 @@ from .encoding import encode_min, minimize_over_box
 from . import radial as radial_mod
 
 SUPPORT_ROUNDING = 4  # support points rounded to multiples of 1e-4
+MAX_ITERATIONS = 10000
 
 
 @dataclass(frozen=True)
@@ -91,13 +92,16 @@ class MarketInstance:
 
     @staticmethod
     def from_json_dict(obj):
-        dom = obj["domain"]
-        domain = (Box(tuple(dom["box"])) if "box" in dom
-                  else HalfSpacePositive())
+        """to_json_dict's instance; ValueError names a bad field."""
+        read = cpwa.json_field
+        domain = HalfSpacePositive()
+        if "box" in read(obj, "domain", dict):
+            domain = Box(read(obj, "domain.box",
+                              lambda v: tuple(map(float, v))))
         return MarketInstance(
-            dimension=int(obj["d"]), domain=domain,
-            g=[cpwa.from_json_dict(gj) for gj in obj["g"]],
-            bid=obj["bid"], ask=obj["ask"])
+            dimension=read(obj, "d", int), domain=domain,
+            g=read(obj, "g", lambda v: [cpwa.from_json_dict(gj) for gj in v]),
+            bid=read(obj, "bid"), ask=read(obj, "ask"))
 
 
 @dataclass
@@ -108,8 +112,6 @@ class EcpOptions:
     xbar: np.ndarray = None  # Setting-1 MILP box
     phi_low: float = None  # verified lower bound on phi(f)
     initial_support: list = field(default_factory=list)
-    milp_gap: float = 1e-9
-    max_iterations: int = 10000
 
 
 @dataclass
@@ -307,7 +309,7 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
     it = 0
     while True:
         it += 1
-        if it > opts.max_iterations:
+        if it > MAX_ITERATIONS:
             raise RuntimeError("iteration limit reached in cutting-plane "
                                "loop")
         A = np.vstack([fixed_A, cuts.row(range(len(cuts)), n)])
@@ -325,8 +327,7 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
         slack_fn = cpwa.instantiate(template, y_r)
         enc = encode_min(slack_fn, box)
         res = solve_milp(enc.program,
-                         MilpOptions(rel_gap=opts.milp_gap,
-                                     pool_threshold=opts.delta),
+                         MilpOptions(pool_threshold=opts.delta),
                          offset=enc.constant + c_r)
         milp_count += 1
         milp_nodes += res.nodes

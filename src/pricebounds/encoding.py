@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpwa import CpwaFunction, prune as prune_cpwa, PRUNE_THRESHOLD
+from .cpwa import CpwaFunction, prune as prune_cpwa
 from .lp import LinearProgram
 from .milp import MixedIntegerProgram, MilpOptions, solve_milp
 
@@ -106,37 +106,20 @@ class _Completion:
 @dataclass
 class Encoding:
     program: MixedIntegerProgram
-    x_indices: list
     constant: float  # objective offset from collapsed affine addends
-    # per retained term: ("max", lambda_idx) | ("minmax", zeta_idx,
-    #     delta_idxs, iota_idxs)
-    term_vars: list
-
-    def decode(self, x_full):
-        x_full = np.asarray(x_full, dtype=float)
-        out = {"x": x_full[self.x_indices]}
-        lambdas, zetas, deltas, iotas = [], [], [], []
-        for tv in self.term_vars:
-            if tv[0] == "max":
-                lambdas.append(float(x_full[tv[1]]))
-            else:
-                zetas.append(float(x_full[tv[1]]))
-                deltas.append([float(x_full[i]) for i in tv[2]])
-                iotas.append([int(round(x_full[i])) for i in tv[3]])
-        out.update(lambdas=lambdas, zetas=zetas, deltas=deltas,
-                   iotas=iotas)
-        return out
 
 
-def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
-               ) -> Encoding:
+def encode_min(h: CpwaFunction, box) -> Encoding:
+    """The MILP whose minimum plus `constant` is the minimum over [0, box]
+    of h, pruned by cpwa.prune.  Its variables are x, then per retained
+    term: lambda if positive; zeta, P deltas and P binary iotas if not."""
     xbar = np.asarray(box, dtype=float)
     if np.any(xbar <= 0):
         raise ValueError("box must be strictly positive")
     d = h.dimension
     if len(xbar) != d:
         raise ValueError("box dimension mismatch")
-    h = prune_cpwa(h, prune_threshold)
+    h = prune_cpwa(h)
 
     # one pass sizes the program: a positive term with P pieces adds
     # lambda and P rows; a negative one adds zeta, P deltas, P iotas and
@@ -161,7 +144,7 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
     c[:d] = c_x
     lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
     lo[:d], hi[:d] = 0.0, xbar
-    binaries, term_vars = [], []
+    binaries = []
     # the completion's stacked pieces: their rows, and per term its first
     # piece and its lambda or zeta; the pieces of negative terms, with the
     # first of each term and each piece's delta and iota
@@ -181,7 +164,6 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
             A[piece_rows, j] = -1.0
             sense[piece_rows] = -1
             c[j] = 1.0
-            term_vars.append(("max", j))
             i, j = i + P, j + 1
             continue
         # zeta is variable j, the deltas follow it, then the iotas
@@ -205,8 +187,6 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
         neg += range(starts[-1], starts[-1] + P)
         delta += range(dl, io)
         iota += range(io, io + P)
-        term_vars.append(("minmax", zeta, list(range(dl, io)),
-                          list(range(io, io + P))))
         i, j = i + 2 * P + 1, io + P
 
     sizes = np.diff(starts + [len(prows)])
@@ -220,8 +200,7 @@ def encode_min(h: CpwaFunction, box, prune_threshold=PRUNE_THRESHOLD
     program = MixedIntegerProgram(
         LinearProgram.from_arrays(c, A, rhs, sense, lo, hi), binaries,
         complete)
-    return Encoding(program=program, x_indices=list(range(d)),
-                    constant=constant, term_vars=term_vars)
+    return Encoding(program=program, constant=constant)
 
 
 def minimize_over_box(h: CpwaFunction, box, opts: MilpOptions = None,

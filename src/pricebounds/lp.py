@@ -58,9 +58,9 @@ Farkas vector that still fails widens the artificial bounds, once, as
 an artificial bound may be what blocks its row; any other failure right
 after a factorization ends the solve.  A cold solve that ends without a
 checked result raises ConditioningError, or ResourceLimitError at its
-iteration cap.  Every basis is factorized through its kernel: the
-logicals make it block triangular, and only the rows and columns they
-leave are LU-factorized.
+iteration cap, MAX_ITER (the tolerances are FEAS_TOL and OPT_TOL).  Every
+basis is factorized through its kernel: the logicals make it block
+triangular, and only the rows and columns they leave are LU-factorized.
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ FEAS_TOL = 1e-9
 OPT_TOL = 1e-9
 CONDITION_RATIO_MAX = 1e12
 MAX_ITER = 100000
+RHO_CAP = 1e9  # largest radius chebyshev_center returns
 # smallest pivot element the dual ratio test accepts
 PIVOT_TOL = 1e-9
 # largest relative gap between a dual-simplex pivot element computed from
@@ -364,7 +365,7 @@ def _nonbasic(lo, hi, upper, basis):
 
 
 def _certified(bf, p, basis, upper, Binv, x, xB, lo, hi, dirn, free, tol,
-               iters, opt_tol):
+               iters):
     """The optimal solution of p at a dual-simplex basis of bf, if the
     arrays the dual simplex maintained certify it; None otherwise.  x
     holds the nonbasic columns (see _nonbasic) and zero on the basis.
@@ -372,9 +373,9 @@ def _certified(bf, p, basis, upper, Binv, x, xB, lo, hi, dirn, free, tol,
     bounds, and their residual against b - A x; the reduced costs
     c - y A, recomputed rather than the updated ones, for their sign on
     the nonbasic columns (dirn) and for zero on the basic and the free
-    ones, each within opt_tol times the size of its terms
+    ones, each within OPT_TOL times the size of its terms
     |c_j| + |y| |A_j|; and the gap between the primal and the dual
-    objective, within opt_tol times the size of its terms.  The
+    objective, within OPT_TOL times the size of its terms.  The
     solution keeps (bf, basis, upper, B^-1, reduced costs) as its `warm`
     state, so that a re-solve from it starts from copies and factorizes
     nothing."""
@@ -392,12 +393,12 @@ def _certified(bf, p, basis, upper, Binv, x, xB, lo, hi, dirn, free, tol,
     if not (np.abs(A[:, basis] @ xB - rhs).max(initial=0.0) <=
             RESIDUAL_TOL * (1.0 + np.abs(rhs).max(initial=0.0)) and
             np.maximum(lo_B - xB, xB - hi_B).max(initial=0.0) <= tol and
-            (dirn * dn).min(initial=0.0) >= -opt_tol and
-            np.abs(dn[zero]).max(initial=0.0) <= opt_tol):
+            (dirn * dn).min(initial=0.0) >= -OPT_TOL and
+            np.abs(dn[zero]).max(initial=0.0) <= OPT_TOL):
         return None
     # primal less dual objective, within the rounding of their terms
     gap = cB @ xB - y @ rhs
-    if not abs(gap) <= opt_tol * (1.0 + np.abs(cB) @ np.abs(xB) +
+    if not abs(gap) <= OPT_TOL * (1.0 + np.abs(cB) @ np.abs(xB) +
                                   np.abs(y) @ np.abs(rhs)):
         return None
     d[basis] = 0.0
@@ -421,8 +422,7 @@ def _widen(lo, hi, lo_t, hi_t):
     return bool(art_lo.any() or art_hi.any())
 
 
-def _simplex(p, bf, basis, upper, Binv, d, lo, hi, fresh, feas_tol, opt_tol,
-             max_iter):
+def _simplex(p, bf, basis, upper, Binv, d, lo, hi, fresh):
     """Solve p by the bounded dual simplex on its bounded form bf from a
     dual feasible basis, with B^-1 and reduced costs d, and with
     nonbasic columns as `upper` places them within lo and hi.  Where lo
@@ -439,8 +439,8 @@ def _simplex(p, bf, basis, upper, Binv, d, lo, hi, fresh, feas_tol, opt_tol,
     # tolerances from the row data: bound values, real or artificial,
     # must not loosen them
     scale = 1.0 + np.abs(b).max(initial=0.0)
-    tol = feas_tol * scale
-    cap = min(max_iter, 20 * (len(b) + len(x)) + 500)
+    tol = FEAS_TOL * scale
+    cap = min(MAX_ITER, 20 * (len(b) + len(x)) + 500)
     it = stall = 0
     drifted = widened = False
     while True:
@@ -464,10 +464,10 @@ def _simplex(p, bf, basis, upper, Binv, d, lo, hi, fresh, feas_tol, opt_tol,
                 continue
             at_art = np.where(upper, hi != hi_t, lo != lo_t)
             at_art[basis] = False
-            flat = at_art & (np.abs(d) <= opt_tol)
+            flat = at_art & (np.abs(d) <= OPT_TOL)
             if not at_art.any():
                 sol = _certified(bf, p, basis, upper, Binv, x, xB, lo, hi,
-                                 dirn, free, tol, it, opt_tol)
+                                 dirn, free, tol, it)
                 if sol is not None:
                     return sol
                 failed = "certificate check failed"
@@ -565,7 +565,7 @@ def _simplex(p, bf, basis, upper, Binv, d, lo, hi, fresh, feas_tol, opt_tol,
         lo_B, hi_B = lo[basis], hi[basis]
 
 
-def _solve_cold(p, feas_tol, opt_tol, max_iter):
+def _solve_cold(p):
     """Solve p from the slack basis (see the module docstring)."""
     _check_conditioning(p)
     bf = _form(p)
@@ -577,8 +577,7 @@ def _solve_cold(p, feas_tol, opt_tol, max_iter):
     hi[(c < 0.0) & np.isinf(hi)] = big
     upper = (c < 0.0) | ((c == 0.0) & np.isinf(lo) & np.isfinite(hi))
     return _simplex(p, bf, n + np.arange(m), upper,
-                    np.diag(bf.A[:, n:].diagonal()), c.copy(), lo, hi, True,
-                    feas_tol, opt_tol, max_iter)
+                    np.diag(bf.A[:, n:].diagonal()), c.copy(), lo, hi, True)
 
 
 def _same(u, v):
@@ -651,7 +650,7 @@ def _rebased(p, bf, basis, upper):
     return _form(p), basis_p, upper_p
 
 
-def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
+def _solve_warm(p, start):
     """Re-solve p from start's basis.  p must have start's objective and
     the same finite variable bounds; its bounds and rows may differ.  When
     p has start's rows, the solve runs in start's bounded form from
@@ -679,12 +678,10 @@ def _solve_warm(p, start, feas_tol, opt_tol, max_iter):
         Binv, d = _inverse(bf, basis)
         fresh = True
     lo, hi = _bounds(p)
-    return _simplex(p, bf, basis, upper, Binv, d, lo, hi, fresh, feas_tol,
-                    opt_tol, max_iter)
+    return _simplex(p, bf, basis, upper, Binv, d, lo, hi, fresh)
 
 
-def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
-             max_iter=MAX_ITER, start: LpSolution = None) -> LpSolution:
+def solve_lp(p: LinearProgram, start: LpSolution = None) -> LpSolution:
     """Solve p.  `start` is an optimal solution of a program with the same
     objective and the same finite variable bounds, such as the parent of
     a branch-and-bound node or the previous LP of a cutting-plane loop;
@@ -692,23 +689,25 @@ def solve_lp(p: LinearProgram, feas_tol=FEAS_TOL, opt_tol=OPT_TOL,
     then re-optimizes from its basis (see _solve_warm), and falls back to
     the cold start when it cannot; the result's `fallback` says why.  A
     cold solve that ends without a checked result raises
-    ConditioningError, or ResourceLimitError at its iteration cap."""
+    ConditioningError, or ResourceLimitError at its iteration cap.
+    Tolerances and the cap are FEAS_TOL, OPT_TOL and MAX_ITER."""
     fallback = None
     if start is not None:
         try:
-            return _solve_warm(p, start, feas_tol, opt_tol, max_iter)
+            return _solve_warm(p, start)
         except _Unsolved as exc:
             fallback = str(exc)
     try:
-        sol = _solve_cold(p, feas_tol, opt_tol, max_iter)
+        sol = _solve_cold(p)
     except _Unsolved as exc:
         raise exc.error("dual simplex: %s" % exc) from None
     sol.fallback = fallback
     return sol
 
 
-def chebyshev_center(A, b, scales=None, rho_cap=1e9, start=None):
-    """Center and radius of the largest ball inscribed in {v : A v >= b}.
+def chebyshev_center(A, b, scales=None, start=None):
+    """Center and radius of the largest ball inscribed in {v : A v >= b},
+    with the radius capped at RHO_CAP.
 
     scales: optional per-row scale replacing the default Euclidean norm of
     row i in  A_i v - scale_i * rho >= b_i.
@@ -727,7 +726,7 @@ def chebyshev_center(A, b, scales=None, rho_cap=1e9, start=None):
     c[-1] = -1.0
     lo = np.full(n + 1, -np.inf)
     hi = np.full(n + 1, np.inf)
-    lo[-1], hi[-1] = 0.0, rho_cap
+    lo[-1], hi[-1] = 0.0, RHO_CAP
     p = LinearProgram.from_arrays(
         c, np.column_stack([A, -np.asarray(scales, dtype=float)]), b,
         np.ones(m), lo, hi)

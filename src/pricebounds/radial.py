@@ -32,7 +32,8 @@ from .cpwa import SlackTemplate
 from .lp import (LinearProgram, solve_lp, ResourceLimitError,
                  ConditioningError)
 
-ROW_CAP_DEFAULT = 100000
+# largest radial system `generate` builds, in rows
+ROW_CAP = 100000
 # cone witnesses: weight sign and sum, and V @ x <= 0 relative to |V|
 WITNESS_TOL = 1e-9
 
@@ -168,7 +169,7 @@ def _open_cone_tuples(dirs, k=0, prefix=(), uniq=(), useen=frozenset()):
         yield from _open_cone_tuples(dirs, k + 1, prefix + (ik,), u, seen)
 
 
-def generate(tmpl: SlackTemplate, row_cap=ROW_CAP_DEFAULT) -> RadialSystem:
+def generate(tmpl: SlackTemplate) -> RadialSystem:
     """Build the inequality system from a radial slack template
     (all piece offsets zero).
 
@@ -176,7 +177,7 @@ def generate(tmpl: SlackTemplate, row_cap=ROW_CAP_DEFAULT) -> RadialSystem:
     prefix whose difference cone is already empty is not extended (see
     the module docstring for why that is exact).  Blocks equal to an
     earlier block are dropped, and ResourceLimitError is raised once the
-    system would exceed `row_cap` rows."""
+    system would exceed ROW_CAP rows."""
     d = tmpl.dimension
     blocks = []
     seen = set()
@@ -196,9 +197,9 @@ def generate(tmpl: SlackTemplate, row_cap=ROW_CAP_DEFAULT) -> RadialSystem:
             continue
         seen.add(key)
         rows += d
-        if rows > row_cap:
+        if rows > ROW_CAP:
             raise ResourceLimitError(
-                "radial system exceeds %d rows" % row_cap)
+                "radial system exceeds %d rows" % ROW_CAP)
         blocks.append(RadialBlock(Y=Y, E=E, rhs=rhs, tuple_index=tup))
     return RadialSystem(m=tmpl.m, dimension=d, blocks=blocks)
 

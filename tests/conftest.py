@@ -89,6 +89,26 @@ def assert_integer_feasible(p, x, row_tol=1e-9, int_tol=0.0):
     assert (np.minimum(np.abs(xb), np.abs(xb - 1.0)) <= int_tol).all()
 
 
+def negative_terms(program):
+    """(zeta, deltas, iotas) per negative term of an encode_min program,
+    read from its arrays: a term's iotas are the variables of one = row
+    over binary variables only, and its zeta (objective -1) and its
+    deltas (lower bound 0) are the variables just before them (see
+    encode_min)."""
+    p = program.base
+    binary = np.zeros(len(p.objective), dtype=bool)
+    binary[program.binary_vars] = True
+    one_hot = (p.sense == 0) & ~(p.A[:, ~binary] != 0).any(axis=1)
+    out = []
+    for row in p.A[one_hot]:
+        iotas = row.nonzero()[0].tolist()
+        first, P = iotas[0], len(iotas)
+        assert p.objective[first - P - 1] == -1.0
+        assert (p.lo[first - P:first] == 0.0).all()
+        out.append((first - P - 1, list(range(first - P, first)), iotas))
+    return out
+
+
 def grid_points(box, step):
     axes = [np.arange(0.0, b + step / 2, step) for b in box]
     return np.array(list(itertools.product(*axes)))

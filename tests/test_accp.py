@@ -170,18 +170,19 @@ def test_empty_band_without_a_higher_lower_bound_raises(monkeypatch,
                    AccpOptions(epsilon=EPS, phi_low=0.0))
 
 
-def test_bracket_closes_when_the_gap_is_below_two_eps():
+def test_bracket_closes_when_the_gap_is_below_two_eps(monkeypatch):
     """A center in the band gains at least half the gap, which is less than
-    eps once the gap is below 2 eps.  On this single-asset instance ACCP
+    eps once the gap is below 2 eps.  On these single-asset instances ACCP
     used to stop moving its bounds there and cycle until the iteration
-    limit."""
+    limit, which is lowered to 200 so that a return of the cycle fails
+    fast."""
+    monkeypatch.setattr(accp, "MAX_ITERATIONS", 200)
     rng = rng_for(402)
     for n_calls in (3, 3, 3, 4, 4):
         inst = random_box_instance(rng, 1, n_calls)
         strike = float(rng.integers(1, 8))
         f = pb.vanilla_call(1, int(rng.integers(1)), strike)
-    res, _ = solve_accp(inst, f, AccpOptions(epsilon=EPS, phi_low=0.0,
-                                             max_iterations=200))
-    assert res.status == "ok"
-    assert res.phi_ub - res.phi_lb <= EPS + 1e-12
-    assert verify_hedge(inst, f, res.c_star, res.y_star) >= -1e-6
+        res, _ = solve_accp(inst, f, AccpOptions(epsilon=EPS, phi_low=0.0))
+        assert res.status == "ok"
+        assert res.phi_ub - res.phi_lb <= EPS + 1e-12
+        assert verify_hedge(inst, f, res.c_star, res.y_star) >= -1e-6

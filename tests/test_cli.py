@@ -50,6 +50,92 @@ def test_sweep_parsing():
         _sweep_strikes("1:3")
 
 
+def test_one_element_payoff_specs():
+    """assets, weights and strikes are lists even with one entry, keys
+    are stripped, and asset indices are integers."""
+    f = parse_payoff_spec("call_on_max:assets=0,strike=5", 1)
+    assert cpwa.evaluate(f, [7.0]) == 2.0
+    g = parse_payoff_spec("basket_call:weights=1,strike=2", 1)
+    assert cpwa.evaluate(g, [5.0]) == 3.0
+    h = parse_payoff_spec("vanilla_call: asset=0, strike=2", 1)
+    assert cpwa.evaluate(h, [5.0]) == 3.0
+    k = parse_payoff_spec("best_of_calls:assets=1,strikes=2", 2)
+    assert cpwa.evaluate(k, [9.0, 5.0]) == 3.0
+    s = parse_payoff_spec("spread_call:long=1.0,short=0,strike=1", 2)
+    assert cpwa.evaluate(s, [1.0, 4.0]) == 2.0
+
+
+@pytest.mark.parametrize("spec", [
+    "vanilla_call:asset=1.5,strike=2",  # not an integer
+    "vanilla_call:asset=1,strike=2",  # out of range for d = 1
+    "vanilla_call:asset=-1,strike=2",
+    "call_on_max:assets=0+x,strike=2",
+    "vanilla_call:asset=0,strike=1+2",  # strike is not a list
+    "vanilla_call:strike=2",  # no asset
+    "basket_call:strike=2"])
+def test_bad_payoff_specs_raise_value_error(spec):
+    with pytest.raises(ValueError):
+        parse_payoff_spec(spec, 1)
+
+
+def test_sweep_with_stop_below_start_is_rejected():
+    assert _sweep_strikes("5:5:1") == [5.0]
+    with pytest.raises(ValueError, match="start <= stop"):
+        _sweep_strikes("5:1:1")
+
+
+def test_one_element_spec_bounds_exit_codes(instance_file, tmp_path,
+                                            capsys):
+    path, _ = instance_file
+    out = tmp_path / "one.csv"
+    assert main(["bounds", "--instance", path,
+                 "--payoff", "call_on_max:assets=0,strike=3",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 2
+    assert lines[1].split(",")[-1] == "ok"
+    assert main(["bounds", "--instance", path,
+                 "--payoff", "vanilla_call:asset=2,strike=3"]) == 2
+    assert main(["bounds", "--instance", path,
+                 "--payoff", "call_on_max:assets=0,strike=3",
+                 "--sweep", "5:1:1", "--out", str(out)]) == 2
+    assert "start <= stop" in capsys.readouterr().err
+
+
+def test_malformed_json_input_exits_2(tmp_path, capsys):
+    """Each missing or ill-typed field is a usage error that names the
+    field, not a traceback with exit 1."""
+    def write(name, obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    cases = [
+        (["bounds", "--instance", write("d.json", {"d": 1}),
+          "--payoff", "asset:asset=0"], "'domain'"),
+        (["bounds", "--instance",
+          write("g.json", {"d": 1, "domain": {"box": [10.0]}, "g": 5,
+                           "bid": [], "ask": []}),
+          "--payoff", "asset:asset=0"], "'g'"),
+        (["detect", "--instance", write("list.json", [1, 2])],
+         "'domain'"),
+        (["detect", "--instance",
+          write("nod.json", {"domain": {"halfspace": True}})], "'d'"),
+        (["detect", "--chain", write("s.json", {"strikes": [1, 2]})],
+         "'call.bid'"),
+        (["repair", "--chain", write("s2.json", {"strikes": [1, 2]})],
+         "'call.bid'"),
+        (["repair", "--chain",
+          write("ask.json", {"strikes": [1, 2],
+                             "call": {"bid": [0.5, 0.2], "ask": "x"},
+                             "put": {"bid": [0, 0], "ask": [1, 1]}})],
+         "'call.ask'"),
+    ]
+    for argv, field in cases:
+        assert main(argv) == 2, argv
+        assert field in capsys.readouterr().err, argv
+
+
 def test_bounds_csv(instance_file, tmp_path):
     path, inst = instance_file
     out = tmp_path / "bounds.csv"

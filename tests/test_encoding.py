@@ -6,7 +6,7 @@ from pricebounds.encoding import (big_m, encode_min, minimize_over_box,
                                   _dedupe_pieces, _term_big_m)
 from pricebounds.lp import LinearProgram, solve_lp
 from conftest import (rng_for, random_cpwa, random_box_instance, min_oracle,
-                      assert_integer_feasible)
+                      assert_integer_feasible, negative_terms)
 
 
 def test_big_m_call_term():
@@ -91,11 +91,18 @@ def test_random_minimizations_vs_oracle():
 
 def test_iota_selection_sums_to_one():
     rng = rng_for(403)
-    h = random_cpwa(rng, 2, max_terms=3, max_pieces=3)
-    enc, res = minimize_over_box(h, [5.0, 5.0])
-    decoded = enc.decode(res.incumbent)
-    for iotas in decoded["iotas"]:
-        assert sum(iotas) == 1
+    checked = 0
+    for _ in range(10):
+        h = random_cpwa(rng, 2, max_terms=3, max_pieces=3)
+        enc, res = minimize_over_box(h, [5.0, 5.0])
+        terms = negative_terms(enc.program)
+        # every binary is the iota of exactly one negative term
+        assert sorted(i for _, _, iotas in terms for i in iotas) == \
+            sorted(enc.program.binary_vars)
+        for _, _, iotas in terms:
+            assert np.round(res.incumbent[iotas]).sum() == 1
+            checked += 1
+    assert checked >= 3
 
 
 def test_degenerate_term_collapses():
@@ -267,11 +274,13 @@ def test_completion_selects_the_first_top_piece():
     h = cpwa.make_function(1, [(-1, [([1.0], -1.0), ([2.0], -2.0),
                                      ([-3.0], 3.0)])])
     enc = encode_min(h, [4.0])
-    dec = enc.decode(enc.program.complete(np.array([1.0])))
-    assert dec["zetas"] == [0.0]
-    assert dec["deltas"] == [[0.0, 0.0, 0.0]]
-    assert dec["iotas"] == [[1, 0, 0]]
-    dec = enc.decode(enc.program.complete(np.array([3.0])))
-    assert dec["zetas"] == [4.0]
-    assert dec["deltas"] == [[2.0, 0.0, 10.0]]
-    assert dec["iotas"] == [[0, 1, 0]]
+    # x, then zeta, three deltas and three binary iotas
+    assert negative_terms(enc.program) == [(1, [2, 3, 4], [5, 6, 7])]
+    xc = enc.program.complete(np.array([1.0]))
+    assert xc[1] == 0.0
+    assert xc[2:5].tolist() == [0.0, 0.0, 0.0]
+    assert xc[5:8].tolist() == [1.0, 0.0, 0.0]
+    xc = enc.program.complete(np.array([3.0]))
+    assert xc[1] == 4.0
+    assert xc[2:5].tolist() == [2.0, 0.0, 10.0]
+    assert xc[5:8].tolist() == [0.0, 1.0, 0.0]

@@ -518,7 +518,7 @@ def test_captured_chebyshev_lps_are_solved_cold():
     """Chebyshev-center LPs captured from ACCP, each solved cold to
     HiGHS's radius within 1e-9 with every row held to within
     1e-9 (1 + |b|_inf), although the radius variable starts at its cap
-    rho_cap = 1e9:
+    lp.RHO_CAP = 1e9:
     - accp_chebyshev_lp: 480 x 112, on the 55-instrument five-asset rung
       (five_asset_family(1, mc_samples=20000), assets + vanilla calls,
       call_on_max of all five assets, K = 5, CLI defaults), which a
@@ -1040,7 +1040,7 @@ def test_certificate_needs_zero_basic_reduced_costs(monkeypatch):
         if solve_lp(child, start=parent).status != "optimal" or not seen:
             continue
         bf, p, basis, upper, Binv, x, xB, *rest = seen[-1]
-        dirn, opt_tol = rest[2], rest[-1]
+        dirn = rest[2]
         rhs = p.b - bf.A @ x
         d = bf.c - bf.c[basis] @ Binv @ bf.A
         tight = (dirn != 0) & (np.abs(d) < 1e-3)
@@ -1054,7 +1054,7 @@ def test_certificate_needs_zero_basic_reduced_costs(monkeypatch):
         bent[i] += 1e-6 * v
         args = [bf, p, basis, upper, bent, x.copy(), xB] + rest
         d_bent = bf.c - cB @ bent @ bf.A
-        assert (dirn * d_bent).min() >= -opt_tol
+        assert (dirn * d_bent).min() >= -lp.OPT_TOL
         assert real(bf, p, basis, upper, Binv, x.copy(), xB,
                     *rest) is not None
         assert real(*args) is None, trial

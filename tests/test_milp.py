@@ -12,7 +12,7 @@ from pricebounds.milp import (INT_TOL, MixedIntegerProgram, MilpOptions,
 from pricebounds.encoding import encode_min, minimize_over_box
 from pricebounds import cpwa
 from conftest import (rng_for, random_cpwa, random_box_instance, min_oracle,
-                      assert_integer_feasible)
+                      assert_integer_feasible, negative_terms)
 
 
 def brute_force(p: MixedIntegerProgram):
@@ -319,10 +319,10 @@ def test_broken_completion_is_never_accepted(mutation):
             inst.g, cpwa.call_on_max(d, list(range(d)), 2.0))
         h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=inst.m))
         enc = encode_min(h, inst.box_array())
-        minmax = [tv for tv in enc.term_vars if tv[0] == "minmax"]
+        minmax = negative_terms(enc.program)
         if not minmax:
             continue
-        _, zeta, deltas, iotas = minmax[0]
+        zeta, deltas, iotas = minmax[0]
         good, made = enc.program.complete, []
 
         def broken(x):

@@ -124,15 +124,18 @@ def test_equivalence_with_simplex_oracle():
     assert checked >= 100
 
 
-def test_row_cap():
+def test_row_cap(monkeypatch):
     g = [cpwa.call_on_max(2, [0, 1], k) for k in range(5)]
     tmpl = _radial_tmpl(g, cpwa.zero_function(2))
+    monkeypatch.setattr(radial_mod, "ROW_CAP", 1)
     with pytest.raises(radial_mod.ResourceLimitError):
-        radial_mod.generate(tmpl, row_cap=1)
+        radial_mod.generate(tmpl)
 
 
-def _generate_exhaustive(tmpl, row_cap=radial_mod.ROW_CAP_DEFAULT):
-    """Reference: one cone LP per piece tuple, no pruning."""
+def _generate_exhaustive(tmpl):
+    """Reference: one cone LP per piece tuple, no pruning, capped at
+    radial.ROW_CAP rows."""
+    cap = radial_mod.ROW_CAP
     d = tmpl.dimension
     blocks = []
     seen = set()
@@ -171,9 +174,9 @@ def _generate_exhaustive(tmpl, row_cap=radial_mod.ROW_CAP_DEFAULT):
             continue
         seen.add(key)
         rows += d
-        if rows > row_cap:
+        if rows > cap:
             raise radial_mod.ResourceLimitError(
-                "radial system exceeds %d rows" % row_cap)
+                "radial system exceeds %d rows" % cap)
         blocks.append(radial_mod.RadialBlock(Y=Y, E=E, rhs=rhs,
                                              tuple_index=tup))
     return radial_mod.RadialSystem(m=tmpl.m, dimension=d, blocks=blocks)
@@ -234,19 +237,20 @@ def test_pruned_generate_cone_lp_count(monkeypatch):
     assert 0 < len(calls) <= 2 * len(tmpl.terms)
 
 
-def test_row_cap_matches_exhaustive():
+def test_row_cap_matches_exhaustive(monkeypatch):
     g = [cpwa.call_on_max(2, [0, 1], k) for k in range(5)]
     tmpl = _radial_tmpl(g, cpwa.zero_function(2))
     full = radial_mod.generate(tmpl)
     assert len(full.blocks) > 1
     for cap in range(full.row_count + 2):
+        monkeypatch.setattr(radial_mod, "ROW_CAP", cap)
         try:
-            ref = _generate_exhaustive(tmpl, row_cap=cap)
+            ref = _generate_exhaustive(tmpl)
         except radial_mod.ResourceLimitError:
             with pytest.raises(radial_mod.ResourceLimitError):
-                radial_mod.generate(tmpl, row_cap=cap)
+                radial_mod.generate(tmpl)
             continue
-        _assert_same_system(radial_mod.generate(tmpl, row_cap=cap), ref)
+        _assert_same_system(radial_mod.generate(tmpl), ref)
 
 
 def test_cone_interior_bad_witness_raises(monkeypatch):
