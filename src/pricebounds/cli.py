@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -34,18 +35,23 @@ EXIT_RESOURCE = 3
 def parse_payoff_spec(spec, d):
     """Parse 'kind:key=value,...' payoff strings.  List values use '+'
     separators, e.g. 'call_on_max:assets=1+2+3,strike=5'; `assets`,
-    `weights` and `strikes` are lists even with one entry.  A bad spec,
-    or an asset index not an integer in [0, d), raises ValueError."""
+    `weights` and `strikes` are lists even with one entry, and only they
+    are split.  A '+' right after an exponent marker is the exponent's
+    sign: 'weights=1e+0+2' is [1.0, 2.0].  A bad spec, or an asset index
+    not an integer in [0, d), raises ValueError."""
     kind, _, rest = spec.partition(":")
     params = {"d": d}
     for item in rest.split(",") if rest else []:
         key, eq, val = item.partition("=")
         key = key.strip()
         is_list = key in ("assets", "weights", "strikes")
-        vals = val.split("+")
-        if not eq or len(vals) > 1 and not is_list:
+        if not eq:
             raise ValueError("bad payoff parameter %r" % item)
-        vals = [float(v) for v in vals]
+        try:
+            vals = [float(v) for v in
+                    (re.split(r"(?<![eE])\+", val) if is_list else [val])]
+        except ValueError:
+            raise ValueError("bad payoff parameter %r" % item) from None
         if key in ("asset", "long", "short", "assets"):
             if not all(v.is_integer() and 0 <= v < d for v in vals):
                 raise ValueError("bad asset index in %r" % item)
@@ -94,7 +100,7 @@ def solve_one(instance, f, algo, epsilon, tau, delta, gamma, zeta,
 
     up = bound(f, -c_nf, support)
     lo = bound(neg_f, -c_f, up.support)
-    return {"ub": up.phi_ub, "lb": -lo.phi_ub,
+    return {"ub": up.phi_ub, "lb": 0.0 - lo.phi_ub,  # never -0.0
             "ub_lb_gap": (up.phi_ub - up.phi_lb,
                           lo.phi_ub - lo.phi_lb),
             "lp_count": up.lp_count + lo.lp_count,

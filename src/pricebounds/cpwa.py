@@ -120,12 +120,21 @@ class Stacked:
         self.term_starts = np.searchsorted([j for j, _ in terms],
                                            np.arange(self.m))
         # for means: the distinct rows of a, and per function its terms as
-        # (sign, [(row of dirs, b) per piece])
+        # (sign, [(row of dirs, b) per piece whose a is nonzero], the
+        # largest b of the pieces whose a is zero, or None if none is)
         self.dirs, which = (np.unique(self.a, axis=0, return_inverse=True)
                             if self.m else (self.a, np.zeros(0, int)))
         which = iter(which.ravel().tolist())
-        self.funcs = [[(t.sign, [(next(which), b) for _, b in t.pieces])
-                       for t in f.terms] for f in fs]
+        zero = (~self.dirs.any(axis=1)).tolist() if self.m else []
+        self.funcs = []
+        for f in fs:
+            func = []
+            for t in f.terms:
+                rows = [(next(which), b) for _, b in t.pieces]
+                func.append((t.sign, [(i, b) for i, b in rows if not zero[i]],
+                             max((b for i, b in rows if zero[i]),
+                                 default=None)))
+            self.funcs.append(func)
 
     def __call__(self, x) -> np.ndarray:
         if not self.m:
@@ -138,9 +147,11 @@ class Stacked:
 
         The distinct piece directions are applied to MEAN_BLOCK_ROWS rows
         at a time.  Each term takes the elementwise max of its pieces'
-        rows of that product, each function sums its signed terms row by
-        row, and the block's sum accumulates per function: nothing holds
-        more than one block per direction.  Values agree with
+        rows of that product, then of the largest offset among its
+        zero-direction pieces, whose product is 0.  Each function adds
+        and subtracts its terms row by row, starting from its first, and
+        the block's sum accumulates per function: nothing holds more than
+        one block per direction.  Values agree with
         `evaluate_many(f, xs).mean()` to rounding, not bit for bit."""
         xs = np.asarray(xs, dtype=float)
         if not self.m:
@@ -149,12 +160,23 @@ class Stacked:
         for row in range(0, len(xs), MEAN_BLOCK_ROWS):
             at = self.dirs @ xs[row:row + MEAN_BLOCK_ROWS].T
             for j, func in enumerate(self.funcs):
-                total = 0.0
-                for sign, ((i, b), *rest) in func:
-                    top = at[i] + b
-                    for i, b in rest:
-                        np.maximum(top, at[i] + b, out=top)
-                    total = total + sign * top
+                total = None
+                for sign, lin, floor in func:
+                    if lin:
+                        (i, b), *rest = lin
+                        top = at[i] + b
+                        for i, b in rest:
+                            np.maximum(top, at[i] + b, out=top)
+                        if floor is not None:
+                            np.maximum(top, floor, out=top)
+                    else:
+                        top = np.full(at.shape[1], floor)
+                    if total is None:
+                        total = top if sign == 1 else -top
+                    elif sign == 1:
+                        total += top
+                    else:
+                        total -= top
                 sums[j] += total.sum()
         return sums / len(xs)
 

@@ -6,12 +6,15 @@ instrument (single-asset vanilla calls in closed form, everything else
 by Monte Carlo), and the bid/ask quotes of the generated market are the
 minimum/maximum prices across the family's models.
 
-The closed forms and the sampler call scipy.special's normal and
-Student t functions (ndtr, ndtri, stdtr) directly: the values are those
-of scipy.stats' norm and t, without their per-call dispatch.  Each
-model's Monte Carlo prices come from one pass over its samples:
-`cpwa.Stacked.means` evaluates every non-vanilla instrument together,
-block of rows by block of rows.
+The closed forms and the sampler call scipy.special's normal functions
+(ndtr, ndtri) directly: the values are those of scipy.stats' norm,
+without its per-call dispatch.  The sampler's Student t CDF is the
+closed form of Abramowitz & Stegun 26.7.3-4 for integer degrees of
+freedom (every preset copula has one), and scipy.special.stdtr where
+that form is slower or inaccurate (see `_t_cdf`).  Each model's Monte
+Carlo prices come from one pass over its samples: `cpwa.Stacked.means`
+evaluates every non-vanilla instrument together, block of rows by block
+of rows.
 """
 
 from __future__ import annotations
@@ -26,6 +29,17 @@ from .cpwa import CpwaFunction
 from .ecp import Box, MarketInstance
 
 MC_SAMPLES_DEFAULT = 100000
+# sample_joint maps this many sample rows at a time from t-variates to
+# prices, so that its temporaries stay small.
+SAMPLE_BLOCK_ROWS = 4096
+# The series of `_t_cdf` has nu // 2 terms.  At nu = 500 it took 14 ms
+# per 100,000 variates to stdtr's 19 ms, at nu = 800 23 ms to 20 ms
+# (one core of a 2-CPU x86-64 container, 4,096-row blocks); its error
+# relative to stdtr grows with nu, to 5e-13 at 500.
+T_CDF_SERIES_MAX_NU = 500
+# `_t_cdf` takes stdtr's value where the CDF is below this or above one
+# minus this.
+T_CDF_TAIL = 0.01
 
 
 @dataclass
@@ -123,25 +137,86 @@ def trunc_lognorm_cdf(x, mu, sigma, xbar):
     return np.clip(out, 0.0, 1.0)
 
 
+def _t_cdf(nu, t):
+    """Student t CDF with nu degrees of freedom at every entry of t.
+
+    For integer nu <= T_CDF_SERIES_MAX_NU it is the closed form of
+    Abramowitz & Stegun 26.7.3-4.  With theta = arctan(t / sqrt(nu)),
+    c = cos^2 theta and S = sum_{j < nu // 2} coef_j c^j, F = 1/2 + A/2:
+
+        even nu: A = sin theta S,
+                 coef_0 = 1, coef_j = coef_{j-1} (2j - 1) / (2j);
+        odd nu:  A = (2 / pi) (theta + sin theta cos theta S),
+                 coef_0 = 1, coef_j = coef_{j-1} (2j) / (2j + 1).
+
+    This F is within a few units in the last place of 1/2 of the true
+    value, so the tails take stdtr's value: below T_CDF_TAIL, where
+    1/2 + A/2 cancels, and above 1 - T_CDF_TAIL, where the lognormal
+    quantile of F magnifies the error (1e-16 at F = 1 - 1e-10 moves the
+    sample by 1e-7 relative).  So do the entries where t^2 overflows,
+    and every entry for any other nu."""
+    if not float(nu).is_integer() or nu > T_CDF_SERIES_MAX_NU:
+        return stdtr(nu, t)
+    nu = int(nu)
+    n, odd = divmod(nu, 2)
+    coefs = np.cumprod([1.0] + [(2 * j - 1 + odd) / (2 * j + odd)
+                                for j in range(1, n)])
+    sqrt_nu = np.sqrt(nu)
+    r = t * t
+    r += nu
+    np.sqrt(r, out=r)
+    cos = np.divide(sqrt_nu, r)
+    a = np.divide(t, r, out=r)  # sin theta
+    if n > 1:
+        c = cos * cos
+        series = coefs[-1] * c
+        for coef in coefs[-2:0:-1]:
+            series += coef
+            series *= c
+        series += 1.0
+        a *= series
+    if odd:
+        a *= cos if n else 0.0  # nu = 1: S is an empty sum
+        a += np.arctan(t / sqrt_nu)
+        a *= 2.0 / np.pi
+    a *= 0.5
+    redo = ~(np.abs(a) <= 0.5 - T_CDF_TAIL)
+    redo |= cos == 0.0  # t^2 overflowed
+    a += 0.5
+    if redo.any():
+        a[redo] = stdtr(nu, t[redo])
+    return a
+
+
 def sample_joint(marginal: MarginalModel, copula: CopulaModel, n,
                  seed=0) -> np.ndarray:
     """n x d samples: multivariate t via the factor structure, mapped
-    through the t CDF to uniforms, then through the truncated-lognormal
-    quantiles."""
+    through the t CDF (`_t_cdf`) to uniforms, then through the
+    truncated-lognormal quantiles.
+
+    All n rows are drawn at once, so the samples depend on the seed
+    alone.  The draws become the t-variates in place, and those become
+    the samples SAMPLE_BLOCK_ROWS rows at a time, so that no temporary
+    holds more than one block."""
     if marginal.dimension != copula.dimension:
         raise ValueError("marginal/copula dimension mismatch")
     d = marginal.dimension
     k = copula.loadings.shape[1]
     rng = np.random.Generator(np.random.Philox(seed))
-    factors = rng.standard_normal((n, k)) * np.sqrt(copula.factor_var)
-    idio = rng.standard_normal((n, d)) * np.sqrt(copula.idio_var)
-    z = factors @ copula.loadings.T + idio
-    w = rng.chisquare(copula.nu, size=n) / copula.nu
-    t = z / np.sqrt(w)[:, None]
-    u = stdtr(copula.nu, t)
-    u = np.clip(u, 1e-15, 1.0 - 1e-15)
+    xs = (rng.standard_normal((n, k)) * np.sqrt(copula.factor_var)
+          @ copula.loadings.T)
+    idio = rng.standard_normal((n, d))
+    idio *= np.sqrt(copula.idio_var)
+    xs += idio
+    xs /= np.sqrt(rng.chisquare(copula.nu, size=n) / copula.nu)[:, None]
     sigma = np.sqrt(marginal.sigma2)
-    return _trunc_lognorm_ppf(u, marginal.mu, sigma, marginal.xbar)
+    for row in range(0, n, SAMPLE_BLOCK_ROWS):
+        block = xs[row:row + SAMPLE_BLOCK_ROWS]
+        u = _t_cdf(copula.nu, block)
+        np.clip(u, 1e-15, 1.0 - 1e-15, out=u)
+        block[...] = _trunc_lognorm_ppf(u, marginal.mu, sigma,
+                                        marginal.xbar)
+    return xs
 
 
 def trunc_lognorm_call_price(mu, sigma2, xbar, strike) -> float:
@@ -180,26 +255,30 @@ def price_payoff(marginal: MarginalModel, copula: CopulaModel,
 def as_vanilla_call(payoff: CpwaFunction):
     """Recognize (x_i - strike)^+ (including the plain asset x_i, a
     zero-strike call on the positive domain): returns (asset, strike)
-    or None.  The direction must be the unit vector e_i to within 1e-12
-    in every coordinate: (1.000001 x_i - strike)^+ is not a call on
-    x_i."""
+    or None.  The direction a must be the unit vector e_i to within
+    1e-12 in every coordinate, |a - e_i| <= 1e-12: (1.000001 x_i -
+    strike)^+ is not a call on x_i."""
     if len(payoff.terms) != 1 or payoff.terms[0].sign != 1:
         return None
-    pieces = [(np.asarray(a), float(b)) for a, b in
-              payoff.terms[0].pieces]
-    lin = [(a, b) for a, b in pieces if np.abs(a).max(initial=0.0) > 0]
-    zero = [(a, b) for a, b in pieces if np.abs(a).max(initial=0.0) == 0]
+    lin, zero = [], []
+    for a, b in payoff.terms[0].pieces:
+        a = np.asarray(a, dtype=float).tolist()
+        size = sum(map(abs, a))  # nan if an entry is: in neither list
+        if size > 0:
+            lin.append((a, float(b)))
+        elif size == 0:
+            zero.append(float(b))
     if len(lin) != 1:
         return None
     a, b = lin[0]
-    j = int(np.argmax(np.abs(a)))
-    e = np.zeros(payoff.dimension)
-    e[j] = 1.0
-    if not np.allclose(a, e, rtol=0.0, atol=1e-12):
+    dev = [abs(v) for v in a]
+    j = dev.index(max(dev))
+    dev[j] = abs(a[j] - 1.0)
+    if max(dev) > 1e-12:
         return None
     strike = -b
     if zero:
-        if len(zero) != 1 or abs(zero[0][1]) > 1e-12 or strike < 0:
+        if len(zero) != 1 or abs(zero[0]) > 1e-12 or strike < 0:
             return None
         return j, strike
     if strike != 0.0:

@@ -264,3 +264,29 @@ def test_console_script_installed():
                            "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gen-market" in proc.stdout
+
+
+def test_signed_exponents_in_payoff_specs():
+    """Only list values are split on '+', and never on an exponent's
+    sign."""
+    f = parse_payoff_spec("vanilla_call:asset=0,strike=1e+0", 1)
+    assert f.terms[0].pieces[0][1] == -1.0
+    g = parse_payoff_spec("basket_call:weights=1e+0+2,strike=1", 2)
+    assert g.terms[0].pieces[0][0].tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError, match="bad payoff parameter"):
+        parse_payoff_spec("vanilla_call:asset=0,strike=1+2", 1)
+
+
+def test_zero_lower_bound_is_printed_without_a_sign(tmp_path):
+    """The negated payoff's upper bound is 0.0 here, and the lower bound
+    is printed as 0, not -0."""
+    inst = tmp_path / "one.json"
+    out = tmp_path / "one.csv"
+    assert main(["gen-market", "--preset", "random", "--d", "1",
+                 "--samples", "2000", "--out", str(inst)]) == 0
+    assert main(["bounds", "--instance", str(inst),
+                 "--payoff", "call_on_max:assets=0,strike=5",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0].split(",")[1] == "LB"
+    assert lines[1].split(",")[1] == "0"

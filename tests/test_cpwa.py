@@ -233,3 +233,47 @@ def test_stacked_means_match_evaluate_many():
         means = cpwa.Stacked(fs).means(xs)
         assert np.all(np.abs(means - ref) <= 1e-12 * scale), trial
     assert cpwa.Stacked([]).means(np.zeros((3, 2))).shape == (0,)
+
+
+def _two_pass_means(fs, dirs, xs):
+    """Stacked.means as it was before it skipped the zero-direction
+    rows and the first term's 0.0 + sign * top: the same block
+    products, every piece through at[i] + b, every term through
+    total = total + sign * top."""
+    sums = np.zeros(len(fs))
+    for row in range(0, len(xs), cpwa.MEAN_BLOCK_ROWS):
+        at = dirs @ xs[row:row + cpwa.MEAN_BLOCK_ROWS].T
+        for j, f in enumerate(fs):
+            total = 0.0
+            for t in f.terms:
+                rows = [(np.flatnonzero((dirs == a).all(axis=1))[0], b)
+                        for a, b in t.pieces]
+                (i, b), *rest = rows
+                top = at[i] + b
+                for i, b in rest:
+                    np.maximum(top, at[i] + b, out=top)
+                total = total + t.sign * top
+            sums[j] += total.sum()
+    return sums / len(xs)
+
+
+def test_stacked_means_equal_the_two_pass_means_bit_for_bit():
+    """Constant terms, several zero-direction pieces in one term, and
+    negative first terms: dropping the dead passes changes no bit."""
+    rng = rng_for(207)
+    n = cpwa.MEAN_BLOCK_ROWS + 55
+    for trial in range(6):
+        d = int(rng.integers(1, 4))
+        zero, ones = np.zeros(d), np.ones(d)
+        fs = [random_cpwa(rng, d, max_terms=3, max_pieces=4)
+              for _ in range(3)]
+        fs += [cpwa.constant_function(d, 2.5),
+               cpwa.call_on_max(d, list(range(d)), 1.0),
+               cpwa.make_function(d, [
+                   (-1, [(zero, 1.0), (ones, -3.0), (zero, 2.0)]),
+                   (1, [(zero, -1.0)]), (-1, [(-ones, 4.0), (zero, 0.5)])]),
+               cpwa.linear_combination([-1.0, 1.0], fs[:2])]
+        stacked = cpwa.Stacked(fs)
+        xs = rng.uniform(0, 10, size=(n, d))
+        assert np.array_equal(stacked.means(xs),
+                              _two_pass_means(fs, stacked.dirs, xs)), trial

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats, integrate
+from scipy.special import stdtr
 
 from pricebounds import cpwa, market
 from conftest import rng_for
@@ -251,3 +252,98 @@ def test_near_unit_direction_is_priced_by_monte_carlo():
     assert inst.bid[0] == pytest.approx(min(prices), rel=1e-12)
     assert inst.ask[0] == pytest.approx(max(prices), rel=1e-12)
     assert inst.bid[0] != inst.bid[1] and inst.ask[0] != inst.ask[1]
+
+
+def _t_grid():
+    """t from -1e4 to 1e4: dense near 0, and geometric from 1e-12 in
+    both directions, so that it reaches CDF values far below
+    market.T_CDF_TAIL."""
+    tails = np.logspace(-12, 4, 2000)
+    return np.concatenate([np.linspace(-40.0, 40.0, 8001), tails, -tails])
+
+
+@pytest.mark.parametrize("nu", range(3, 31))
+def test_closed_form_t_cdf_matches_stdtr(nu):
+    t = _t_grid()
+    ref = stdtr(float(nu), t)
+    got = market._t_cdf(float(nu), t)
+    assert ref.min() < 1e-6 * market.T_CDF_TAIL
+    assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+
+
+def test_closed_form_t_cdf_up_to_the_series_cap():
+    """The series' error grows with nu; above the cap, stdtr is used."""
+    t = _t_grid()
+    cap = market.T_CDF_SERIES_MAX_NU
+    for nu in (2, 100, cap):
+        ref = stdtr(float(nu), t)
+        assert np.all(np.abs(market._t_cdf(nu, t) - ref) <= 1e-12 * ref)
+    assert np.array_equal(market._t_cdf(cap + 1, t), stdtr(cap + 1, t))
+
+
+def test_closed_form_t_cdf_nu_1_is_the_cauchy_cdf():
+    """For nu = 1, F(t) = atan2(1, -t) / pi exactly (stdtr is 5e-9 off
+    at t = 7e-9)."""
+    t = _t_grid()
+    exact = np.arctan2(1.0, -t) / np.pi
+    assert np.all(np.abs(market._t_cdf(1.0, t) - exact) <= 1e-13 * exact)
+
+
+def test_t_cdf_of_non_integer_nu_is_stdtr():
+    t = _t_grid()
+    for nu in (2.5, 3.0 + 1e-9, 7.25):
+        assert np.array_equal(market._t_cdf(nu, t), stdtr(nu, t))
+
+
+def test_closed_form_t_cdf_where_t_squared_overflows():
+    t = np.array([-np.inf, -1e200, 1e200, np.inf])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for nu in (3, 4):
+            assert np.array_equal(market._t_cdf(nu, t), stdtr(nu, t))
+
+
+def test_one_seed_gives_identical_samples():
+    """The draws are made for all rows at once, and the blocks map them
+    elementwise: two calls, and a call on more rows than one block, agree
+    bit for bit."""
+    fam = market.five_asset_family()
+    n = 2 * market.SAMPLE_BLOCK_ROWS + 7
+    for marg, cop in fam.models:
+        xs = market.sample_joint(marg, cop, n, seed=8)
+        assert np.array_equal(xs, market.sample_joint(marg, cop, n, seed=8))
+        assert xs.shape == (n, 5) and np.all((xs > 0) & (xs <= 100.0))
+
+
+def test_vanilla_recognition_on_the_preset_and_near_misses():
+    """Pinned from the np.allclose implementation: the 5 assets and 50
+    calls are recognized, the other 384 instruments and every near miss
+    are not."""
+    got = [market.as_vanilla_call(g) for g in market.five_asset_instruments()]
+    assert got == ([(i, 0.0) for i in range(5)] +
+                   [(i, float(k)) for i in range(5) for k in range(1, 11)] +
+                   [None] * 384)
+    w = np.zeros(5)
+    w[0] = 1.0 + 1e-6
+    unit = np.eye(5)
+    near = [cpwa.basket_call(w, 3.0),  # 1.000001 x_0
+            cpwa.make_function(5, [(1, [(unit[2], 1.5)])]),  # x_2 + 1.5
+            cpwa.vanilla_put(5, 1, 3.0),
+            cpwa.vanilla_call(5, 3, -2.0)]
+    assert [market.as_vanilla_call(g) for g in near] == [None] * 4
+    assert market.as_vanilla_call(
+        cpwa.basket_call(unit[4] + 1e-13, 2.0)) == (4, 2.0)
+
+
+def test_preset_monte_carlo_quotes_are_pinned():
+    """Five Monte Carlo quotes of the preset at seed 1, as the stdtr
+    sampler and the two-pass means gave them, to 1e-11 relative."""
+    fam = market.five_asset_family(1, mc_samples=2000)
+    inst = market.build_market(fam, market.five_asset_instruments())
+    pinned = {55: (1.4061927023894478, 1.422736282146302),
+              180: (0.15577934602700502, 0.1693597334971517),
+              300: (1.2767123539101035, 1.3157341911949698),
+              400: (0.48382501680670986, 0.5059270254625631),
+              438: (0.003129646072016117, 0.004599057651368535)}
+    for j, (bid, ask) in pinned.items():
+        assert inst.bid[j] == pytest.approx(bid, rel=1e-11, abs=0)
+        assert inst.ask[j] == pytest.approx(ask, rel=1e-11, abs=0)
