@@ -236,10 +236,9 @@ def test_stacked_means_match_evaluate_many():
 
 
 def _two_pass_means(fs, dirs, xs):
-    """Stacked.means as it was before it skipped the zero-direction
-    rows and the first term's 0.0 + sign * top: the same block
-    products, every piece through at[i] + b, every term through
-    total = total + sign * top."""
+    """Stacked.means without its shortcuts: the same block products,
+    every piece through at[i] + b, zero directions included, and every
+    term through total = total + sign * top, the first one included."""
     sums = np.zeros(len(fs))
     for row in range(0, len(xs), cpwa.MEAN_BLOCK_ROWS):
         at = dirs @ xs[row:row + cpwa.MEAN_BLOCK_ROWS].T
