@@ -30,6 +30,10 @@ from .ecp import (MarketInstance, BoundsResult, CutSet, price_pi,
 
 MAX_ITERATIONS = 100000
 NODE_LIMIT = 50000  # branch-and-bound nodes per slack MILP
+# the hedges' box: |c| <= max(C_BAR, |c0| + 2) and |y_j| <= Y_BAR, with
+# (c0, y0) the initial portfolio
+C_BAR = 100.0
+Y_BAR = 100.0
 
 
 class LpContradictionError(RuntimeError):
@@ -44,11 +48,9 @@ class AccpOptions:
     gamma: float = 0.1
     zeta: float = 0.8
     delta: float = 0.7
-    c_bar: float = None  # defaults to max(100, |c0| + 2)
-    y_bar: np.ndarray = None  # defaults to 100 * ones
     phi_low: float = None
-    phi_high: float = None
-    initial_portfolio: tuple = None  # (c0, y0), must dominate f
+    # (c0, y0), must dominate f; its cost is the first upper bound
+    initial_portfolio: tuple = None
     initial_support: list = field(default_factory=list)
 
 
@@ -84,7 +86,6 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
     eps = opts.epsilon
     if opts.tau <= eps:
         raise ValueError("tau must exceed epsilon")
-    caveats = []
 
     if opts.initial_portfolio is not None:
         c0, y0 = opts.initial_portfolio
@@ -99,21 +100,10 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
     phi_low_in = opts.phi_low
     if phi_low_in is None:
         phi_low_in = compute_lower_phi(instance, f)
-    phi_high_in = opts.phi_high
-    if phi_high_in is None:
-        phi_high_in = c0 + price_pi(y0, instance)
-
-    c_bar = opts.c_bar
-    if c_bar is None:
-        c_bar = max(100.0, abs(c0) + 2.0)
-    y_bar = opts.y_bar
-    if y_bar is None:
-        y_bar = np.full(m, 100.0)
-    else:
-        y_bar = np.asarray(y_bar, dtype=float)
-    if abs(c0) > c_bar - 1 or np.any(np.abs(y0) > y_bar - 1):
+    if np.any(np.abs(y0) > Y_BAR - 1):
         raise ValueError("initial portfolio too close to the bounding "
-                         "box; enlarge c_bar / y_bar")
+                         "box |y_j| <= %g" % Y_BAR)
+    c_bar = max(C_BAR, abs(c0) + 2.0)
 
     template = cpwa.slack_template(instance.g, f)
     obj_band = np.concatenate([[1.0], instance.ask, -instance.bid])
@@ -135,16 +125,16 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
 
     gens = {0: [add_point(x, 0) for x in opts.initial_support]}
 
-    # bounding box |c| <= c_bar, 0 <= y+, y- <= y_bar: 4m + 2 rows, the
+    # bounding box |c| <= c_bar, 0 <= y+, y- <= Y_BAR: 4m + 2 rows, the
     # lower and the upper bound of each variable in turn
     n = 1 + 2 * m
     box_A = np.kron(np.eye(n), [[1.0], [-1.0]])
     lower = np.concatenate([[-c_bar], np.zeros(2 * m)])
-    upper = np.concatenate([[c_bar], y_bar, y_bar])
+    upper = np.concatenate([[c_bar], np.full(2 * m, Y_BAR)])
     box_b = np.column_stack([lower, -upper]).ravel()
 
     phi_lo = phi_low_in - opts.tau
-    phi_hi = phi_high_in
+    phi_hi = c0 + price_pi(y0, instance)
     c_star, y_star = float(c0), y0.copy()
     flag = False
     cheb = None  # the last optimal Chebyshev LP, the start of the next
@@ -173,8 +163,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         lp_count += 1
         if center is None:
             # speculative band empty: certified new lower bound via LP
-            bounds = ([(-c_bar, c_bar)] +
-                      [(0.0, float(yb)) for yb in y_bar] * 2)
+            bounds = [(-c_bar, c_bar)] + [(0.0, Y_BAR)] * (2 * m)
             sol = solve_lp(LinearProgram(obj_band, [(cut_A, ">=", cut_b)],
                                          bounds))
             lp_count += 1
@@ -190,8 +179,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
             cd = float(sol.x[0])
             yd = sol.x[1:1 + m] - sol.x[1 + m:1 + 2 * m]
             interior = (abs(cd) < c_bar - 1e-7 and
-                        np.all(sol.x[1:] < np.concatenate([y_bar, y_bar])
-                               - 1e-7))
+                        np.all(sol.x[1:] < Y_BAR - 1e-7))
             dagger = (cd, yd, [cuts.x[i].copy() for i in live], interior)
             for i, gen in enumerate(generation):
                 if 1 <= gen <= r - 1:
@@ -206,22 +194,23 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
 
         slack_fn = cpwa.instantiate(template, y_r)
         enc = encode_min(slack_fn, box)
-        res = solve_milp(enc.program,
-                         MilpOptions(rel_gap=opts.zeta,
-                                     pool_threshold=opts.delta,
-                                     node_limit=NODE_LIMIT),
-                         offset=enc.constant + c_r)
-        milp_count += 1
-        milp_nodes += res.nodes
-        if res.incumbent_value is None:
-            raise RuntimeError("slack MILP found no incumbent")
+        for node_limit in (NODE_LIMIT, None):
+            res = solve_milp(enc.program,
+                             MilpOptions(rel_gap=opts.zeta,
+                                         pool_threshold=opts.delta,
+                                         node_limit=node_limit),
+                             offset=enc.constant + c_r)
+            milp_count += 1
+            milp_nodes += res.nodes
+            if res.incumbent_value is None:
+                raise RuntimeError("slack MILP found no incumbent")
+            # at the node limit a nonnegative incumbent gives no cut, and
+            # the node bound may certify no better hedge, so the bracket
+            # would not move: such a MILP is solved again to its gap
+            if res.status != "node_limit" or res.incumbent_value < 0:
+                break
         s_hi = res.incumbent_value  # approximate optimal value
         s_lo = res.best_bound  # certified lower bound at termination
-        if res.status == "node_limit" and s_hi >= 0:
-            # stuck-state heuristic: force the objective-cut branch
-            s_lo = min(s_lo, s_hi - eps)
-            if "heuristic-assisted" not in caveats:
-                caveats.append("heuristic-assisted")
         gens[r] = []
         for x_full, val in res.pool:
             if val <= opts.delta * s_hi + 1e-9:
@@ -268,7 +257,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         support=[cuts.x[i].copy() for i in range(len(cuts)) if active[i]],
         status=status, lp_count=lp_count, milp_count=milp_count,
         milp_nodes=milp_nodes, iterations=r,
-        wall_time=time.monotonic() - t0, caveats=caveats)
+        wall_time=time.monotonic() - t0)
     return result, dagger
 
 
@@ -284,11 +273,13 @@ def extract_measure(instance: MarketInstance, f: CpwaFunction,
     fx = np.array([cpwa.evaluate(f, x) for x in support])
     G = np.stack([[cpwa.evaluate(gj, x) for gj in instance.g]
                   for x in support])  # nx x m
-    rows = [(np.ones(nx), "=", 1.0)]
-    for j in range(instance.m):
-        rows.append((G[:, j], ">=", float(instance.bid[j])))
-        rows.append((G[:, j], "<=", float(instance.ask[j])))
-    sol = solve_lp(LinearProgram(-fx, rows, [(0.0, None)] * nx))
+    # total mass 1, then per instrument its bid row and its ask row
+    A = np.vstack([np.ones(nx), np.repeat(G.T, 2, axis=0)])
+    b = np.concatenate([[1.0], np.column_stack(
+        [instance.bid, instance.ask]).ravel()])
+    sense = np.concatenate([[0], np.tile([1, -1], instance.m)])
+    sol = solve_lp(LinearProgram.from_arrays(
+        -fx, A, b, sense, np.zeros(nx), np.full(nx, np.inf)))
     if sol.status != "optimal":
         raise RuntimeError("measure LP status %s: support set inadequate"
                            % sol.status)

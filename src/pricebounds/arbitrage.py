@@ -15,14 +15,14 @@ repaired chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import cpwa
 from .lp import LinearProgram, solve_lp
-from .ecp import (MarketInstance, Box, HalfSpacePositive, EcpOptions,
-                  solve_ecp, verify_hedge, price_pi, _milp_box)
+from .ecp import (MarketInstance, Box, EcpOptions, solve_ecp,
+                  verify_hedge, price_pi, default_xbar)
 from .accp import AccpOptions, solve_accp
 
 ETA_DEFAULT = 1e-6
@@ -126,24 +126,21 @@ def filter_outliers(chain: OptionChain, threshold) -> tuple:
     """Drop strikes whose mid quote violates the domain-implied price
     bounds (call in [0, xbar - k], put in [0, k]) by more than
     `threshold`.  Returns (filtered chain, dropped strike indices)."""
-    keep = []
-    dropped = []
-    for j, k in enumerate(chain.strikes):
-        call_mid = 0.5 * (chain.call_bid[j] + chain.call_ask[j])
-        put_mid = 0.5 * (chain.put_bid[j] + chain.put_ask[j])
-        bad = (call_mid < -threshold or
-               call_mid > max(chain.xbar - k, 0.0) + threshold or
-               put_mid < -threshold or put_mid > k + threshold)
-        (dropped if bad else keep).append(j)
-    if not keep:
+    k = chain.strikes
+    call_mid = 0.5 * (chain.call_bid + chain.call_ask)
+    put_mid = 0.5 * (chain.put_bid + chain.put_ask)
+    bad = ((call_mid < -threshold) |
+           (call_mid > np.maximum(chain.xbar - k, 0.0) + threshold) |
+           (put_mid < -threshold) | (put_mid > k + threshold))
+    keep = ~bad
+    if not keep.any():
         raise ValueError("outlier filter removed every strike")
-    keep = np.array(keep, dtype=int)
     return OptionChain(strikes=chain.strikes[keep],
                        call_bid=chain.call_bid[keep],
                        call_ask=chain.call_ask[keep],
                        put_bid=chain.put_bid[keep],
                        put_ask=chain.put_ask[keep],
-                       xbar=chain.xbar), list(dropped)
+                       xbar=chain.xbar), np.flatnonzero(bad).tolist()
 
 
 def repair_chain(chain: OptionChain, eta=ETA_DEFAULT,
@@ -164,30 +161,26 @@ def repair_chain(chain: OptionChain, eta=ETA_DEFAULT,
 
     obj = np.zeros(n)
     obj[:4 * m] = 1.0
-    bounds = [(0.0, None)] * (4 * m) + [(float(eta), None)] * (m + 2)
+    lo = np.concatenate([np.zeros(4 * m), np.full(m + 2, float(eta))])
 
-    rows = [(np.concatenate([np.zeros(4 * m), np.ones(m + 2)]), "=", 1.0)]
-    call_pay = np.maximum(support[None, :] - k[:, None], 0.0)  # m x (m+2)
-    put_pay = np.maximum(k[:, None] - support[None, :], 0.0)
-    for j in range(m):
-        lo = np.zeros(n)
-        lo[p0:] = call_pay[j]
-        lo[j] = 1.0  # + v_call_minus_j
-        rows.append((lo, ">=", float(chain.call_bid[j])))
-        hi = np.zeros(n)
-        hi[p0:] = call_pay[j]
-        hi[m + j] = -1.0  # - v_call_plus_j
-        rows.append((hi, "<=", float(chain.call_ask[j])))
-        lo = np.zeros(n)
-        lo[p0:] = put_pay[j]
-        lo[2 * m + j] = 1.0
-        rows.append((lo, ">=", float(chain.put_bid[j])))
-        hi = np.zeros(n)
-        hi[p0:] = put_pay[j]
-        hi[3 * m + j] = -1.0
-        rows.append((hi, "<=", float(chain.put_ask[j])))
+    # the masses sum to 1; then per strike j four rows, each with one
+    # adjustment: call bid + v_call_minus_j, call ask - v_call_plus_j, put
+    # bid + v_put_minus_j, put ask - v_put_plus_j
+    A = np.zeros((1 + 4 * m, n))
+    A[0, p0:] = 1.0
+    quotes = A[1:].reshape(m, 4, n)
+    quotes[:, :2, p0:] = np.maximum(support - k[:, None], 0.0)[:, None]
+    quotes[:, 2:, p0:] = np.maximum(k[:, None] - support, 0.0)[:, None]
+    j = np.arange(m)
+    for q, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
+        quotes[j, q, q * m + j] = sign
+    b = np.concatenate([[1.0], np.column_stack(
+        [chain.call_bid, chain.call_ask, chain.put_bid, chain.put_ask]
+    ).ravel()])
+    sense = np.concatenate([[0], np.tile([1, -1, 1, -1], m)])
 
-    sol = solve_lp(LinearProgram(obj, rows, bounds))
+    sol = solve_lp(LinearProgram.from_arrays(obj, A, b, sense, lo,
+                                             np.full(n, np.inf)))
     if sol.status != "optimal":
         raise ValueError("repair LP is %s; eta=%g may be too large"
                          % (sol.status, eta))
@@ -239,22 +232,21 @@ class DetectionResult:
         return out
 
 
-def detect(instance: MarketInstance, epsilon=1e-3,
-           xbar=None) -> DetectionResult:
+def detect(instance: MarketInstance, epsilon=1e-3) -> DetectionResult:
     """Price f = 0 with both target bounds pinned at 0; a certified
     upper bound below zero is an arbitrage, and the shifted portfolio
     (c*, y*) is returned after a MILP domination check."""
     f = cpwa.zero_function(instance.dimension)
     if instance.is_box():
         res, _ = solve_accp(instance, f, AccpOptions(
-            epsilon=epsilon, phi_low=0.0, phi_high=0.0,
+            epsilon=epsilon, phi_low=0.0,
             initial_portfolio=(0.0, np.zeros(instance.m))))
         box = instance.box_array()
     else:
         res = solve_ecp(instance, f, EcpOptions(
-            epsilon=epsilon, phi_low=0.0, xbar=xbar))
+            epsilon=epsilon, phi_low=0.0))
         # ECP's truncation box; its radial rows cover growth beyond it
-        box = _milp_box(instance, f, xbar)[0]
+        box = default_xbar(instance, f)
     if res.status != "unbounded_arbitrage":
         return DetectionResult(arbitrage_free=True, phi_lb=res.phi_lb,
                                phi_ub=res.phi_ub)

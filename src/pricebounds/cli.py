@@ -14,7 +14,9 @@ Exit codes: 0 success, 1 arbitrage found (detect), 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import multiprocessing
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -131,15 +133,6 @@ def _sweep_strikes(sweep_spec):
     return [start + i * step for i in range(n)]
 
 
-def _bounds_task(args):
-    (inst_dict, payoff_spec, strike, algo, epsilon, tau, delta, gamma,
-     zeta, xbar, support) = args
-    instance = MarketInstance.from_json_dict(inst_dict)
-    f = _with_strike(payoff_spec, instance.dimension, strike)
-    return solve_one(instance, f, algo, epsilon, tau, delta, gamma,
-                     zeta, xbar=xbar, support=support)
-
-
 def _with_strike(payoff_spec, d, strike):
     """The payoff of `payoff_spec` with its strike set to `strike`, or as
     given when `strike` is None."""
@@ -181,23 +174,26 @@ def cmd_bounds(args):
 
     xbar = ([float(v) for v in args.xbar.split(",")]
             if args.xbar else None)
-    results = {a: [] for a in algos}
-    for algo in algos:
-        if args.workers > 1 and len(strikes) > 1:
-            tasks = [(instance.to_json_dict(), args.payoff, s, algo,
-                      args.epsilon, args.tau, args.delta, args.gamma,
-                      args.zeta, xbar, None) for s in strikes]
-            with ProcessPoolExecutor(max_workers=args.workers) as ex:
-                results[algo] = list(ex.map(_bounds_task, tasks))
-        else:
+    payoffs = [_with_strike(args.payoff, instance.dimension, s)
+               for s in strikes]
+    solvers = {algo: functools.partial(
+        solve_one, instance, algo=algo, epsilon=args.epsilon, tau=args.tau,
+        delta=args.delta, gamma=args.gamma, zeta=args.zeta, xbar=xbar)
+        for algo in algos}
+    if args.workers > 1 and len(payoffs) > 1:
+        # every strike starts cold, as with --no-warm-start
+        with ProcessPoolExecutor(
+                max_workers=args.workers,
+                mp_context=multiprocessing.get_context("spawn")) as ex:
+            runs = {algo: ex.map(solve, payoffs)
+                    for algo, solve in solvers.items()}
+            results = {algo: list(run) for algo, run in runs.items()}
+    else:
+        results = {algo: [] for algo in algos}
+        for algo, solve in solvers.items():
             support = None
-            for s in strikes:
-                f = _with_strike(args.payoff, instance.dimension, s)
-                r = solve_one(instance, f, algo, args.epsilon, args.tau,
-                              args.delta, args.gamma, args.zeta,
-                              xbar=xbar,
-                              support=support if args.warm_start else
-                              None)
+            for f in payoffs:
+                r = solve(f, support=support if args.warm_start else None)
                 support = r["support"]
                 results[algo].append(r)
 
@@ -206,8 +202,7 @@ def cmd_bounds(args):
     if len(algos) == 2:
         header.append("agreement")
     lines = [",".join(header)]
-    for i, s in enumerate(strikes):
-        f = _with_strike(args.payoff, instance.dimension, s)
+    for i, (s, f) in enumerate(zip(strikes, payoffs)):
         ref_bid, ref_ask = _reference_quote(instance, f)
         for algo in algos:
             r = results[algo][i]
@@ -287,6 +282,14 @@ def cmd_measure(args):
 
 
 def build_parser():
+    # the solver parameters of `bounds` and `measure`, at ACCP's defaults
+    solver = argparse.ArgumentParser(add_help=False)
+    group = solver.add_argument_group("solver parameters")
+    defaults = AccpOptions()
+    for name in ("epsilon", "tau", "delta", "gamma", "zeta"):
+        group.add_argument("--" + name, type=float,
+                           default=getattr(defaults, name))
+
     p = argparse.ArgumentParser(
         prog="pricebounds",
         description="Model-free price bounds, arbitrage detection, and "
@@ -309,23 +312,21 @@ def build_parser():
     g.add_argument("--out", default="-")
     g.set_defaults(func=cmd_gen_market)
 
-    b = sub.add_parser("bounds", help="compute price bounds")
+    b = sub.add_parser("bounds", help="compute price bounds",
+                       parents=[solver])
     b.add_argument("--instance", required=True)
     b.add_argument("--payoff", required=True,
                    help="e.g. 'call_on_max:assets=1+2+3,strike=5'")
     b.add_argument("--algo", choices=["ecp", "accp", "both"],
                    default="accp")
-    b.add_argument("--epsilon", type=float, default=1e-3)
-    b.add_argument("--tau", type=float, default=1.0)
-    b.add_argument("--delta", type=float, default=0.7)
-    b.add_argument("--gamma", type=float, default=0.1)
-    b.add_argument("--zeta", type=float, default=0.8)
     b.add_argument("--xbar", default=None,
                    help="comma-separated truncation box (half-space "
                         "instances)")
     b.add_argument("--sweep", default=None, help="start:stop:step over "
                                                  "the strike parameter")
-    b.add_argument("--workers", type=int, default=1)
+    b.add_argument("--workers", type=int, default=1,
+                   help="solve the swept strikes in this many processes, "
+                        "each strike cold as with --no-warm-start")
     b.add_argument("--no-warm-start", dest="warm_start",
                    action="store_false",
                    help="do not reuse support points across the sweep")
@@ -347,14 +348,10 @@ def build_parser():
     r.add_argument("--out", default="-")
     r.set_defaults(func=cmd_repair)
 
-    m = sub.add_parser("measure", help="extract an extremal measure")
+    m = sub.add_parser("measure", help="extract an extremal measure",
+                       parents=[solver])
     m.add_argument("--instance", required=True)
     m.add_argument("--payoff", required=True)
-    m.add_argument("--epsilon", type=float, default=1e-3)
-    m.add_argument("--tau", type=float, default=1.0)
-    m.add_argument("--delta", type=float, default=0.7)
-    m.add_argument("--gamma", type=float, default=0.1)
-    m.add_argument("--zeta", type=float, default=0.8)
     m.add_argument("--out", default="-")
     m.set_defaults(func=cmd_measure)
     return p

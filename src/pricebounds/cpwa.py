@@ -55,9 +55,6 @@ class CpwaFunction:
             if len(t.pieces[0][0]) != self.dimension:
                 raise ValueError("term dimension mismatch")
 
-    def __call__(self, x):
-        return evaluate(self, x)
-
 
 def _term(sign, pieces):
     return CpwaTerm(sign, tuple((np.asarray(a, dtype=float), float(b))

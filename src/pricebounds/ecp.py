@@ -129,16 +129,6 @@ class BoundsResult:
     wall_time: float = 0.0
     caveats: list = field(default_factory=list)
 
-    def to_json_dict(self):
-        return {"phi_lb": self.phi_lb, "phi_ub": self.phi_ub,
-                "c_star": self.c_star,
-                "y_star": [float(v) for v in self.y_star],
-                "support": [[float(v) for v in x] for x in self.support],
-                "status": self.status, "lp_count": self.lp_count,
-                "milp_count": self.milp_count,
-                "iterations": self.iterations,
-                "wall_time": self.wall_time, "caveats": self.caveats}
-
 
 def price_pi(y, instance: MarketInstance) -> float:
     """Cost of entering portfolio y at ask (long) and bid (short)."""

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cpwa import CpwaFunction, prune as prune_cpwa
 from .lp import LinearProgram
-from .milp import MixedIntegerProgram, MilpOptions, solve_milp
+from .milp import MixedIntegerProgram, solve_milp
 
 
 def _dedupe_pieces(pieces):
@@ -203,14 +203,14 @@ def encode_min(h: CpwaFunction, box) -> Encoding:
     return Encoding(program=program, constant=constant)
 
 
-def minimize_over_box(h: CpwaFunction, box, opts: MilpOptions = None,
-                      extra_offset=0.0):
-    """Exact MILP minimization of h over [0, box], used by every global
-    check (lower bounds, hedge verification, dominating cash).
+def minimize_over_box(h: CpwaFunction, box, extra_offset=0.0):
+    """Exact MILP minimization of h over [0, box] at solve_milp's default
+    options, used by every global check (lower bounds, hedge
+    verification, dominating cash).
 
     Returns (Encoding, MilpResult), with values equal to
     h(x) + extra_offset.
     """
     enc = encode_min(h, box)
-    return enc, solve_milp(enc.program, opts,
+    return enc, solve_milp(enc.program,
                            offset=enc.constant + extra_offset)

@@ -1,10 +1,13 @@
 """Synthetic market generation.
 
 Joint asset-price models couple truncated log-normal marginals through
-a factor-structured t-copula.  A family of such models prices each
-instrument (single-asset vanilla calls in closed form, everything else
-by Monte Carlo), and the bid/ask quotes of the generated market are the
-minimum/maximum prices across the family's models.
+a factor t-copula, given by its loadings and its degrees of freedom nu.
+The factors have unit variance, and each asset's idiosyncratic variance
+is the one that gives the correlation matrix a unit diagonal.  A family
+of such models prices each instrument (single-asset vanilla calls in
+closed form, everything else by Monte Carlo), and the bid/ask quotes of
+the generated market are the minimum/maximum prices across the
+family's models.
 
 The closed forms and the sampler call scipy.special's normal functions
 (ndtr, ndtri) directly: the values are those of scipy.stats' norm,
@@ -19,7 +22,7 @@ of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
@@ -40,6 +43,8 @@ T_CDF_SERIES_MAX_NU = 500
 # `_t_cdf` takes stdtr's value where the CDF is below this or above one
 # minus this.
 T_CDF_TAIL = 0.01
+# factors of random_family's copulas
+RANDOM_FACTORS = 3
 
 
 @dataclass
@@ -65,42 +70,28 @@ class MarginalModel:
 
 @dataclass
 class CopulaModel:
+    """A factor t-copula with unit-variance factors.  Its correlation
+    matrix L L^T + diag(1 - |L_i|^2) has a unit diagonal, and is positive
+    definite when every loading row L_i has norm below 1."""
     loadings: np.ndarray  # d x k factor loadings
-    factor_var: np.ndarray  # k factor variances (diagonal)
-    idio_var: np.ndarray  # d idiosyncratic variances (diagonal)
     nu: float  # degrees of freedom
 
     def __post_init__(self):
         self.loadings = np.atleast_2d(np.asarray(self.loadings,
                                                  dtype=float))
-        self.factor_var = np.atleast_1d(np.asarray(self.factor_var,
-                                                   dtype=float))
-        self.idio_var = np.atleast_1d(np.asarray(self.idio_var,
-                                                 dtype=float))
-        d, k = self.loadings.shape
-        if self.factor_var.shape != (k,) or self.idio_var.shape != (d,):
-            raise ValueError("factor/idiosyncratic variance shape "
-                             "mismatch")
-        if np.any(self.factor_var < 0) or np.any(self.idio_var <= 0):
-            raise ValueError("variances must be positive")
+        if not np.all(self.idio_var > 0):
+            raise ValueError("every loading row must have norm below 1")
         if self.nu <= 2:
             raise ValueError("nu must exceed 2")
-        C = self.correlation()
-        if np.abs(np.diag(C) - 1.0).max() > 1e-8:
-            raise ValueError("correlation matrix must have unit diagonal")
-        try:
-            np.linalg.cholesky(C)
-        except np.linalg.LinAlgError:
-            raise ValueError("correlation matrix must be positive "
-                             "definite")
 
     @property
     def dimension(self):
         return self.loadings.shape[0]
 
-    def correlation(self):
-        L = self.loadings
-        return L @ np.diag(self.factor_var) @ L.T + np.diag(self.idio_var)
+    @property
+    def idio_var(self):
+        """The idiosyncratic variances 1 - |L_i|^2."""
+        return 1.0 - np.sum(self.loadings ** 2, axis=1)
 
 
 @dataclass
@@ -203,8 +194,7 @@ def sample_joint(marginal: MarginalModel, copula: CopulaModel, n,
     d = marginal.dimension
     k = copula.loadings.shape[1]
     rng = np.random.Generator(np.random.Philox(seed))
-    xs = (rng.standard_normal((n, k)) * np.sqrt(copula.factor_var)
-          @ copula.loadings.T)
+    xs = rng.standard_normal((n, k)) @ copula.loadings.T
     idio = rng.standard_normal((n, d))
     idio *= np.sqrt(copula.idio_var)
     xs += idio
@@ -378,8 +368,8 @@ def five_asset_instruments(include=("assets", "vanilla", "basket",
 
 
 # Documented synthetic two-factor structure shared by the preset's two
-# copulas (the loadings are not dictated by the pricing method; any
-# unit-diagonal positive-definite correlation works).
+# copulas (the loadings are not dictated by the pricing method; any rows
+# of norm below 1 work).
 _PRESET_LOADINGS_5 = np.array([
     [0.70, 0.30],
     [0.60, -0.40],
@@ -387,15 +377,6 @@ _PRESET_LOADINGS_5 = np.array([
     [0.65, -0.25],
     [0.50, 0.35],
 ])
-
-
-def _complete_copula(loadings, nu):
-    loadings = np.asarray(loadings, dtype=float)
-    d, k = loadings.shape
-    factor_var = np.ones(k)
-    idio_var = 1.0 - np.sum(loadings ** 2 * factor_var, axis=1)
-    return CopulaModel(loadings=loadings, factor_var=factor_var,
-                       idio_var=idio_var, nu=nu)
 
 
 def five_asset_family(seed=0, mc_samples=MC_SAMPLES_DEFAULT
@@ -407,29 +388,29 @@ def five_asset_family(seed=0, mc_samples=MC_SAMPLES_DEFAULT
     marg1 = MarginalModel(mu, np.array([0.2, 0.4, 0.2, 0.4, 0.2]), xbar)
     marg2 = MarginalModel(mu, np.array([0.21, 0.42, 0.21, 0.42, 0.21]),
                           xbar)
-    cop1 = _complete_copula(_PRESET_LOADINGS_5, nu=3.0)
-    cop2 = _complete_copula(_PRESET_LOADINGS_5, nu=4.0)
+    cop1 = CopulaModel(_PRESET_LOADINGS_5, nu=3.0)
+    cop2 = CopulaModel(_PRESET_LOADINGS_5, nu=4.0)
     return MarketModelFamily(models=[(marg1, cop1), (marg2, cop2)],
                              seed=seed, mc_samples=mc_samples)
 
 
-def random_family(d, seed=0, mc_samples=MC_SAMPLES_DEFAULT,
-                  n_factors=3) -> MarketModelFamily:
+def random_family(d, seed=0, mc_samples=MC_SAMPLES_DEFAULT
+                  ) -> MarketModelFamily:
     """Two-model random preset: mu ~ U[-0.3, 0.1], sigma2 ~ U[0.2, 0.8]
     per asset (second model's sigma2 shifted up by U[0, 0.1]),
-    three-factor t-copulas with nu = 3 and nu = 20."""
+    RANDOM_FACTORS-factor t-copulas with nu = 3 and nu = 20."""
     rng = np.random.Generator(np.random.Philox(seed))
     xbar = np.full(d, 100.0)
     mu = rng.uniform(-0.3, 0.1, size=d)
     sigma2 = rng.uniform(0.2, 0.8, size=d)
     sigma2b = sigma2 + rng.uniform(0.0, 0.1, size=d)
-    raw = rng.uniform(-1.0, 1.0, size=(d, n_factors))
+    raw = rng.uniform(-1.0, 1.0, size=(d, RANDOM_FACTORS))
     norms = np.linalg.norm(raw, axis=1, keepdims=True)
     target = rng.uniform(0.3, 0.9, size=(d, 1))
     loadings = raw / np.maximum(norms, 1e-12) * target
     return MarketModelFamily(
         models=[(MarginalModel(mu, sigma2, xbar),
-                 _complete_copula(loadings, nu=3.0)),
+                 CopulaModel(loadings, nu=3.0)),
                 (MarginalModel(mu, sigma2b, xbar),
-                 _complete_copula(loadings, nu=20.0))],
+                 CopulaModel(loadings, nu=20.0))],
         seed=seed, mc_samples=mc_samples)

@@ -184,11 +184,11 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
             break
         if bound + offset >= p_bar - 1e-12:
             continue
-        nodes += 1
-        if opts.node_limit is not None and nodes > opts.node_limit:
+        if opts.node_limit is not None and nodes >= opts.node_limit:
             status = "node_limit"
             heapq.heappush(heap, (bound, -1, fixed, sol))
             break
+        nodes += 1
         xb = sol.x[bset]
         frac = np.abs(xb - np.round(xb))
         if frac.max(initial=0.0) <= INT_TOL:

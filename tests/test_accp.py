@@ -32,7 +32,6 @@ def test_zero_payoff_consistent_market():
     inst = random_box_instance(rng, 2, 5)
     res, _ = solve_accp(inst, cpwa.zero_function(2),
                         AccpOptions(epsilon=EPS, phi_low=0.0,
-                                    phi_high=0.0,
                                     initial_portfolio=(0.0,
                                                        np.zeros(inst.m))))
     assert res.status == "ok"
@@ -117,7 +116,6 @@ def test_mispriced_instance_flagged():
         bid=[5.0, 0.4], ask=[5.0, 0.5])
     res, _ = solve_accp(inst, cpwa.zero_function(1),
                         AccpOptions(epsilon=EPS, phi_low=0.0,
-                                    phi_high=0.0,
                                     initial_portfolio=(0.0,
                                                        np.zeros(2))))
     assert detect_unbounded_flag(res)
@@ -146,6 +144,17 @@ def test_initial_portfolio_must_dominate():
     with pytest.raises(ValueError):
         solve_accp(inst, f, AccpOptions(
             initial_portfolio=(0.0, np.zeros(inst.m))))
+
+
+def test_initial_portfolio_must_lie_inside_the_hedge_box():
+    """A dominating initial portfolio with |y_j| > Y_BAR - 1 is refused:
+    the Chebyshev LPs search hedges with |y_j| <= Y_BAR."""
+    inst = pb.MarketInstance(dimension=1, domain=pb.Box((10.0,)),
+                             g=[pb.asset(1, 0)], bid=[1.0], ask=[1.2])
+    y0 = np.array([accp.Y_BAR - 0.5])
+    with pytest.raises(ValueError, match="bounding box"):
+        solve_accp(inst, cpwa.zero_function(1), AccpOptions(
+            phi_low=0.0, initial_portfolio=(0.0, y0)))
 
 
 def test_support_reuse():
@@ -186,3 +195,23 @@ def test_bracket_closes_when_the_gap_is_below_two_eps(monkeypatch):
         assert res.status == "ok"
         assert res.phi_ub - res.phi_lb <= EPS + 1e-12
         assert verify_hedge(inst, f, res.c_star, res.y_star) >= -1e-6
+
+
+@pytest.mark.parametrize("seed", [706, 707, 708])
+def test_slack_milps_stopped_at_the_node_limit(monkeypatch, seed):
+    """With one node per slack MILP, some stop at the limit with a
+    nonnegative incumbent.  Such a MILP gives no cut and its node bound no
+    better hedge, so ACCP solves it again to its gap.  Keeping the node
+    bound instead left the bracket unmoved until the iteration limit,
+    which is lowered to 200 so that a return fails fast."""
+    rng = rng_for(seed)
+    inst = random_box_instance(rng, 2, 4)
+    f = pb.call_on_max(2, [0, 1], 3.0)
+    ref, _ = solve_accp(inst, f, AccpOptions(epsilon=EPS))
+    monkeypatch.setattr(accp, "NODE_LIMIT", 1)
+    monkeypatch.setattr(accp, "MAX_ITERATIONS", 200)
+    res, _ = solve_accp(inst, f, AccpOptions(epsilon=EPS))
+    assert res.status == "ok"
+    assert res.phi_ub == pytest.approx(ref.phi_ub, abs=EPS)
+    assert res.phi_lb == pytest.approx(ref.phi_lb, abs=EPS)
+    assert verify_hedge(inst, f, res.c_star, res.y_star) >= -1e-6

@@ -165,7 +165,7 @@ def test_detect_halfspace_instance():
         dimension=1, domain=pb.HalfSpacePositive(),
         g=[pb.asset(1, 0), pb.vanilla_call(1, 0, 1.0)],
         bid=[0.0, 0.0], ask=[1.0, 0.9])
-    res = detect(inst, xbar=[50.0])
+    res = detect(inst)
     assert res.arbitrage_free
 
 

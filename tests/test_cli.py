@@ -290,3 +290,20 @@ def test_zero_lower_bound_is_printed_without_a_sign(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].split(",")[1] == "LB"
     assert lines[1].split(",")[1] == "0"
+
+
+def test_parallel_sweep_writes_the_serial_cold_csv(tmp_path):
+    """Swept strikes solved in two worker processes start cold, so the
+    CSV equals the serial --no-warm-start one byte for byte: the instance
+    and the payoffs reach the workers intact."""
+    inst = tmp_path / "one.json"
+    assert main(["gen-market", "--preset", "random", "--d", "1",
+                 "--samples", "2000", "--out", str(inst)]) == 0
+    sweep = ["bounds", "--instance", str(inst), "--payoff",
+             "call_on_max:assets=0,strike=1", "--sweep", "1:3:1",
+             "--algo", "both"]
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert main(sweep + ["--no-warm-start", "--out", str(serial)]) == 0
+    assert main(sweep + ["--workers", "2", "--out", str(parallel)]) == 0
+    assert len(serial.read_text().strip().split("\n")) == 7
+    assert parallel.read_bytes() == serial.read_bytes()

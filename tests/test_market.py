@@ -44,9 +44,7 @@ def test_strike_beyond_truncation_is_free():
 
 def _two_asset_model():
     marg = market.MarginalModel([0.5, 1.0], [0.2, 0.4], [100.0, 100.0])
-    cop = market.CopulaModel(np.array([[0.6, 0.3], [0.5, -0.4]]),
-                             np.ones(2),
-                             1.0 - np.array([0.45, 0.41]), nu=4.0)
+    cop = market.CopulaModel(np.array([[0.6, 0.3], [0.5, -0.4]]), nu=4.0)
     return marg, cop
 
 
@@ -71,20 +69,22 @@ def test_marginals_match_truncated_lognormal():
 
 def test_independence_limit_kendall_tau():
     marg, _ = _two_asset_model()
-    cop = market.CopulaModel(np.zeros((2, 2)), np.ones(2), np.ones(2),
-                             nu=200.0)
+    cop = market.CopulaModel(np.zeros((2, 2)), nu=200.0)
     xs = market.sample_joint(marg, cop, 100000, seed=3)
     tau = stats.kendalltau(xs[:, 0], xs[:, 1]).statistic
     assert abs(tau) < 0.02
 
 
 def test_copula_validation():
+    """A loading row of norm 1 or more leaves no idiosyncratic variance;
+    a row just below 1 is accepted."""
+    for row in ([0.9, 0.9], [1.0, 0.0], [np.nan, 0.0]):
+        with pytest.raises(ValueError):
+            market.CopulaModel(np.array([row]), nu=3.0)
+    cop = market.CopulaModel(np.array([[0.6, 0.3], [0.0, 0.999]]), nu=3.0)
+    assert cop.idio_var == pytest.approx([0.55, 1.0 - 0.999 ** 2])
     with pytest.raises(ValueError):
-        market.CopulaModel(np.array([[0.9, 0.9]]), np.ones(2),
-                           np.array([0.5]), nu=3.0)  # diag != 1
-    with pytest.raises(ValueError):
-        market.CopulaModel(np.zeros((1, 1)), np.ones(1), np.ones(1),
-                           nu=1.0)  # nu too small
+        market.CopulaModel(np.zeros((1, 1)), nu=1.0)  # nu too small
 
 
 def test_price_payoff_constant():

@@ -129,13 +129,17 @@ def test_offset_shifts_all_values():
 
 
 def test_node_limit_returns_bounds():
-    rng = rng_for(303)
-    p = _random_milp(rng)
-    res = solve_milp(p, MilpOptions(rel_gap=1e-12, node_limit=1))
-    assert res.status in ("node_limit", "optimal", "gap_reached",
-                          "infeasible")
-    if res.status == "node_limit" and res.incumbent_value is not None:
-        assert res.best_bound <= res.incumbent_value + 1e-9
+    """min -x0 - x1 with x0 + x1 <= 1.5 and x binary: the root LP is
+    fractional at -1.5, so one node only branches the root.  The search
+    stops at the limit with the open children's bound, and counts the
+    one node it processed."""
+    p = MixedIntegerProgram(
+        LinearProgram([-1.0, -1.0], [([1.0, 1.0], "<=", 1.5)],
+                      [(0.0, 1.0)] * 2), [0, 1])
+    res = solve_milp(p, MilpOptions(node_limit=1))
+    assert res.status == "node_limit"
+    assert res.best_bound <= -1.0
+    assert res.nodes == 1
 
 
 def test_binary_bound_validation():
@@ -255,7 +259,7 @@ def test_completed_search_agrees_with_oracle_and_plain_search():
         d = int(rng.integers(1, 3))
         box = rng.uniform(1, 8, size=d)
         h = random_cpwa(rng, d, max_terms=5, max_pieces=4)
-        enc, res = minimize_over_box(h, box, MilpOptions(rel_gap=1e-9))
+        enc, res = minimize_over_box(h, box)
         plain = solve_milp(_plain(enc.program), MilpOptions(rel_gap=1e-9),
                            offset=enc.constant)
         oracle, _ = min_oracle(h, box)
@@ -285,8 +289,10 @@ def test_loose_gap_brackets_the_minimum_and_pools_feasible_points():
                 inst.g, cpwa.call_on_max(d, list(range(d)), 2.0))
             h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=inst.m))
             box = inst.box_array()
-        enc, res = minimize_over_box(
-            h, box, MilpOptions(rel_gap=0.8, pool_threshold=0.7))
+        enc = encode_min(h, box)
+        res = solve_milp(enc.program,
+                         MilpOptions(rel_gap=0.8, pool_threshold=0.7),
+                         offset=enc.constant)
         oracle, _ = min_oracle(h, box)
         assert res.best_bound <= oracle + 1e-9, trial
         assert oracle <= res.incumbent_value + 1e-9, trial
