@@ -362,8 +362,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ResourceLimitError, ConditioningError) as exc:
+    except ResourceLimitError as exc:
         print("resource limit: %s" % exc, file=sys.stderr)
+        return EXIT_RESOURCE
+    except ConditioningError as exc:
+        print("numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)

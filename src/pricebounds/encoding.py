@@ -16,6 +16,13 @@ zeta_k takes its term's largest piece value, delta_{k,i} = zeta_k -
 v_{k,i}, and iota_k is one-hot on the first piece attaining the max.
 Branch and bound completes every node LP's point this way, so each node
 gives an exact upper bound on the minimum.
+
+For d <= 2 the program also carries the vertices of the arrangement
+(`MixedIntegerProgram.vertices`): h is affine on each cell cut out of the
+box by the lines on which two pieces of one term are equal, so its
+minimum lies at a crossing of two such lines or box edges.  solve_milp
+prices their completions instead of searching; branch and bound serves
+d >= 3, and remains the tests' reference.
 """
 
 from __future__ import annotations
@@ -27,6 +34,12 @@ import numpy as np
 from .cpwa import CpwaFunction, prune as prune_cpwa
 from .lp import LinearProgram
 from .milp import MixedIntegerProgram, solve_milp
+
+# two lines of the arrangement cross where the determinant of their unit
+# max-norm normals exceeds this; crossings within BOX_TOL (1 + xbar) of
+# the box are clipped into it
+PARALLEL_TOL = 1e-12
+BOX_TOL = 1e-9
 
 
 def _dedupe_pieces(pieces):
@@ -84,6 +97,9 @@ class _Completion:
     iota: np.ndarray  # per entry of neg: its iota
 
     def __call__(self, x_full):
+        """Completes one point, or each row of a block of points."""
+        if x_full.ndim == 2:
+            return self._rows(x_full)
         d = len(self.xbar)
         out = np.zeros(self.n)
         out[:d] = x = np.clip(x_full[:d], 0.0, self.xbar)
@@ -101,6 +117,61 @@ class _Completion:
             self.neg_starts)
         out[self.iota[first]] = 1.0
         return out
+
+    def _rows(self, xs):
+        """__call__ on each row of xs, by one matrix product.  It is
+        kept apart from the single-point path, which branch and bound
+        takes once per node: this row indexing would make that path
+        about 1.7 times as slow."""
+        d = len(self.xbar)
+        out = np.zeros((len(xs), self.n))
+        out[:, :d] = x = np.clip(xs[:, :d], 0.0, self.xbar)
+        if not len(self.starts):
+            return out
+        v = x @ self.a.T + self.b
+        top = np.maximum.reduceat(v, self.starts, axis=1)
+        out[:, self.top] = top
+        if not len(self.neg):
+            return out
+        out[:, self.delta] = gap = (top[:, self.term] - v)[:, self.neg]
+        k = gap.shape[1]
+        first = np.minimum.reduceat(
+            np.where(gap == 0.0, np.arange(k), k), self.neg_starts, axis=1)
+        out[np.arange(len(xs))[:, None], self.iota[first]] = 1.0
+        return out
+
+
+def _vertices(c: _Completion):
+    """The vertices in [0, xbar], d <= 2, of the arrangement of the box
+    edges and of the lines on which two of the completion's pieces of one
+    term are equal: the pairwise crossings of those lines, the box
+    corners among them, each once in lexicographic order."""
+    xbar = c.xbar
+    # the pairs i < j of pieces of one term, whose pieces are contiguous
+    k = np.arange(len(c.b))
+    after = np.append(c.starts[1:], len(c.b))[c.term] - k - 1
+    i = np.repeat(k, after)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
+    n, r = c.a[i] - c.a[j], c.b[j] - c.b[i]
+    scale = np.abs(n).max(axis=1, initial=0.0)
+    n, r, scale = n[scale > 0], r[scale > 0], scale[scale > 0]
+    if len(xbar) == 1:
+        pts = np.concatenate([[0.0], xbar, r / n[:, 0]])[:, None]
+    else:
+        # unit max-norm normals, then the box edges
+        n = np.vstack([n / scale[:, None], np.eye(2), np.eye(2)])
+        r = np.concatenate([r / scale, [0.0, 0.0], xbar])
+        i, j = np.triu_indices(len(r), 1)
+        det = n[i, 0] * n[j, 1] - n[i, 1] * n[j, 0]
+        cross = np.abs(det) > PARALLEL_TOL
+        i, j, det = i[cross], j[cross], det[cross]
+        pts = np.column_stack([r[i] * n[j, 1] - r[j] * n[i, 1],
+                               n[i, 0] * r[j] - n[j, 0] * r[i]]) / det[:, None]
+    tol = BOX_TOL * (1.0 + xbar)
+    pts = np.clip(pts[((pts >= -tol) & (pts <= xbar + tol)).all(axis=1)],
+                  0.0, xbar)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return pts[np.r_[True, (np.diff(pts, axis=0) != 0).any(axis=1)]]
 
 
 @dataclass
@@ -199,7 +270,7 @@ def encode_min(h: CpwaFunction, box) -> Encoding:
         delta=np.array(delta, dtype=int), iota=np.array(iota, dtype=int))
     program = MixedIntegerProgram(
         LinearProgram.from_arrays(c, A, rhs, sense, lo, hi), binaries,
-        complete)
+        complete, _vertices(complete) if d <= 2 else None)
     return Encoding(program=program, constant=constant)
 
 

@@ -1,5 +1,15 @@
 """Branch-and-bound solver for LPs with binary variables.
 
+A program that carries vertices (`MixedIntegerProgram.vertices`, which
+`encoding.encode_min` sets for d <= 2: the vertices of the arrangement of
+its pieces) is solved at them, without a search: their completions are
+priced VERTEX_BLOCK_ROWS at a time, and the least value is both the
+incumbent and the bound, with nodes = 0 and status optimal.  The pool is
+the completed vertices that clear the threshold below.  Every point
+returned is checked as a completed node point is (below); if one fails,
+the program is solved by branch and bound, which serves every program
+without vertices (d >= 3) and remains the tests' reference.
+
 Minimizes over the LP relaxation tree, branching on the most fractional
 binary and exploring nodes in best-bound order.  Both children of a
 node are solved right after it is popped, each re-optimized from its
@@ -43,15 +53,21 @@ INT_TOL = 1e-6
 WARM_STATE_BYTES = 32 * 2**20
 # a completed point's row residuals, relative to 1 + |b|_inf
 COMPLETION_TOL = 1e-9
+# vertices are completed and priced this many at a time
+VERTEX_BLOCK_ROWS = 1024
 
 
 @dataclass
 class MixedIntegerProgram:
     base: LinearProgram
     binary_vars: list
-    # maps a point of the LP relaxation to a candidate integer-feasible
-    # point of the program; None where the program has no such map
+    # maps a point of the LP relaxation, or each row of a block of them,
+    # to a candidate integer-feasible point of the program; None where the
+    # program has no such map
     complete: Callable = None
+    # points whose completions include a minimizer of the program; None
+    # where the program has no such set
+    vertices: np.ndarray = None
 
     def __post_init__(self):
         n = len(self.base.objective)
@@ -106,6 +122,39 @@ def _checker(q: LinearProgram, bset):
     return holds
 
 
+def _pooled(v, p_bar, threshold):
+    """Whether a point of value v enters the pool of a search whose
+    incumbent value is p_bar (elementwise for an array v)."""
+    thr = threshold * p_bar if p_bar < 0 else p_bar
+    return (v <= thr + 1e-9) | (v <= p_bar + 1e-12)
+
+
+def _at_vertices(p, opts, offset, holds):
+    """The program's minimum over the completions of p.vertices, as the
+    incumbent and the bound, with the pool of the completions that clear
+    the threshold; None if any point it would return fails `holds`."""
+    c, at = p.base.objective, p.vertices
+    values = np.concatenate([
+        p.complete(at[i:i + VERTEX_BLOCK_ROWS]) @ c
+        for i in range(0, len(at), VERTEX_BLOCK_ROWS)]) + offset
+    pool, seen = [], set()
+    for x in p.complete(at[_pooled(values, values.min(),
+                                   opts.pool_threshold)]):
+        key = tuple(np.round(x, 9))
+        if key in seen:
+            continue
+        if not holds(x):
+            return None
+        seen.add(key)
+        pool.append((x, float(c @ x) + offset))
+    incumbent, p_bar = min(pool, key=lambda xv: xv[1])
+    return MilpResult(
+        status="optimal", incumbent=incumbent, incumbent_value=p_bar,
+        best_bound=p_bar, nodes=0,
+        pool=[(x, v) for x, v in pool
+              if _pooled(v, p_bar, opts.pool_threshold)])
+
+
 def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
                offset=0.0) -> MilpResult:
     """All reported values (incumbent, bound, pool) include `offset`."""
@@ -113,6 +162,11 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
         opts = MilpOptions()
     binaries = list(p.binary_vars)
     bset = np.array(sorted(binaries), dtype=int)
+    holds = None if p.complete is None else _checker(p.base, bset)
+    if p.vertices is not None and holds is not None:
+        res = _at_vertices(p, opts, offset, holds)
+        if res is not None:
+            return res
 
     def node_lp(fixed, parent=None):
         return solve_lp(p.base.fix(list(fixed), list(fixed.values())),
@@ -158,7 +212,6 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
         if v < p_bar:
             p_bar, incumbent = v, x
 
-    holds = None if p.complete is None else _checker(p.base, bset)
     completed = set()
 
     def offer_completion(x):
@@ -218,9 +271,8 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
 
     pool = []
     seen = set()
-    thr = opts.pool_threshold * p_bar if p_bar < 0 else p_bar
     for x, v in raw_pool:
-        if v <= thr + 1e-9 or v <= p_bar + 1e-12:
+        if _pooled(v, p_bar, opts.pool_threshold):
             key = tuple(np.round(x, 9))
             if key not in seen:
                 seen.add(key)

@@ -8,6 +8,7 @@ import pytest
 import pricebounds as pb
 from pricebounds import cli, cpwa
 from pricebounds.accp import LpContradictionError
+from pricebounds.lp import ConditioningError
 from pricebounds.cli import main, parse_payoff_spec, _sweep_strikes
 from conftest import rng_for, random_box_instance
 
@@ -248,7 +249,8 @@ def test_usage_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("exc", [
     RuntimeError("relaxed LP ended with status unbounded"),
-    LpContradictionError("band [0, 1] is empty")])
+    LpContradictionError("band [0, 1] is empty"),
+    ConditioningError("dual simplex: certificate check failed")])
 def test_solver_failure_exit_code(instance_file, monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
         raise exc
@@ -256,7 +258,9 @@ def test_solver_failure_exit_code(instance_file, monkeypatch, capsys, exc):
     path, _ = instance_file
     assert main(["bounds", "--instance", path,
                  "--payoff", "vanilla_call:asset=0,strike=1"]) == 3
-    assert "solver failure: %s" % exc in capsys.readouterr().err
+    kind = ("numerical failure" if isinstance(exc, ConditioningError)
+            else "solver failure")
+    assert "%s: %s" % (kind, exc) in capsys.readouterr().err
 
 
 def test_console_script_installed():
@@ -307,3 +311,24 @@ def test_parallel_sweep_writes_the_serial_cold_csv(tmp_path):
     assert main(sweep + ["--workers", "2", "--out", str(parallel)]) == 0
     assert len(serial.read_text().strip().split("\n")) == 7
     assert parallel.read_bytes() == serial.read_bytes()
+
+
+def test_ecp_agrees_with_accp_on_the_random_two_asset_preset(tmp_path):
+    """On the random two-asset preset at seed 1, ECP bounds the call on
+    the max at K = 1, and both bounds agree with ACCP's within epsilon."""
+    inst = tmp_path / "two.json"
+    out = tmp_path / "two.csv"
+    assert main(["gen-market", "--preset", "random", "--d", "2",
+                 "--seed", "1", "--samples", "2000",
+                 "--out", str(inst)]) == 0
+    assert main(["bounds", "--instance", str(inst),
+                 "--payoff", "call_on_max:assets=0+1,strike=1",
+                 "--algo", "both", "--out", str(out)]) == 0
+    header, ecp, accp = [line.split(",")
+                         for line in out.read_text().strip().split("\n")]
+    col = {name: i for i, name in enumerate(header)}
+    assert [ecp[col["algorithm"]], accp[col["algorithm"]]] == ["ecp", "accp"]
+    assert ecp[col["status"]] == accp[col["status"]] == "ok"
+    for bound in ("LB", "UB"):
+        assert abs(float(ecp[col[bound]]) - float(accp[col[bound]])) <= 1e-3
+    assert float(ecp[col["LB"]]) <= float(ecp[col["UB"]])

@@ -284,3 +284,49 @@ def test_completion_selects_the_first_top_piece():
     assert xc[1] == 4.0
     assert xc[2:5].tolist() == [2.0, 0.0, 10.0]
     assert xc[5:8].tolist() == [0.0, 1.0, 0.0]
+
+
+def test_completion_of_a_block_completes_each_row():
+    """A block of points completes row by row: each row is
+    integer-feasible and priced at h, and its iotas select the pieces
+    that the point's own completion selects."""
+    rng = rng_for(407)
+    for trial in range(60):
+        d = int(rng.integers(1, 4))
+        inst = random_box_instance(rng, d, int(rng.integers(1, 5)))
+        f = cpwa.call_on_max(d, list(range(d)), 2.0)
+        h = cpwa.instantiate(cpwa.slack_template(inst.g, f),
+                             rng.uniform(-2, 2, size=inst.m))
+        box = inst.box_array()
+        enc = encode_min(h, box)
+        p = enc.program
+        xs = rng.uniform(-0.1, 1.1, size=(7, d)) * box
+        block = p.complete(xs)
+        assert block.shape == (7, len(p.base.objective))
+        for x, xc in zip(xs, block):
+            one = p.complete(x)
+            assert_integer_feasible(p, xc)
+            assert np.array_equal(xc[p.binary_vars], one[p.binary_vars])
+            assert np.allclose(xc, one, rtol=1e-12, atol=1e-12), trial
+            s = p.base.objective @ xc + enc.constant
+            assert abs(s - cpwa.evaluate(h, np.clip(x, 0.0, box))) <= \
+                1e-9 * (1 + abs(s)), trial
+
+
+def test_vertices_of_the_arrangement():
+    """The program carries the vertices of its pieces' arrangement in
+    the box for d <= 2, and none for d >= 3."""
+    call = cpwa.vanilla_call(1, 0, 1.0)
+    assert encode_min(call, [10.0]).program.vertices.tolist() == \
+        [[0.0], [1.0], [10.0]]
+    # max(x0, x1) kinks on x0 = x1, which leaves the box at (2, 2)
+    both = cpwa.call_on_max(2, [0, 1], 0.0)
+    assert encode_min(both, [2.0, 3.0]).program.vertices.tolist() == \
+        [[0.0, 0.0], [0.0, 3.0], [2.0, 0.0], [2.0, 2.0], [2.0, 3.0]]
+    # x0 - x1 is affine: the box corners only
+    flat = cpwa.linear_combination([1.0, -1.0], [cpwa.asset(2, 0),
+                                                 cpwa.asset(2, 1)])
+    assert encode_min(flat, [1.0, 1.0]).program.vertices.tolist() == \
+        [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    three = cpwa.call_on_max(3, [0, 1, 2], 1.0)
+    assert encode_min(three, [2.0] * 3).program.vertices is None

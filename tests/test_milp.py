@@ -249,8 +249,14 @@ def _plain(p):
     return MixedIntegerProgram(p.base, p.binary_vars)
 
 
+def _searched(p):
+    """p with its completion but without its vertices, which branch and
+    bound solves."""
+    return MixedIntegerProgram(p.base, p.binary_vars, p.complete)
+
+
 def test_completed_search_agrees_with_oracle_and_plain_search():
-    """At rel_gap 1e-9 the slack MILPs, solved with their completions,
+    """At rel_gap 1e-9 the slack MILPs, searched with their completions,
     agree with the arrangement-vertex oracle and with the search that
     finds incumbents only at integral nodes, in fewer nodes."""
     rng = rng_for(306)
@@ -259,7 +265,8 @@ def test_completed_search_agrees_with_oracle_and_plain_search():
         d = int(rng.integers(1, 3))
         box = rng.uniform(1, 8, size=d)
         h = random_cpwa(rng, d, max_terms=5, max_pieces=4)
-        enc, res = minimize_over_box(h, box)
+        enc = encode_min(h, box)
+        res = solve_milp(_searched(enc.program), offset=enc.constant)
         plain = solve_milp(_plain(enc.program), MilpOptions(rel_gap=1e-9),
                            offset=enc.constant)
         oracle, _ = min_oracle(h, box)
@@ -290,7 +297,7 @@ def test_loose_gap_brackets_the_minimum_and_pools_feasible_points():
             h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=inst.m))
             box = inst.box_array()
         enc = encode_min(h, box)
-        res = solve_milp(enc.program,
+        res = solve_milp(_searched(enc.program),
                          MilpOptions(rel_gap=0.8, pool_threshold=0.7),
                          offset=enc.constant)
         oracle, _ = min_oracle(h, box)
@@ -315,7 +322,9 @@ def test_broken_completion_is_never_accepted(mutation):
     """A completion whose point has a negative delta (its rows still
     hold) or an all-zero iota fails the check: none of its points
     becomes the incumbent or enters the pool, and the search runs as if
-    the program had no completion."""
+    the program had no completion.  A program that also carries its
+    vertices falls back to that search, and so still finds the oracle's
+    minimum."""
     rng = rng_for(308)
     checked = 0
     for trial in range(40):
@@ -334,25 +343,109 @@ def test_broken_completion_is_never_accepted(mutation):
         def broken(x):
             xc = good(x)
             if mutation == "negative_delta":
-                xc[zeta] -= 1e-3
-                xc[deltas] -= 1e-3
+                xc[..., zeta] -= 1e-3
+                xc[..., deltas] -= 1e-3
             else:
-                xc[iotas] = 0.0
+                xc[..., iotas] = 0.0
             made.append(xc)
             return xc
 
-        p = MixedIntegerProgram(enc.program.base, enc.program.binary_vars,
-                                broken)
-        res = solve_milp(p, offset=enc.constant)
-        plain = solve_milp(_plain(p), offset=enc.constant)
-        assert made, trial
-        accepted = [res.incumbent] + [x for x, _ in res.pool]
-        assert not any(x is y for x in made for y in accepted), trial
-        assert res.nodes == plain.nodes, trial
-        assert res.incumbent_value == plain.incumbent_value, trial
-        assert np.array_equal(res.incumbent, plain.incumbent), trial
+        plain = solve_milp(_plain(enc.program), offset=enc.constant)
+        oracle, _ = min_oracle(h, inst.box_array())
+        assert plain.incumbent_value == pytest.approx(
+            oracle, abs=1e-7 * (1 + abs(oracle))), trial
+        for vertices in (None, enc.program.vertices):
+            del made[:]
+            p = MixedIntegerProgram(enc.program.base,
+                                    enc.program.binary_vars, broken,
+                                    vertices)
+            res = solve_milp(p, offset=enc.constant)
+            assert made, trial
+            accepted = [res.incumbent] + [x for x, _ in res.pool]
+            assert not any(x is y for x in made for y in accepted), trial
+            for x in accepted:
+                assert_integer_feasible(p, x, int_tol=INT_TOL)
+            assert res.nodes == plain.nodes, trial
+            assert res.incumbent_value == plain.incumbent_value, trial
+            assert np.array_equal(res.incumbent, plain.incumbent), trial
         checked += 1
     assert checked > 20
+
+
+def _slack_instance(rng, d, shape):
+    """(h, box, c): a random function with c = 0, or a slack function of
+    the kind ECP and ACCP minimize, at a random portfolio and cash c."""
+    if shape == "function":
+        return (random_cpwa(rng, d, max_terms=5, max_pieces=4),
+                rng.uniform(1, 8, size=d), 0.0)
+    inst = random_box_instance(rng, d, int(rng.integers(1, 6)))
+    f = cpwa.call_on_max(d, list(range(d)), float(rng.uniform(0, 10)))
+    h = cpwa.instantiate(cpwa.slack_template(inst.g, f),
+                         rng.uniform(-2, 2, size=inst.m))
+    return h, inst.box_array(), float(rng.uniform(-5, 5))
+
+
+# ECP solves its slack MILPs to rel_gap 1e-9 and ACCP to zeta, each
+# pooling at delta (the CLI's defaults 0.8 and 0.7)
+SHAPES = {"function": MilpOptions(),
+          "ecp": MilpOptions(pool_threshold=0.7),
+          "accp": MilpOptions(rel_gap=0.8, pool_threshold=0.7)}
+
+
+def test_vertices_give_the_minimum_without_a_search():
+    """In d <= 2 encode_min's program carries its arrangement vertices,
+    and solve_milp takes the minimum over their completions without a
+    node LP.  On random functions and on ECP- and ACCP-shaped slack
+    instantiations the minimum equals the arrangement-vertex oracle and
+    branch and bound on the program without its vertices, the bound
+    equals the incumbent, and every pool point is integer-feasible,
+    priced by the objective and within the pool threshold."""
+    rng = rng_for(310)
+    pooled = 0
+    for trial in range(150):
+        d = int(rng.integers(1, 3))
+        shape = list(SHAPES)[trial % 3]
+        h, box, c = _slack_instance(rng, d, shape)
+        enc = encode_min(h, box)
+        opts, offset = SHAPES[shape], enc.constant + c
+        res = solve_milp(enc.program, opts, offset=offset)
+        ref = solve_milp(_searched(enc.program),
+                         MilpOptions(pool_threshold=opts.pool_threshold),
+                         offset=offset)
+        oracle, _ = min_oracle(h, box)
+        v = res.incumbent_value
+        assert (res.status, res.nodes) == ("optimal", 0), trial
+        assert abs(v - (oracle + c)) <= 1e-9 * (1 + abs(v)), trial
+        assert abs(v - ref.incumbent_value) <= 1e-9 * (1 + abs(v)), trial
+        assert res.best_bound == v, trial
+        thr = opts.pool_threshold * v if v < 0 else v
+        for x, value in res.pool:
+            assert_integer_feasible(enc.program, x)
+            assert value == pytest.approx(
+                enc.program.base.objective @ x + offset,
+                abs=1e-9 * (1 + abs(value)))
+            assert value <= thr + 1e-9 or value <= v + 1e-12
+            pooled += 1
+    assert pooled > 200
+
+
+def test_vertices_priced_in_blocks_agree(monkeypatch):
+    """Completing and pricing the vertices a few rows at a time returns
+    the incumbent and the pool that one block does."""
+    rng = rng_for(311)
+    cases = []
+    for trial in range(30):
+        d = int(rng.integers(1, 3))
+        h, box, c = _slack_instance(rng, d, "ecp")
+        enc = encode_min(h, box)
+        cases.append((enc, solve_milp(enc.program, SHAPES["ecp"],
+                                      offset=enc.constant)))
+    monkeypatch.setattr(milp_module, "VERTEX_BLOCK_ROWS", 3)
+    for enc, res in cases:
+        assert len(enc.program.vertices) > 3
+        again = solve_milp(enc.program, SHAPES["ecp"], offset=enc.constant)
+        assert again.incumbent_value == res.incumbent_value
+        assert [v for _, v in again.pool] == [v for _, v in res.pool]
 
 
 def test_each_completed_point_is_checked_once(monkeypatch):
