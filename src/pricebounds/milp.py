@@ -3,7 +3,7 @@
 A program that carries vertices (`MixedIntegerProgram.vertices`, which
 `encoding.encode_min` sets for d <= 2: the vertices of the arrangement of
 its pieces) is solved at them, without a search: their completions are
-priced VERTEX_BLOCK_ROWS at a time, and the least value is both the
+priced by one matrix product, and the least value is both the
 incumbent and the bound, with nodes = 0 and status optimal.  The pool is
 the completed vertices that clear the threshold below.  Every point
 returned is checked as a completed node point is (below); if one fails,
@@ -53,8 +53,6 @@ INT_TOL = 1e-6
 WARM_STATE_BYTES = 32 * 2**20
 # a completed point's row residuals, relative to 1 + |b|_inf
 COMPLETION_TOL = 1e-9
-# vertices are completed and priced this many at a time
-VERTEX_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -133,26 +131,22 @@ def _at_vertices(p, opts, offset, holds):
     """The program's minimum over the completions of p.vertices, as the
     incumbent and the bound, with the pool of the completions that clear
     the threshold; None if any point it would return fails `holds`."""
-    c, at = p.base.objective, p.vertices
-    values = np.concatenate([
-        p.complete(at[i:i + VERTEX_BLOCK_ROWS]) @ c
-        for i in range(0, len(at), VERTEX_BLOCK_ROWS)]) + offset
+    xs = p.complete(p.vertices)
+    values = xs @ p.base.objective + offset
+    keep = _pooled(values, values.min(), opts.pool_threshold)
     pool, seen = [], set()
-    for x in p.complete(at[_pooled(values, values.min(),
-                                   opts.pool_threshold)]):
+    for x, v in zip(xs[keep], values[keep]):
         key = tuple(np.round(x, 9))
         if key in seen:
             continue
         if not holds(x):
             return None
         seen.add(key)
-        pool.append((x, float(c @ x) + offset))
+        pool.append((x, float(v)))
     incumbent, p_bar = min(pool, key=lambda xv: xv[1])
     return MilpResult(
         status="optimal", incumbent=incumbent, incumbent_value=p_bar,
-        best_bound=p_bar, nodes=0,
-        pool=[(x, v) for x, v in pool
-              if _pooled(v, p_bar, opts.pool_threshold)])
+        best_bound=p_bar, pool=pool, nodes=0)
 
 
 def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,

@@ -429,25 +429,6 @@ def test_vertices_give_the_minimum_without_a_search():
     assert pooled > 200
 
 
-def test_vertices_priced_in_blocks_agree(monkeypatch):
-    """Completing and pricing the vertices a few rows at a time returns
-    the incumbent and the pool that one block does."""
-    rng = rng_for(311)
-    cases = []
-    for trial in range(30):
-        d = int(rng.integers(1, 3))
-        h, box, c = _slack_instance(rng, d, "ecp")
-        enc = encode_min(h, box)
-        cases.append((enc, solve_milp(enc.program, SHAPES["ecp"],
-                                      offset=enc.constant)))
-    monkeypatch.setattr(milp_module, "VERTEX_BLOCK_ROWS", 3)
-    for enc, res in cases:
-        assert len(enc.program.vertices) > 3
-        again = solve_milp(enc.program, SHAPES["ecp"], offset=enc.constant)
-        assert again.incumbent_value == res.incumbent_value
-        assert [v for _, v in again.pool] == [v for _, v in res.pool]
-
-
 def test_each_completed_point_is_checked_once(monkeypatch):
     """The search checks and offers each distinct completed point once,
     the same set of points that it completes, however many nodes
