@@ -20,13 +20,28 @@ gives an exact upper bound on the minimum.
 For d <= 2 the program also carries the vertices of the arrangement
 (`MixedIntegerProgram.vertices`): h is affine on each cell cut out of the
 box by the lines on which two pieces of one term are equal, so its
-minimum lies at a crossing of two such lines or box edges.  solve_milp
-prices their completions instead of searching; branch and bound serves
-d >= 3, and remains the tests' reference.
+minimum lies at a crossing of two such lines or box edges.
+
+For d >= 3 it carries points with the same property where every term
+whose pieces use two or more coordinates is negative, as in the slack of
+an upper bound on a multi-asset payoff hedged with single-asset
+instruments.  h is then the least of the functions h_t, one per choice t
+of one piece of each such term, each separable: h_t(x) = sum_i u_i(x_i) -
+s_t . x + const, where u_i sums the affine addend on x_i and the terms
+whose pieces use x_i alone, and s_t sums the chosen pieces' slopes.  So
+min h = min_t h(x_t), where x_t[i] minimizes u_i(z) - s_t[i] z over 0,
+xbar_i and the kinks of u_i inside (0, xbar_i).  Where a positive term
+uses two or more coordinates, or the choices t number more than
+MAX_PIECE_TUPLES, the program carries none.
+
+solve_milp prices the completions of these points instead of searching;
+branch and bound serves the programs without them, and remains the
+tests' reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +55,9 @@ from .milp import MixedIntegerProgram, solve_milp
 # the box are clipped into it
 PARALLEL_TOL = 1e-12
 BOX_TOL = 1e-9
+# above this many choices of one piece per multi-coordinate term, a d >= 3
+# program carries no vertices and branch and bound solves it
+MAX_PIECE_TUPLES = 4096
 
 
 def _dedupe_pieces(pieces):
@@ -141,17 +159,23 @@ class _Completion:
         return out
 
 
+def _piece_pairs(c: _Completion):
+    """The pairs i < j of the completion's pieces of one term, whose
+    pieces are contiguous."""
+    k = np.arange(len(c.b))
+    after = np.append(c.starts[1:], len(c.b))[c.term] - k - 1
+    i = np.repeat(k, after)
+    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
+    return i, j
+
+
 def _vertices(c: _Completion):
     """The vertices in [0, xbar], d <= 2, of the arrangement of the box
     edges and of the lines on which two of the completion's pieces of one
     term are equal: the pairwise crossings of those lines, the box
     corners among them, each once in lexicographic order."""
     xbar = c.xbar
-    # the pairs i < j of pieces of one term, whose pieces are contiguous
-    k = np.arange(len(c.b))
-    after = np.append(c.starts[1:], len(c.b))[c.term] - k - 1
-    i = np.repeat(k, after)
-    j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
+    i, j = _piece_pairs(c)
     n, r = c.a[i] - c.a[j], c.b[j] - c.b[i]
     scale = np.abs(n).max(axis=1, initial=0.0)
     n, r, scale = n[scale > 0], r[scale > 0], scale[scale > 0]
@@ -168,10 +192,70 @@ def _vertices(c: _Completion):
         pts = np.column_stack([r[i] * n[j, 1] - r[j] * n[i, 1],
                                n[i, 0] * r[j] - n[j, 0] * r[i]]) / det[:, None]
     tol = BOX_TOL * (1.0 + xbar)
-    pts = np.clip(pts[((pts >= -tol) & (pts <= xbar + tol)).all(axis=1)],
-                  0.0, xbar)
+    return _distinct(np.clip(
+        pts[((pts >= -tol) & (pts <= xbar + tol)).all(axis=1)], 0.0, xbar))
+
+
+def _distinct(pts):
+    """The distinct rows of pts in lexicographic order."""
     pts = pts[np.lexsort(pts.T[::-1])]
     return pts[np.r_[True, (np.diff(pts, axis=0) != 0).any(axis=1)]]
+
+
+def _minimizers(c: _Completion, c_x):
+    """For d >= 3, the points x_t of the module docstring, each once in
+    lexicographic order: per choice t of one piece of each term whose
+    pieces use two or more coordinates, the coordinatewise minimizer of
+    the separable h_t.  None where such a term is positive, or where
+    those terms admit more than MAX_PIECE_TUPLES choices."""
+    xbar, d = c.xbar, len(c.xbar)
+    ends = np.append(c.starts[1:], len(c.b))
+    # per term: the coordinates its pieces use, and its sign
+    used = np.logical_or.reduceat(c.a != 0, c.starts, axis=0)
+    sign = np.ones(len(c.starts))
+    sign[c.term[c.neg]] = -1.0
+    multi = used.sum(axis=1) >= 2
+    if ((sign[multi] > 0).any() or
+            math.prod((ends - c.starts)[multi].tolist()) > MAX_PIECE_TUPLES):
+        return None
+    # s_t: the sum of the slopes chosen by t
+    s = np.zeros((1, d))
+    for k in np.flatnonzero(multi):
+        s = (s[:, None] + c.a[c.starts[k]:ends[k]]).reshape(-1, d)
+    # the candidates B_k, grouped by coordinate k: 0, xbar_k and the
+    # crossings inside (0, xbar_k) of two pieces of a term that uses k alone
+    i, j = _piece_pairs(c)
+    one = ~multi[c.term[i]]
+    i, j = i[one], j[one]
+    axis = used[c.term[i]].argmax(axis=1)
+    slope = c.a[i, axis] - c.a[j, axis]
+    crossing = slope != 0
+    z = (c.b[j] - c.b[i])[crossing] / slope[crossing]
+    axis = axis[crossing]
+    inside = (z > 0) & (z < xbar[axis])
+    axis = np.concatenate([np.arange(d), np.arange(d), axis[inside]])
+    z = np.concatenate([np.zeros(d), xbar, z[inside]])
+    order = np.argsort(axis, kind="stable")
+    axis, z = axis[order], z[order]
+    groups = np.searchsorted(axis, np.arange(d))
+    # u at z e_k: u_k(z) plus the other single-coordinate terms at 0, a
+    # constant per group that does not move its argmin
+    at = np.zeros((len(z), d))
+    at[np.arange(len(z)), axis] = z
+    u = at @ c_x
+    pieces = ~multi[c.term]
+    if pieces.any():
+        term = c.term[pieces]
+        firsts = np.flatnonzero(np.r_[True, term[1:] != term[:-1]])
+        u += np.maximum.reduceat(at @ c.a[pieces].T + c.b[pieces], firsts,
+                                 axis=1) @ sign[term[firsts]]
+    # per t and k, the first candidate of group k that minimizes
+    # u_k(z) - s_t[k] z
+    w = u - s[:, axis] * z
+    low = np.minimum.reduceat(w, groups, axis=1)
+    first = np.minimum.reduceat(
+        np.where(w == low[:, axis], np.arange(len(z)), len(z)), groups, axis=1)
+    return _distinct(z[first])
 
 
 @dataclass
@@ -270,7 +354,8 @@ def encode_min(h: CpwaFunction, box) -> Encoding:
         delta=np.array(delta, dtype=int), iota=np.array(iota, dtype=int))
     program = MixedIntegerProgram(
         LinearProgram.from_arrays(c, A, rhs, sense, lo, hi), binaries,
-        complete, _vertices(complete) if d <= 2 else None)
+        complete,
+        _vertices(complete) if d <= 2 else _minimizers(complete, c_x))
     return Encoding(program=program, constant=constant)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pricebounds as pb
-from pricebounds import cli, cpwa
+from pricebounds import cli, cpwa, market
 from pricebounds.accp import LpContradictionError
 from pricebounds.lp import ConditioningError
 from pricebounds.cli import main, parse_payoff_spec, _sweep_strikes
@@ -332,3 +332,35 @@ def test_ecp_agrees_with_accp_on_the_random_two_asset_preset(tmp_path):
     for bound in ("LB", "UB"):
         assert abs(float(ecp[col[bound]]) - float(accp[col[bound]])) <= 1e-3
     assert float(ecp[col["LB"]]) <= float(ecp[col["UB"]])
+
+
+def test_five_asset_upper_bound_takes_no_node(monkeypatch):
+    """On the five-asset rung of 15 instruments (five_asset_family(1):
+    the assets and the vanilla calls at K = 3 and 7) with the call on the
+    max of all five at K = 3, ECP's upper bound through solve_one at the
+    CLI defaults solves every slack MILP at its minimizers: they are
+    short the call on the max alone, so no branch-and-bound node is
+    taken."""
+    full = market.build_market(market.five_asset_family(1),
+                               market.five_asset_instruments(
+                                   ("assets", "vanilla")))
+    idx = list(range(5)) + [5 + 10 * i + k - 1
+                            for i in range(5) for k in (3, 7)]
+    inst = pb.MarketInstance(dimension=5, domain=full.domain,
+                             g=[full.g[j] for j in idx],
+                             bid=full.bid[idx], ask=full.ask[idx])
+    bounds, solve_ecp = [], cli.solve_ecp
+
+    def recorded(*args):
+        bounds.append(solve_ecp(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(cli, "solve_ecp", recorded)
+    args = cli.build_parser().parse_args(
+        ["bounds", "--instance", "-", "--payoff", "-"])
+    r = cli.solve_one(inst, pb.call_on_max(5, list(range(5)), 3.0), "ecp",
+                      args.epsilon, args.tau, args.delta, args.gamma,
+                      args.zeta)
+    assert r["status"] == "ok"
+    up = bounds[0]
+    assert up.milp_count > 0 and up.milp_nodes == 0

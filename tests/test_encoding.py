@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pricebounds import cpwa
-from pricebounds.encoding import (big_m, encode_min, minimize_over_box,
-                                  _dedupe_pieces, _term_big_m)
+from pricebounds.encoding import (MAX_PIECE_TUPLES, big_m, encode_min,
+                                  minimize_over_box, _dedupe_pieces,
+                                  _term_big_m)
 from pricebounds.lp import LinearProgram, solve_lp
 from conftest import (rng_for, random_cpwa, random_box_instance, min_oracle,
                       assert_integer_feasible, negative_terms)
@@ -315,7 +316,11 @@ def test_completion_of_a_block_completes_each_row():
 
 def test_vertices_of_the_arrangement():
     """The program carries the vertices of its pieces' arrangement in
-    the box for d <= 2, and none for d >= 3."""
+    the box for d <= 2.  For d >= 3 it carries the coordinatewise
+    minimizers of its pieces where every term whose pieces use two or
+    more coordinates is negative, and none where one is positive or where
+    those terms admit more than MAX_PIECE_TUPLES choices of one piece
+    each."""
     call = cpwa.vanilla_call(1, 0, 1.0)
     assert encode_min(call, [10.0]).program.vertices.tolist() == \
         [[0.0], [1.0], [10.0]]
@@ -330,3 +335,27 @@ def test_vertices_of_the_arrangement():
         [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
     three = cpwa.call_on_max(3, [0, 1, 2], 1.0)
     assert encode_min(three, [2.0] * 3).program.vertices is None
+    # 2 (x0 - 2)^+ - (max(x0, x1, x2) - 1)^+: per piece of the short call
+    # on the max, x0 at its argmin over {0, 3} and the kink 2, x1 and x2
+    # over {0, 3}; a tie goes to the first of 0, xbar and the kinks
+    short = cpwa.linear_combination([2.0, -1.0], [cpwa.vanilla_call(3, 0, 2.0),
+                                                  three])
+    assert encode_min(short, [3.0] * 3).program.vertices.tolist() == \
+        [[0.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0], [2.0, 0.0, 0.0]]
+    assert encode_min(cpwa.call_on_min(3, [0, 1, 2], 1.0),
+                      [2.0] * 3).program.vertices is None
+    # the lower bound's slack carries +f
+    g = [cpwa.asset(3, i) for i in range(3)]
+    long = cpwa.instantiate(cpwa.slack_template(
+        g, cpwa.linear_combination([-1.0], [three])), np.ones(3))
+    assert encode_min(long, [2.0] * 3).program.vertices is None
+    # n short calls on the max give 4^n choices of one piece each
+    n = 1
+    while 4 ** (n + 1) <= MAX_PIECE_TUPLES:
+        n += 1
+    for terms, carried in ((n, True), (n + 1, False)):
+        shorts = cpwa.linear_combination(
+            [-1.0] * terms,
+            [cpwa.call_on_max(3, [0, 1, 2], k + 1.0) for k in range(terms)])
+        vertices = encode_min(shorts, [9.0] * 3).program.vertices
+        assert (vertices is not None) == carried

@@ -429,6 +429,76 @@ def test_vertices_give_the_minimum_without_a_search():
     assert pooled > 200
 
 
+def _highs_minimum(p, offset):
+    """The minimum of p plus offset, by scipy's HiGHS MILP."""
+    q = p.base
+    integrality = np.zeros(len(q.objective))
+    integrality[p.binary_vars] = 1
+    ref = milp(q.objective, integrality=integrality,
+               constraints=LinearConstraint(
+                   q.A, np.where(q.sense >= 0, q.b, -np.inf),
+                   np.where(q.sense <= 0, q.b, np.inf)),
+               bounds=Bounds(q.lo, q.hi), options={"mip_rel_gap": 0.0})
+    assert ref.status == 0
+    return ref.fun + offset
+
+
+def _short_target_slack(rng, d):
+    """(h, box, c): the slack of a random portfolio of the assets and of
+    vanilla calls and puts, short a call on the max, a basket call or a
+    best-of-calls on a random subset of two or more assets, at cash c."""
+    g = [cpwa.asset(d, i) for i in range(d)]
+    for _ in range(int(rng.integers(1, 3 * d))):
+        make = cpwa.vanilla_call if rng.uniform() < 0.6 else cpwa.vanilla_put
+        g.append(make(d, int(rng.integers(d)), float(rng.uniform(0, 10))))
+    assets = sorted(rng.choice(d, size=int(rng.integers(2, d + 1)),
+                               replace=False).tolist())
+    kind = ["call_on_max", "basket_call", "best_of_calls"][
+        int(rng.integers(3))]
+    if kind == "call_on_max":
+        f = cpwa.call_on_max(d, assets, float(rng.uniform(0, 10)))
+    elif kind == "basket_call":
+        w = np.zeros(d)
+        w[assets] = rng.uniform(0.1, 1.0, size=len(assets))
+        f = cpwa.basket_call(w, float(rng.uniform(0, 10)))
+    else:
+        f = cpwa.best_of_calls(d, assets, rng.uniform(0, 10, size=len(assets)))
+    h = cpwa.instantiate(cpwa.slack_template(g, f),
+                         rng.uniform(-2, 2, size=len(g)))
+    return h, rng.uniform(5, 20, size=d), float(rng.uniform(-5, 5))
+
+
+def test_short_targets_are_solved_at_their_minimizers():
+    """In d = 3..6, a slack that is short its only multi-asset term
+    carries the coordinatewise minimizers of its pieces, and solve_milp,
+    at ECP's and ACCP's options, takes its minimum over their completions
+    without a node LP.  The minimum equals branch and bound on the
+    program without them and HiGHS, and every pool point holds the
+    program's rows, bounds and binaries."""
+    rng = rng_for(311)
+    pooled, searched = 0, 0
+    for trial in range(60):
+        d = int(rng.integers(3, 7))
+        h, box, c = _short_target_slack(rng, d)
+        enc = encode_min(h, box)
+        p, offset = enc.program, enc.constant + c
+        assert p.vertices is not None, trial
+        opts = SHAPES[["ecp", "accp"][trial % 2]]
+        res = solve_milp(p, opts, offset=offset)
+        ref = solve_milp(_searched(p), offset=offset)
+        searched += ref.nodes
+        v = res.incumbent_value
+        assert (res.status, res.nodes) == ("optimal", 0), trial
+        assert abs(v - ref.incumbent_value) <= 1e-9 * (1 + abs(v)), trial
+        assert abs(v - _highs_minimum(p, offset)) <= 1e-9 * (1 + abs(v)), \
+            trial
+        holds = milp_module._checker(p.base, np.array(p.binary_vars))
+        for x, _ in res.pool:
+            assert holds(x), trial
+            pooled += 1
+    assert pooled > 60 and searched > 20
+
+
 def test_each_completed_point_is_checked_once(monkeypatch):
     """The search checks and offers each distinct completed point once,
     the same set of points that it completes, however many nodes
