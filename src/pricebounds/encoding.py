@@ -22,17 +22,18 @@ For d <= 2 the program also carries the vertices of the arrangement
 box by the lines on which two pieces of one term are equal, so its
 minimum lies at a crossing of two such lines or box edges.
 
-For d >= 3 it carries points with the same property where every term
-whose pieces use two or more coordinates is negative, as in the slack of
-an upper bound on a multi-asset payoff hedged with single-asset
-instruments.  h is then the least of the functions h_t, one per choice t
-of one piece of each such term, each separable: h_t(x) = sum_i u_i(x_i) -
-s_t . x + const, where u_i sums the affine addend on x_i and the terms
-whose pieces use x_i alone, and s_t sums the chosen pieces' slopes.  So
-min h = min_t h(x_t), where x_t[i] minimizes u_i(z) - s_t[i] z over 0,
-xbar_i and the kinks of u_i inside (0, xbar_i).  Where a positive term
-uses two or more coordinates, or the choices t number more than
-MAX_PIECE_TUPLES, the program carries none.
+For d >= 3 it carries points with the same property where at most one
+term has pieces that use two or more coordinates and that term is
+negative, as in the slack of an upper bound on a multi-asset payoff
+hedged with single-asset instruments.  h is then the least of the
+functions h_t, one per piece t of that term (h itself where no term uses
+two or more coordinates), each separable: h_t(x) =
+sum_i u_i(x_i) - a_t . x + const, where u_i sums the affine addend on x_i
+and the terms whose pieces use x_i alone, and a_t is the slope of piece
+t.  So min h = min_t h(x_t), where x_t[i] minimizes u_i(z) - a_t[i] z
+over 0, xbar_i and the kinks of u_i inside (0, xbar_i).  Where a positive
+term or a second term uses two or more coordinates, the program carries
+none.
 
 solve_milp prices the completions of these points instead of searching;
 branch and bound serves the programs without them, and remains the
@@ -41,7 +42,6 @@ tests' reference.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +55,6 @@ from .milp import MixedIntegerProgram, solve_milp
 # the box are clipped into it
 PARALLEL_TOL = 1e-12
 BOX_TOL = 1e-9
-# above this many choices of one piece per multi-coordinate term, a d >= 3
-# program carries no vertices and branch and bound solves it
-MAX_PIECE_TUPLES = 4096
 
 
 def _dedupe_pieces(pieces):
@@ -204,10 +201,10 @@ def _distinct(pts):
 
 def _minimizers(c: _Completion, c_x):
     """For d >= 3, the points x_t of the module docstring, each once in
-    lexicographic order: per choice t of one piece of each term whose
-    pieces use two or more coordinates, the coordinatewise minimizer of
-    the separable h_t.  None where such a term is positive, or where
-    those terms admit more than MAX_PIECE_TUPLES choices."""
+    lexicographic order: per piece t of the one term whose pieces use two
+    or more coordinates, the coordinatewise minimizer of the separable
+    h_t.  None where that term is positive or a second such term
+    exists."""
     xbar, d = c.xbar, len(c.xbar)
     ends = np.append(c.starts[1:], len(c.b))
     # per term: the coordinates its pieces use, and its sign
@@ -215,13 +212,12 @@ def _minimizers(c: _Completion, c_x):
     sign = np.ones(len(c.starts))
     sign[c.term[c.neg]] = -1.0
     multi = used.sum(axis=1) >= 2
-    if ((sign[multi] > 0).any() or
-            math.prod((ends - c.starts)[multi].tolist()) > MAX_PIECE_TUPLES):
+    if multi.sum() > 1 or (sign[multi] > 0).any():
         return None
-    # s_t: the sum of the slopes chosen by t
-    s = np.zeros((1, d))
-    for k in np.flatnonzero(multi):
-        s = (s[:, None] + c.a[c.starts[k]:ends[k]]).reshape(-1, d)
+    # the slopes a_t of the multi-coordinate term's pieces, or one zero
+    # slope where every term uses one coordinate
+    k = np.flatnonzero(multi)
+    s = c.a[c.starts[k[0]]:ends[k[0]]] if len(k) else np.zeros((1, d))
     # the candidates B_k, grouped by coordinate k: 0, xbar_k and the
     # crossings inside (0, xbar_k) of two pieces of a term that uses k alone
     i, j = _piece_pairs(c)
@@ -250,7 +246,7 @@ def _minimizers(c: _Completion, c_x):
         u += np.maximum.reduceat(at @ c.a[pieces].T + c.b[pieces], firsts,
                                  axis=1) @ sign[term[firsts]]
     # per t and k, the first candidate of group k that minimizes
-    # u_k(z) - s_t[k] z
+    # u_k(z) - a_t[k] z
     w = u - s[:, axis] * z
     low = np.minimum.reduceat(w, groups, axis=1)
     first = np.minimum.reduceat(

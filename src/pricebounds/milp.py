@@ -2,16 +2,18 @@
 
 A program that carries vertices (`MixedIntegerProgram.vertices`, which
 `encoding.encode_min` sets for d <= 2, the vertices of the arrangement of
-its pieces, and for d >= 3 when every term that uses two or more
-coordinates is negative, the coordinatewise minimizers of its pieces) is
+its pieces, and for d >= 3 when at most one term uses two or more
+coordinates and it is negative, the coordinatewise minimizers of its
+pieces) is
 solved at them, without a search: their completions are priced by one
 matrix product, and the least value is both the incumbent and the bound,
 with nodes = 0 and status optimal.  The pool is the completed vertices
 that clear the threshold below.  Every point returned is checked as a
 completed node point is (below); if one fails, the program is solved by
 branch and bound, which serves every program without vertices (d >= 3
-with a positive multi-coordinate term, such as the slack of a lower
-bound on a multi-asset payoff) and remains the tests' reference.
+with a positive or a second multi-coordinate term, such as the slack
+of a lower bound on a multi-asset payoff) and remains the tests'
+reference.
 
 Minimizes over the LP relaxation tree, branching on the most fractional
 binary and exploring nodes in best-bound order.  Both children of a

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from pricebounds import cpwa
-from pricebounds.encoding import (MAX_PIECE_TUPLES, big_m, encode_min,
-                                  minimize_over_box, _dedupe_pieces,
-                                  _term_big_m)
+from pricebounds.encoding import (big_m, encode_min, minimize_over_box,
+                                  _dedupe_pieces, _term_big_m)
 from pricebounds.lp import LinearProgram, solve_lp
 from conftest import (rng_for, random_cpwa, random_box_instance, min_oracle,
                       assert_integer_feasible, negative_terms)
@@ -317,10 +316,9 @@ def test_completion_of_a_block_completes_each_row():
 def test_vertices_of_the_arrangement():
     """The program carries the vertices of its pieces' arrangement in
     the box for d <= 2.  For d >= 3 it carries the coordinatewise
-    minimizers of its pieces where every term whose pieces use two or
-    more coordinates is negative, and none where one is positive or where
-    those terms admit more than MAX_PIECE_TUPLES choices of one piece
-    each."""
+    minimizers of its pieces where one term's pieces use two or more
+    coordinates and that term is negative, and none where such a term is
+    positive or there are two of them."""
     call = cpwa.vanilla_call(1, 0, 1.0)
     assert encode_min(call, [10.0]).program.vertices.tolist() == \
         [[0.0], [1.0], [10.0]]
@@ -349,13 +347,8 @@ def test_vertices_of_the_arrangement():
     long = cpwa.instantiate(cpwa.slack_template(
         g, cpwa.linear_combination([-1.0], [three])), np.ones(3))
     assert encode_min(long, [2.0] * 3).program.vertices is None
-    # n short calls on the max give 4^n choices of one piece each
-    n = 1
-    while 4 ** (n + 1) <= MAX_PIECE_TUPLES:
-        n += 1
-    for terms, carried in ((n, True), (n + 1, False)):
-        shorts = cpwa.linear_combination(
-            [-1.0] * terms,
-            [cpwa.call_on_max(3, [0, 1, 2], k + 1.0) for k in range(terms)])
-        vertices = encode_min(shorts, [9.0] * 3).program.vertices
-        assert (vertices is not None) == carried
+    # a second short multi-asset term leaves the program to branch and
+    # bound
+    shorts = cpwa.linear_combination(
+        [-1.0, -1.0], [three, cpwa.call_on_max(3, [0, 1, 2], 2.0)])
+    assert encode_min(shorts, [3.0] * 3).program.vertices is None
