@@ -23,17 +23,34 @@ box by the lines on which two pieces of one term are equal, so its
 minimum lies at a crossing of two such lines or box edges.
 
 For d >= 3 it carries points with the same property where at most one
-term has pieces that use two or more coordinates and that term is
-negative, as in the slack of an upper bound on a multi-asset payoff
-hedged with single-asset instruments.  h is then the least of the
-functions h_t, one per piece t of that term (h itself where no term uses
-two or more coordinates), each separable: h_t(x) =
-sum_i u_i(x_i) - a_t . x + const, where u_i sums the affine addend on x_i
-and the terms whose pieces use x_i alone, and a_t is the slope of piece
-t.  So min h = min_t h(x_t), where x_t[i] minimizes u_i(z) - a_t[i] z
-over 0, xbar_i and the kinks of u_i inside (0, xbar_i).  Where a positive
-term or a second term uses two or more coordinates, the program carries
-none.
+term has pieces that use two or more coordinates.  Write u_i for the sum
+of the affine addend on x_i and of the terms whose pieces use x_i alone.
+
+Where that term is negative, as in the slack of an upper bound on a
+multi-asset payoff hedged with single-asset instruments, h is the least
+of the functions h_t, one per piece t of that term (h itself where no
+term uses two or more coordinates), each separable: h_t(x) =
+sum_i u_i(x_i) - a_t . x + const, where a_t is the slope of piece t.  So
+min h = min_t h(x_t), where x_t[i] minimizes u_i(z) - a_t[i] z over 0,
+xbar_i and the kinks of u_i inside (0, xbar_i).
+
+Where that term is positive and each of its pieces uses one coordinate,
+as in the slack of a lower bound on a call on the max, a best-of-calls or
+a put on the min, write it P(x) = max(beta0, max_i P_i(x_i)), with beta0
+its largest constant piece and P_i the max of its pieces on x_i.  Then
+min h = min_t [t + sum_i min of u_i over {z in [0, xbar_i] :
+max(beta0, P_i(z)) <= t}], each set an interval [l_i(t), r_i(t)] whose
+ends are affine in t between the kinks.  The bracket is concave in t
+between its breakpoints, so its minimum is at a level t = max(beta0,
+P_i(z)) for z among 0, xbar_i, the kinks of u_i and the kinks of P_i
+(where two of its pieces, or one and beta0, cross).  Per such t the
+program carries x(t), whose x_i minimizes u_i over l_i(t), r_i(t) and
+the kinks of u_i between them, so h(x(t)) is at most the bracket, and
+the least h(x(t)) is the minimum.
+
+Where a positive term has a piece that uses two or more coordinates (a
+long basket or spread call), or two terms use two or more coordinates
+each (call_on_min), the program carries none.
 
 solve_milp prices the completions of these points instead of searching;
 branch and bound serves the programs without them, and remains the
@@ -57,23 +74,28 @@ PARALLEL_TOL = 1e-12
 BOX_TOL = 1e-9
 
 
-def _dedupe_pieces(pieces):
-    seen = set()
-    out = []
-    for a, b in pieces:
-        key = (tuple(np.round(a, 12)), round(b, 12))
-        if key not in seen:
-            seen.add(key)
-            out.append((a, b))
-    return out
+def _dedupe_pieces(terms):
+    """Per term, its pieces as arrays (a, b), P x d and P: each piece that
+    is distinct to 12 decimals once, in first-seen order."""
+    sizes = [len(t.pieces) for t in terms]
+    a = np.array([a for t in terms for a, _ in t.pieces], dtype=float)
+    b = np.array([b for t in terms for _, b in t.pieces], dtype=float)
+    term = np.repeat(np.arange(len(sizes)), sizes)
+    keys = np.column_stack([term, np.round(np.column_stack([a, b]), 12)])
+    # a stable sort by term, then by key, puts each piece's copies after it
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.sort(order[np.concatenate(
+        ([True], (keys[1:] != keys[:-1]).any(axis=1)))])
+    a, b = a[first], b[first]
+    cuts = np.searchsorted(term[first], np.arange(len(sizes) + 1)).tolist()
+    return [(a[i:j], b[i:j]) for i, j in zip(cuts, cuts[1:])]
 
 
-def _term_big_m(pieces, xbar):
+def _term_big_m(a, b, xbar):
     """big_m's row for one term's deduplicated pieces (at least two).
     Entry [i, j] of `gap` is the max over 0 <= x <= xbar of piece j minus
     piece i, in closed form: the positive coefficients at xbar."""
-    a = np.array([a for a, _ in pieces])
-    b = np.array([b for _, b in pieces])
     diff = a[None, :, :] - a[:, None, :]
     gap = (np.where(diff > 0, diff * xbar, 0.0).sum(axis=2)
            + (b[None, :] - b[:, None]))
@@ -86,11 +108,8 @@ def big_m(h: CpwaFunction, box) -> list:
     (<a_{k,i'} - a_{k,i}, x> + b_{k,i'} - b_{k,i}).  Empty row when a
     term has a single piece."""
     xbar = np.asarray(box, dtype=float)
-    out = []
-    for t in h.terms:
-        pieces = _dedupe_pieces(t.pieces)
-        out.append(_term_big_m(pieces, xbar) if len(pieces) > 1 else [])
-    return out
+    return [_term_big_m(a, b, xbar) if len(b) > 1 else []
+            for a, b in _dedupe_pieces(h.terms)]
 
 
 @dataclass(eq=False)
@@ -196,34 +215,22 @@ def _vertices(c: _Completion):
 def _distinct(pts):
     """The distinct rows of pts in lexicographic order."""
     pts = pts[np.lexsort(pts.T[::-1])]
-    return pts[np.r_[True, (np.diff(pts, axis=0) != 0).any(axis=1)]]
+    return pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
 
 
-def _minimizers(c: _Completion, c_x):
-    """For d >= 3, the points x_t of the module docstring, each once in
-    lexicographic order: per piece t of the one term whose pieces use two
-    or more coordinates, the coordinatewise minimizer of the separable
-    h_t.  None where that term is positive or a second such term
-    exists."""
+def _separable(c: _Completion, c_x, single, sign):
+    """The separable part u of h: the affine addend and the terms in
+    `single`, each of which uses at most one coordinate.  Returns (axis,
+    z, groups, u): the candidates z on coordinate axis, grouped by
+    coordinate (groups[k] is coordinate k's first), which are 0, xbar_k
+    and the kinks of u_k inside (0, xbar_k), where two pieces of one
+    such term cross; and u(axis, z), u at z e_axis, which is u_k(z) plus a
+    constant per coordinate k that does not move an argmin over z."""
     xbar, d = c.xbar, len(c.xbar)
-    ends = np.append(c.starts[1:], len(c.b))
-    # per term: the coordinates its pieces use, and its sign
-    used = np.logical_or.reduceat(c.a != 0, c.starts, axis=0)
-    sign = np.ones(len(c.starts))
-    sign[c.term[c.neg]] = -1.0
-    multi = used.sum(axis=1) >= 2
-    if multi.sum() > 1 or (sign[multi] > 0).any():
-        return None
-    # the slopes a_t of the multi-coordinate term's pieces, or one zero
-    # slope where every term uses one coordinate
-    k = np.flatnonzero(multi)
-    s = c.a[c.starts[k[0]]:ends[k[0]]] if len(k) else np.zeros((1, d))
-    # the candidates B_k, grouped by coordinate k: 0, xbar_k and the
-    # crossings inside (0, xbar_k) of two pieces of a term that uses k alone
     i, j = _piece_pairs(c)
-    one = ~multi[c.term[i]]
+    one = single[c.term[i]]
     i, j = i[one], j[one]
-    axis = used[c.term[i]].argmax(axis=1)
+    axis = ((c.a[i] != 0) | (c.a[j] != 0)).argmax(axis=1)
     slope = c.a[i, axis] - c.a[j, axis]
     crossing = slope != 0
     z = (c.b[j] - c.b[i])[crossing] / slope[crossing]
@@ -234,24 +241,112 @@ def _minimizers(c: _Completion, c_x):
     order = np.argsort(axis, kind="stable")
     axis, z = axis[order], z[order]
     groups = np.searchsorted(axis, np.arange(d))
-    # u at z e_k: u_k(z) plus the other single-coordinate terms at 0, a
-    # constant per group that does not move its argmin
-    at = np.zeros((len(z), d))
-    at[np.arange(len(z)), axis] = z
-    u = at @ c_x
-    pieces = ~multi[c.term]
-    if pieces.any():
-        term = c.term[pieces]
-        firsts = np.flatnonzero(np.r_[True, term[1:] != term[:-1]])
-        u += np.maximum.reduceat(at @ c.a[pieces].T + c.b[pieces], firsts,
-                                 axis=1) @ sign[term[firsts]]
+    pieces = single[c.term]
+    term = c.term[pieces]
+    firsts = np.flatnonzero(np.concatenate(([True], term[1:] != term[:-1])))
+
+    def u(axis, z):
+        at = np.zeros((len(z), d))
+        at[np.arange(len(z)), axis] = z
+        value = at @ c_x
+        if pieces.any():
+            value += np.maximum.reduceat(
+                at @ c.a[pieces].T + c.b[pieces], firsts,
+                axis=1) @ sign[term[firsts]]
+        return value
+    return axis, z, groups, u
+
+
+def _first_min(w, groups):
+    """Per row of w and group of its columns, the column of the group's
+    first least entry."""
+    low = np.minimum.reduceat(w, groups, axis=1)
+    sizes = np.diff(np.append(groups, w.shape[1]))
+    col = np.arange(w.shape[1])
+    return np.minimum.reduceat(
+        np.where(w == np.repeat(low, sizes, axis=1), col, len(col)),
+        groups, axis=1)
+
+
+def _minimizers(c: _Completion, c_x):
+    """For d >= 3, the points of the module docstring, each once in
+    lexicographic order: per piece t of a negative term whose pieces use
+    two or more coordinates, the coordinatewise minimizer of the
+    separable h_t; per level t of a positive such term whose pieces each
+    use one coordinate, x(t).  None where a positive term has a piece
+    that uses two or more coordinates or a second such term exists."""
+    d = len(c.xbar)
+    ends = np.append(c.starts[1:], len(c.b))
+    # per term: the coordinates its pieces use, and its sign
+    used = np.logical_or.reduceat(c.a != 0, c.starts, axis=0)
+    sign = np.ones(len(c.starts))
+    sign[c.term[c.neg]] = -1.0
+    multi = used.sum(axis=1) >= 2
+    if multi.sum() > 1:
+        return None
+    k = np.flatnonzero(multi)
+    if len(k) and sign[k[0]] > 0:
+        mine = slice(c.starts[k[0]], ends[k[0]])
+        if ((c.a[mine] != 0).sum(axis=1) > 1).any():
+            return None
+        return _level_minimizers(c, c_x, ~multi, sign, mine)
+    # the slopes a_t of the negative term's pieces, or one zero slope
+    # where every term uses one coordinate
+    s = c.a[c.starts[k[0]]:ends[k[0]]] if len(k) else np.zeros((1, d))
+    axis, z, groups, u = _separable(c, c_x, ~multi, sign)
     # per t and k, the first candidate of group k that minimizes
     # u_k(z) - a_t[k] z
-    w = u - s[:, axis] * z
-    low = np.minimum.reduceat(w, groups, axis=1)
-    first = np.minimum.reduceat(
-        np.where(w == low[:, axis], np.arange(len(z)), len(z)), groups, axis=1)
-    return _distinct(z[first])
+    return _distinct(z[_first_min(u(axis, z) - s[:, axis] * z, groups)])
+
+
+def _level_minimizers(c: _Completion, c_x, single, sign, mine):
+    """The points x(t) of the module docstring, each once in
+    lexicographic order, for the positive term whose pieces are
+    c.a[mine], each of which uses at most one coordinate."""
+    xbar, d = c.xbar, len(c.xbar)
+    axis, z, groups, u = _separable(c, c_x, single, sign)
+    a, b = c.a[mine], c.b[mine]
+    flat = ~a.any(axis=1)
+    beta0 = b[flat].max(initial=-np.inf)
+    a, b = a[~flat], b[~flat]
+    coord = (a != 0).argmax(axis=1)
+    slope = a[np.arange(len(b)), coord]
+    # the kinks of P_k = max(beta0, the pieces on x_k) inside (0, xbar_k):
+    # where two pieces on x_k cross, and where one crosses beta0
+    i, j = np.nonzero((coord[:, None] == coord) & (slope[:, None] != slope))
+    kink = np.concatenate([(b[j] - b[i]) / (slope[i] - slope[j]),
+                           (beta0 - b) / slope])
+    on = np.concatenate([coord[i], coord])
+    within = (kink > 0) & (kink < xbar[on])
+    at_axis = np.concatenate([axis, on[within]])
+    at_z = np.concatenate([z, kink[within]])
+    # the levels: P_k at the candidates on x_k and at its kinks
+    t = np.maximum(np.where(coord[:, None] == at_axis,
+                            slope[:, None] * at_z + b[:, None], -np.inf)
+                   .max(axis=0), beta0)
+    t = np.unique(t[np.isfinite(t)])
+    # the sublevel interval [l_k(t), r_k(t)] of P_k: each piece on x_k
+    # bounds z from below where it falls and from above where it rises
+    bound = (t[:, None] - b) / slope
+    ax = coord[:, None] == np.arange(d)
+    l = np.maximum(np.where(ax & (slope < 0)[:, None], bound[:, :, None],
+                            -np.inf).max(axis=1), 0.0)
+    r = np.minimum(np.where(ax & (slope > 0)[:, None], bound[:, :, None],
+                            np.inf).min(axis=1), xbar)
+    ok = (l <= r + BOX_TOL * (1.0 + xbar)).all(axis=1)
+    l, r = l[ok], np.maximum(r[ok], l[ok])
+    # per t and k, the first least of u_k at l_k(t), at the candidates
+    # inside [l_k(t), r_k(t)], and at r_k(t)
+    n, coords = len(l), np.tile(np.arange(d), len(l))
+    at = u(np.concatenate([axis, coords, coords]),
+           np.concatenate([z, l.ravel(), r.ravel()]))
+    inside = (z >= l[:, axis]) & (z <= r[:, axis])
+    w = np.where(inside, at[:len(z)], np.inf)
+    first = _first_min(w, groups)
+    values = np.stack([at[len(z):len(z) + n * d].reshape(n, d),
+                       w[np.arange(n)[:, None], first],
+                       at[len(z) + n * d:].reshape(n, d)])
+    return _distinct(np.choose(values.argmin(axis=0), [l, z[first], r]))
 
 
 @dataclass
@@ -277,15 +372,13 @@ def encode_min(h: CpwaFunction, box) -> Encoding:
     # 2 P + 1 rows; a term with one piece is an affine addend
     terms, c_x, constant = [], np.zeros(d), 0.0
     n, m = d, 0
-    for t in h.terms:
-        pieces = _dedupe_pieces(t.pieces)
-        if len(pieces) == 1:
-            a, b = pieces[0]
-            c_x += t.sign * a
-            constant += t.sign * b
+    for t, (a, b) in zip(h.terms, _dedupe_pieces(h.terms)):
+        if len(b) == 1:
+            c_x += t.sign * a[0]
+            constant += t.sign * float(b[0])
             continue
-        terms.append((t.sign, pieces))
-        P = len(pieces)
+        terms.append((t.sign, a, b))
+        P = len(b)
         n += 1 if t.sign == 1 else 1 + 2 * P
         m += P if t.sign == 1 else 2 * P + 1
 
@@ -302,14 +395,14 @@ def encode_min(h: CpwaFunction, box) -> Encoding:
     prows, starts, top = [], [], []
     neg, neg_starts, delta, iota = [], [], [], []
     i, j = 0, d  # next row, next variable
-    for sign, pieces in terms:
-        P = len(pieces)
+    for sign, a, b in terms:
+        P = len(b)
         piece_rows = slice(i, i + P)
         starts.append(len(prows))
         prows += range(i, i + P)
         top.append(j)
-        A[piece_rows, :d] = [a for a, _ in pieces]
-        rhs[piece_rows] = [-b for _, b in pieces]
+        A[piece_rows, :d] = a
+        rhs[piece_rows] = -b
         if sign == 1:
             # a.x + b <= lambda
             A[piece_rows, j] = -1.0
@@ -327,7 +420,7 @@ def encode_min(h: CpwaFunction, box) -> Encoding:
         A[i + r, dl + r] = 1.0
         # delta_i <= M_i (1 - iota_i)
         big = slice(i + P, i + 2 * P)
-        ms = _term_big_m(pieces, xbar)
+        ms = _term_big_m(a, b, xbar)
         A[i + P + r, dl + r] = 1.0
         A[i + P + r, io + r] = rhs[big] = ms
         sense[big] = -1

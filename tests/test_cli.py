@@ -337,10 +337,12 @@ def test_ecp_agrees_with_accp_on_the_random_two_asset_preset(tmp_path):
 def test_five_asset_upper_bound_takes_no_node(monkeypatch):
     """On the five-asset rung of 15 instruments (five_asset_family(1):
     the assets and the vanilla calls at K = 3 and 7) with the call on the
-    max of all five at K = 3, ECP's upper bound through solve_one at the
-    CLI defaults solves every slack MILP at its minimizers: they are
-    short the call on the max alone, so no branch-and-bound node is
-    taken."""
+    max of all five at K = 3, ECP's bounds through solve_one at the CLI
+    defaults solve every slack MILP without a branch-and-bound node.  The
+    upper bound's slacks are short the call on the max alone, and are
+    solved at their coordinatewise minimizers; the lower bound's are long
+    it alone, each of its pieces on one asset, and are solved at the
+    minimizers of their levels."""
     full = market.build_market(market.five_asset_family(1),
                                market.five_asset_instruments(
                                    ("assets", "vanilla")))
@@ -362,5 +364,6 @@ def test_five_asset_upper_bound_takes_no_node(monkeypatch):
                       args.epsilon, args.tau, args.delta, args.gamma,
                       args.zeta)
     assert r["status"] == "ok"
-    up = bounds[0]
+    up, low = bounds
     assert up.milp_count > 0 and up.milp_nodes == 0
+    assert low.milp_count > 0 and low.milp_nodes == 0

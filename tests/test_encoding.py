@@ -122,6 +122,44 @@ def test_invalid_box_rejected():
         encode_min(cpwa.asset(2, 0), [1.0])
 
 
+def _dedupe_loop(pieces):
+    """The per-piece loop that _dedupe_pieces vectorizes: each piece
+    whose key, rounded to 12 decimals, is new, in first-seen order."""
+    seen, out = set(), []
+    for a, b in pieces:
+        key = (tuple(np.round(a, 12)), round(b, 12))
+        if key not in seen:
+            seen.add(key)
+            out.append((a, b))
+    return out
+
+
+def test_dedupe_pieces_matches_the_per_piece_loop():
+    """_dedupe_pieces keeps, per term, the pieces that the per-piece loop
+    keeps, in its order, on terms with exact copies, copies within
+    rounding, -0.0 and pieces that differ only in b."""
+    rng = rng_for(406)
+    for trial in range(200):
+        d = int(rng.integers(1, 5))
+        terms = []
+        for _ in range(int(rng.integers(1, 5))):
+            base = [(np.round(rng.normal(size=d), 1), float(rng.integers(3)))
+                    for _ in range(int(rng.integers(1, 4)))]
+            pieces = [base[int(rng.integers(len(base)))]
+                      for _ in range(int(rng.integers(1, 7)))]
+            # copies within rounding, and signed zeros
+            pieces = [(a + 1e-14 * rng.integers(-1, 2), b) if k % 2
+                      else (np.where(a == 0, -0.0, a), b)
+                      for k, (a, b) in enumerate(pieces)]
+            terms.append(cpwa.CpwaTerm(int(rng.choice([-1, 1])),
+                                       tuple(pieces)))
+        for t, (a, b) in zip(terms, _dedupe_pieces(terms)):
+            ref = _dedupe_loop(t.pieces)
+            assert len(b) == len(ref), trial
+            for (ra, rb), ka, kb in zip(ref, a, b):
+                assert np.array_equal(ra, ka) and rb == kb, trial
+
+
 def _encode_by_rows(h, box):
     """The row-tuple construction that encode_min replaced, kept as the
     reference: one (x-part, aux, rel, rhs) tuple per row, then a dense
@@ -135,7 +173,7 @@ def _encode_by_rows(h, box):
     obj_extra, rows, binaries = [], [], []
     constant = 0.0
     for t in h.terms:
-        pieces = _dedupe_pieces(t.pieces)
+        pieces = _dedupe_loop(t.pieces)
         if len(pieces) == 1:
             obj_x += t.sign * pieces[0][0]
             constant += t.sign * pieces[0][1]
@@ -152,7 +190,8 @@ def _encode_by_rows(h, box):
             n += 1
             bounds.append((None, None))
             obj_extra.append(-1.0)
-            ms = _term_big_m(pieces, xbar)
+            ms = _term_big_m(np.array([a for a, _ in pieces]),
+                             np.array([b for _, b in pieces]), xbar)
             delta_idx, iota_idx = [], []
             for a, b in pieces:
                 delta_idx.append(n)
@@ -228,8 +267,8 @@ def test_term_big_m_matches_pairwise_loop():
                    float(rng.normal() * 10 ** rng.uniform(-3, 5)))
                   for _ in range(int(rng.integers(2, 7)))]
         xbar = rng.uniform(0.1, 100, size=d)
-        assert _term_big_m(pieces, xbar) == _box_max_loop(pieces, xbar), \
-            trial
+        a, b = np.array([a for a, _ in pieces]), np.array([b for _, b in pieces])
+        assert _term_big_m(a, b, xbar) == _box_max_loop(pieces, xbar), trial
 
 
 def test_completion_is_feasible_and_exact():
@@ -317,8 +356,10 @@ def test_vertices_of_the_arrangement():
     """The program carries the vertices of its pieces' arrangement in
     the box for d <= 2.  For d >= 3 it carries the coordinatewise
     minimizers of its pieces where one term's pieces use two or more
-    coordinates and that term is negative, and none where such a term is
-    positive or there are two of them."""
+    coordinates and that term is negative, the minimizers x(t) of its
+    levels where that term is positive and each of its pieces uses one
+    coordinate, and none where a positive term has a piece that uses two
+    or more coordinates or there are two such terms."""
     call = cpwa.vanilla_call(1, 0, 1.0)
     assert encode_min(call, [10.0]).program.vertices.tolist() == \
         [[0.0], [1.0], [10.0]]
@@ -331,8 +372,12 @@ def test_vertices_of_the_arrangement():
                                                  cpwa.asset(2, 1)])
     assert encode_min(flat, [1.0, 1.0]).program.vertices.tolist() == \
         [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    # (max(x0, x1, x2) - 1)^+ on [0, 2]^3 has the levels t = 0, at x_k = 0
+    # and at the kink x_k = 1, and t = 1, at x_k = 2; u is 0, so each
+    # x_k(t) is the left end 0 of its interval
     three = cpwa.call_on_max(3, [0, 1, 2], 1.0)
-    assert encode_min(three, [2.0] * 3).program.vertices is None
+    assert encode_min(three, [2.0] * 3).program.vertices.tolist() == \
+        [[0.0, 0.0, 0.0]]
     # 2 (x0 - 2)^+ - (max(x0, x1, x2) - 1)^+: per piece of the short call
     # on the max, x0 at its argmin over {0, 3} and the kink 2, x1 and x2
     # over {0, 3}; a tie goes to the first of 0, xbar and the kinks
@@ -342,11 +387,24 @@ def test_vertices_of_the_arrangement():
         [[0.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0], [2.0, 0.0, 0.0]]
     assert encode_min(cpwa.call_on_min(3, [0, 1, 2], 1.0),
                       [2.0] * 3).program.vertices is None
-    # the lower bound's slack carries +f
+    # the lower bound's slack carries +f: long the assets, each u_k is
+    # increasing and x(t) = 0 at both levels
     g = [cpwa.asset(3, i) for i in range(3)]
     long = cpwa.instantiate(cpwa.slack_template(
         g, cpwa.linear_combination([-1.0], [three])), np.ones(3))
-    assert encode_min(long, [2.0] * 3).program.vertices is None
+    assert encode_min(long, [2.0] * 3).program.vertices.tolist() == \
+        [[0.0, 0.0, 0.0]]
+    # short the assets at 1/2, each u_k falls, so x_k(t) is the right end
+    # of its interval: 1 at t = 0 and 2 at t = 1
+    hedged = cpwa.instantiate(cpwa.slack_template(
+        g, cpwa.linear_combination([-1.0], [three])), -0.5 * np.ones(3))
+    assert encode_min(hedged, [2.0] * 3).program.vertices.tolist() == \
+        [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]
+    # a long basket or spread call has a piece that uses two coordinates
+    assert encode_min(cpwa.basket_call([1.0, 1.0, 1.0], 1.0),
+                      [2.0] * 3).program.vertices is None
+    assert encode_min(cpwa.spread_call(3, 0, 1, 1.0),
+                      [2.0] * 3).program.vertices is None
     # a second short multi-asset term leaves the program to branch and
     # bound
     shorts = cpwa.linear_combination(

@@ -443,43 +443,68 @@ def _highs_minimum(p, offset):
     return ref.fun + offset
 
 
-def _short_target_slack(rng, d):
+def _target_slack(rng, d, kinds, long=False):
     """(h, box, c): the slack of a random portfolio of the assets and of
-    vanilla calls and puts, short a call on the max, a basket call or a
-    best-of-calls on a random subset of two or more assets, at cash c."""
+    vanilla calls and puts, short (or, if `long`, long) a target of one of
+    the `kinds` on a random subset of two or more assets, at cash c."""
     g = [cpwa.asset(d, i) for i in range(d)]
     for _ in range(int(rng.integers(1, 3 * d))):
         make = cpwa.vanilla_call if rng.uniform() < 0.6 else cpwa.vanilla_put
         g.append(make(d, int(rng.integers(d)), float(rng.uniform(0, 10))))
     assets = sorted(rng.choice(d, size=int(rng.integers(2, d + 1)),
                                replace=False).tolist())
-    kind = ["call_on_max", "basket_call", "best_of_calls"][
-        int(rng.integers(3))]
-    if kind == "call_on_max":
-        f = cpwa.call_on_max(d, assets, float(rng.uniform(0, 10)))
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind in ("call_on_max", "put_on_min"):
+        f = getattr(cpwa, kind)(d, assets, float(rng.uniform(0, 10)))
+    elif kind == "call_on_max_or_put_on_min":
+        # max((max_i x_i - k)^+, (k' - min_i x_i)^+): two pieces on each
+        # asset, which cross above the floor 0 where k < k'
+        call, put = (getattr(cpwa, name)(d, assets, float(rng.uniform(0, 10)))
+                     for name in ("call_on_max", "put_on_min"))
+        f = cpwa.make_function(d, [(1, call.terms[0].pieces
+                                    + put.terms[0].pieces)])
     elif kind == "basket_call":
         w = np.zeros(d)
         w[assets] = rng.uniform(0.1, 1.0, size=len(assets))
         f = cpwa.basket_call(w, float(rng.uniform(0, 10)))
     else:
         f = cpwa.best_of_calls(d, assets, rng.uniform(0, 10, size=len(assets)))
-    h = cpwa.instantiate(cpwa.slack_template(g, f),
-                         rng.uniform(-2, 2, size=len(g)))
+    y = rng.uniform(-2, 2, size=len(g))
+    if long:
+        f = cpwa.linear_combination([-1.0], [f])
+        # a light hedge leaves the minimum near that of f
+        y *= 10 ** rng.uniform(-3, 0)
+    h = cpwa.instantiate(cpwa.slack_template(g, f), y)
     return h, rng.uniform(5, 20, size=d), float(rng.uniform(-5, 5))
 
 
-def test_short_targets_are_solved_at_their_minimizers():
-    """In d = 3..6, a slack that is short its only multi-asset term
-    carries the coordinatewise minimizers of its pieces, and solve_milp,
-    at ECP's and ACCP's options, takes its minimum over their completions
-    without a node LP.  The minimum equals branch and bound on the
-    program without them and HiGHS, and every pool point holds the
-    program's rows, bounds and binaries."""
-    rng = rng_for(311)
+def _short_target_slack(rng, d):
+    """A slack short a call on the max, a basket call or a best-of-calls,
+    as the upper bound's slack is."""
+    return _target_slack(rng, d, ["call_on_max", "basket_call",
+                                  "best_of_calls"])
+
+
+def _long_target_slack(rng, d):
+    """A slack long a call on the max, a best-of-calls, a put on the min
+    or the larger of a call on the max and a put on the min, as the lower
+    bound's slack is."""
+    return _target_slack(rng, d, ["call_on_max", "best_of_calls",
+                                  "put_on_min", "call_on_max_or_put_on_min"],
+                         long=True)
+
+
+def _assert_solved_at_vertices(make, seed):
+    """Runs 60 trials of make(rng, d) at d = 3..6: each program carries
+    vertices, and solve_milp, at ECP's and ACCP's options, takes its
+    minimum over their completions without a node LP.  The minimum equals
+    branch and bound on the program without them and HiGHS, and every
+    pool point holds the program's rows, bounds and binaries."""
+    rng = rng_for(seed)
     pooled, searched = 0, 0
     for trial in range(60):
         d = int(rng.integers(3, 7))
-        h, box, c = _short_target_slack(rng, d)
+        h, box, c = make(rng, d)
         enc = encode_min(h, box)
         p, offset = enc.program, enc.constant + c
         assert p.vertices is not None, trial
@@ -492,11 +517,26 @@ def test_short_targets_are_solved_at_their_minimizers():
         assert abs(v - ref.incumbent_value) <= 1e-9 * (1 + abs(v)), trial
         assert abs(v - _highs_minimum(p, offset)) <= 1e-9 * (1 + abs(v)), \
             trial
-        holds = milp_module._checker(p.base, np.array(p.binary_vars))
+        holds = milp_module._checker(
+            p.base, np.array(p.binary_vars, dtype=int))
         for x, _ in res.pool:
             assert holds(x), trial
             pooled += 1
     assert pooled > 60 and searched > 20
+
+
+def test_short_targets_are_solved_at_their_minimizers():
+    """In d = 3..6, a slack that is short its only multi-asset term
+    carries the coordinatewise minimizers of its pieces, on which
+    solve_milp finds the minimum without a search."""
+    _assert_solved_at_vertices(_short_target_slack, 311)
+
+
+def test_long_targets_are_solved_at_their_level_minimizers():
+    """In d = 3..6, a slack that is long its only multi-asset term, whose
+    pieces each use one asset, carries the minimizers x(t) of its levels
+    t, on which solve_milp finds the minimum without a search."""
+    _assert_solved_at_vertices(_long_target_slack, 312)
 
 
 def test_each_completed_point_is_checked_once(monkeypatch):
