@@ -29,7 +29,6 @@ from .ecp import (MarketInstance, BoundsResult, CutSet, price_pi,
                   compute_lower_phi, dominating_cash, verify_hedge)
 
 MAX_ITERATIONS = 100000
-NODE_LIMIT = 50000  # branch-and-bound nodes per slack MILP
 # the hedges' box: |c| <= max(C_BAR, |c0| + 2) and |y_j| <= Y_BAR, with
 # (c0, y0) the initial portfolio
 C_BAR = 100.0
@@ -194,21 +193,14 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
 
         slack_fn = cpwa.instantiate(template, y_r)
         enc = encode_min(slack_fn, box)
-        for node_limit in (NODE_LIMIT, None):
-            res = solve_milp(enc.program,
-                             MilpOptions(rel_gap=opts.zeta,
-                                         pool_threshold=opts.delta,
-                                         node_limit=node_limit),
-                             offset=enc.constant + c_r)
-            milp_count += 1
-            milp_nodes += res.nodes
-            if res.incumbent_value is None:
-                raise RuntimeError("slack MILP found no incumbent")
-            # at the node limit a nonnegative incumbent gives no cut, and
-            # the node bound may certify no better hedge, so the bracket
-            # would not move: such a MILP is solved again to its gap
-            if res.status != "node_limit" or res.incumbent_value < 0:
-                break
+        res = solve_milp(enc.program,
+                         MilpOptions(rel_gap=opts.zeta,
+                                     pool_threshold=opts.delta),
+                         offset=enc.constant + c_r)
+        milp_count += 1
+        milp_nodes += res.nodes
+        if res.incumbent_value is None:
+            raise RuntimeError("slack MILP found no incumbent")
         s_hi = res.incumbent_value  # approximate optimal value
         s_lo = res.best_bound  # certified lower bound at termination
         gens[r] = []

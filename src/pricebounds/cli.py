@@ -34,13 +34,9 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def parse_payoff_spec(spec, d):
-    """Parse 'kind:key=value,...' payoff strings.  List values use '+'
-    separators, e.g. 'call_on_max:assets=1+2+3,strike=5'; `assets`,
-    `weights` and `strikes` are lists even with one entry, and only they
-    are split.  A '+' right after an exponent marker is the exponent's
-    sign: 'weights=1e+0+2' is [1.0, 2.0].  A bad spec, or an asset index
-    not an integer in [0, d), raises ValueError."""
+def _payoff_params(spec, d):
+    """The kind and the parameters of a 'kind:key=value,...' payoff
+    string; see parse_payoff_spec."""
     kind, _, rest = spec.partition(":")
     params = {"d": d}
     for item in rest.split(",") if rest else []:
@@ -59,11 +55,25 @@ def parse_payoff_spec(spec, d):
                 raise ValueError("bad asset index in %r" % item)
             vals = [int(v) for v in vals]
         params[key] = vals if is_list else vals[0]
+    return kind.strip(), params
+
+
+def _make_payoff(kind, params):
     try:
-        return cpwa.make_payoff(kind.strip(), params)
+        return cpwa.make_payoff(kind, params)
     except KeyError as exc:
         raise ValueError("payoff %r needs the parameter %s"
-                         % (kind.strip(), exc)) from None
+                         % (kind, exc)) from None
+
+
+def parse_payoff_spec(spec, d):
+    """Parse 'kind:key=value,...' payoff strings.  List values use '+'
+    separators, e.g. 'call_on_max:assets=1+2+3,strike=5'; `assets`,
+    `weights` and `strikes` are lists even with one entry, and only they
+    are split.  A '+' right after an exponent marker is the exponent's
+    sign: 'weights=1e+0+2' is [1.0, 2.0].  A bad spec, or an asset index
+    not an integer in [0, d), raises ValueError."""
+    return _make_payoff(*_payoff_params(spec, d))
 
 
 def _load_instance(path):
@@ -133,16 +143,19 @@ def _sweep_strikes(sweep_spec):
     return [start + i * step for i in range(n)]
 
 
-def _with_strike(payoff_spec, d, strike):
-    """The payoff of `payoff_spec` with its strike set to `strike`, or as
-    given when `strike` is None."""
-    if strike is None:
-        return parse_payoff_spec(payoff_spec, d)
-    kind, _, rest = payoff_spec.partition(":")
-    items = [it for it in rest.split(",")
-             if it and not it.startswith("strike=")]
-    items.append("strike=%g" % strike)
-    return parse_payoff_spec(kind + ":" + ",".join(items), d)
+def _swept_payoffs(payoff_spec, d, strikes):
+    """The payoff of `payoff_spec` at each of `strikes`, each set as the
+    exact float in its `strike` parameter.  A kind that takes no strike
+    raises ValueError."""
+    kind, params = _payoff_params(payoff_spec, d)
+    params.pop("strike", None)
+    payoffs = [_make_payoff(kind, dict(params, strike=s)) for s in strikes]
+    try:
+        cpwa.make_payoff(kind, params)
+    except KeyError:
+        # every other parameter is there: the payoffs above were built
+        return payoffs
+    raise ValueError("payoff %r takes no strike to sweep" % kind)
 
 
 def cmd_gen_market(args):
@@ -167,15 +180,18 @@ def cmd_gen_market(args):
 
 def cmd_bounds(args):
     instance = _load_instance(args.instance)
-    strikes = (_sweep_strikes(args.sweep) if args.sweep else [None])
     algos = ["ecp", "accp"] if args.algo == "both" else [args.algo]
     if args.algo != "ecp" and not instance.is_box():
         raise ValueError("accp requires a box-domain instance")
 
     xbar = ([float(v) for v in args.xbar.split(",")]
             if args.xbar else None)
-    payoffs = [_with_strike(args.payoff, instance.dimension, s)
-               for s in strikes]
+    if args.sweep:
+        strikes = _sweep_strikes(args.sweep)
+        payoffs = _swept_payoffs(args.payoff, instance.dimension, strikes)
+    else:
+        strikes = [None]
+        payoffs = [parse_payoff_spec(args.payoff, instance.dimension)]
     solvers = {algo: functools.partial(
         solve_one, instance, algo=algo, epsilon=args.epsilon, tau=args.tau,
         delta=args.delta, gamma=args.gamma, zeta=args.zeta, xbar=xbar)
@@ -206,7 +222,7 @@ def cmd_bounds(args):
         ref_bid, ref_ask = _reference_quote(instance, f)
         for algo in algos:
             r = results[algo][i]
-            row = ["%g" % s if s is not None else "",
+            row = ["%.9g" % s if s is not None else "",
                    "%.9g" % r["lb"], "%.9g" % r["ub"],
                    "%.9g" % ref_bid if ref_bid is not None else "",
                    "%.9g" % ref_ask if ref_ask is not None else "",

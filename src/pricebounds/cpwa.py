@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Pieces whose coefficients are all below this in absolute value are
-# dropped when a term has more than one piece.
-PRUNE_THRESHOLD = 1e-6
 # Stacked.means applies the distinct piece directions to this many rows
 # at a time, so a block holds one row of products per direction.
 MEAN_BLOCK_ROWS = 8192
@@ -212,23 +209,6 @@ def linear_combination(coeffs, fs) -> CpwaFunction:
     if not terms:
         return zero_function(d)
     return CpwaFunction(d, tuple(terms))
-
-
-def prune(f: CpwaFunction) -> CpwaFunction:
-    """Drop pieces within PRUNE_THRESHOLD of zero from multi-piece terms."""
-    terms = []
-    for t in f.terms:
-        pieces = t.pieces
-        if len(pieces) > 1:
-            kept = tuple(p for p in pieces
-                         if np.abs(p[0]).max(initial=0.0) > PRUNE_THRESHOLD
-                         or abs(p[1]) > PRUNE_THRESHOLD)
-            if len(kept) < len(pieces):
-                # keep an explicit zero piece so the max is unchanged
-                kept = kept + ((np.zeros(f.dimension), 0.0),)
-            pieces = kept
-        terms.append(CpwaTerm(t.sign, pieces))
-    return CpwaFunction(f.dimension, tuple(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpwa import CpwaFunction, prune as prune_cpwa
+from .cpwa import CpwaFunction
 from .lp import LinearProgram
 from .milp import MixedIntegerProgram, solve_milp
 
@@ -72,22 +72,37 @@ from .milp import MixedIntegerProgram, solve_milp
 # the box are clipped into it
 PARALLEL_TOL = 1e-12
 BOX_TOL = 1e-9
+# in a term of two or more pieces, the pieces whose coefficients and
+# offset are all within this of zero become one exact zero piece
+PRUNE_THRESHOLD = 1e-6
 
 
 def _dedupe_pieces(terms):
-    """Per term, its pieces as arrays (a, b), P x d and P: each piece that
-    is distinct to 12 decimals once, in first-seen order."""
-    sizes = [len(t.pieces) for t in terms]
-    a = np.array([a for t in terms for a, _ in t.pieces], dtype=float)
-    b = np.array([b for t in terms for _, b in t.pieces], dtype=float)
+    """Per term, its pieces as arrays (a, b), P x d and P.  In a term of
+    two or more pieces, those within PRUNE_THRESHOLD of zero become one
+    exact zero piece after the others; then each piece that is distinct
+    to 12 decimals is kept once, in first-seen order."""
+    sizes = np.array([len(t.pieces) for t in terms])
+    ab = np.column_stack([
+        np.array([a for t in terms for a, _ in t.pieces], dtype=float),
+        np.array([b for t in terms for _, b in t.pieces], dtype=float)])
     term = np.repeat(np.arange(len(sizes)), sizes)
-    keys = np.column_stack([term, np.round(np.column_stack([a, b]), 12)])
+    tiny = (np.abs(ab).max(axis=1) <= PRUNE_THRESHOLD) & (sizes[term] > 1)
+    # each piece's place in the output order
+    place = np.arange(len(ab), dtype=float)
+    if tiny.any():
+        # a tiny piece becomes an exact zero piece, placed after its
+        # term's other pieces; the dedupe keeps one per term
+        ab[tiny] = 0.0
+        place[tiny] = np.cumsum(sizes)[term[tiny]] - 0.5
+    keys = np.column_stack([term, np.round(ab, 12)])
     # a stable sort by term, then by key, puts each piece's copies after it
     order = np.lexsort(keys.T[::-1])
     keys = keys[order]
-    first = np.sort(order[np.concatenate(
-        ([True], (keys[1:] != keys[:-1]).any(axis=1)))])
-    a, b = a[first], b[first]
+    first = order[np.concatenate(
+        ([True], (keys[1:] != keys[:-1]).any(axis=1)))]
+    first = first[np.argsort(place[first])]
+    a, b = ab[first, :-1], ab[first, -1]
     cuts = np.searchsorted(term[first], np.arange(len(sizes) + 1)).tolist()
     return [(a[i:j], b[i:j]) for i, j in zip(cuts, cuts[1:])]
 
@@ -105,8 +120,10 @@ def _term_big_m(a, b, xbar):
 
 def big_m(h: CpwaFunction, box) -> list:
     """M_{k,i} = max over competing pieces i' != i and x in the box of
-    (<a_{k,i'} - a_{k,i}, x> + b_{k,i'} - b_{k,i}).  Empty row when a
-    term has a single piece."""
+    (<a_{k,i'} - a_{k,i}, x> + b_{k,i'} - b_{k,i}), over the pieces
+    that encode_min keeps (see _dedupe_pieces), so the row of a negative
+    term holds the constants of its program.  Empty row when a term has
+    a single piece."""
     xbar = np.asarray(box, dtype=float)
     return [_term_big_m(a, b, xbar) if len(b) > 1 else []
             for a, b in _dedupe_pieces(h.terms)]
@@ -357,15 +374,16 @@ class Encoding:
 
 def encode_min(h: CpwaFunction, box) -> Encoding:
     """The MILP whose minimum plus `constant` is the minimum over [0, box]
-    of h, pruned by cpwa.prune.  Its variables are x, then per retained
-    term: lambda if positive; zeta, P deltas and P binary iotas if not."""
+    of h.  Each term keeps the pieces that _dedupe_pieces keeps: tiny
+    pieces pruned to one zero piece, copies dropped.  Its variables are x,
+    then per retained term: lambda if positive; zeta, P deltas and P
+    binary iotas if not."""
     xbar = np.asarray(box, dtype=float)
     if np.any(xbar <= 0):
         raise ValueError("box must be strictly positive")
     d = h.dimension
     if len(xbar) != d:
         raise ValueError("box dimension mismatch")
-    h = prune_cpwa(h)
 
     # one pass sizes the program: a positive term with P pieces adds
     # lambda and P rows; a negative one adds zeta, P deltas, P iotas and

@@ -26,10 +26,11 @@ certified it, or, for a node that holds none, the inverse that the
 first child builds from a factorization.  Pending nodes, the root
 included, hold their inverses up to WARM_STATE_BYTES.
 Terminates on a relative-gap rule (p_bar - p_low)/|p_bar| <= rel_gap
-(absolute gap rel_gap * 1e-6 when the incumbent value is 0) or on a node
-limit.
+(absolute gap rel_gap * 1e-6 when the incumbent value is 0) or when no
+node is left; a search that ends without an incumbent is infeasible.
 Keeps a pool of integer-feasible solutions whose objective clears a
-caller-supplied threshold fraction of the incumbent value.
+caller-supplied threshold fraction of the incumbent value, built as the
+vertex path builds its own (`_pool`).
 
 Incumbents and pool points come from integral node LP optima and, for a
 program with a completion (`MixedIntegerProgram.complete`, which
@@ -86,13 +87,12 @@ class MixedIntegerProgram:
 @dataclass
 class MilpOptions:
     rel_gap: float = 1e-9
-    node_limit: int = None
     pool_threshold: float = 1.0  # delta in (0, 1]
 
 
 @dataclass
 class MilpResult:
-    status: str  # optimal | gap_reached | node_limit | infeasible
+    status: str  # optimal | gap_reached | infeasible
     incumbent: np.ndarray = None
     incumbent_value: float = None  # p_bar
     best_bound: float = None  # p_low
@@ -126,11 +126,25 @@ def _checker(q: LinearProgram, bset):
     return holds
 
 
-def _pooled(v, p_bar, threshold):
-    """Whether a point of value v enters the pool of a search whose
-    incumbent value is p_bar (elementwise for an array v)."""
+def _pool(points, values, threshold, holds=None):
+    """The pool of a search whose points have these values: each point
+    whose value clears the threshold fraction of the least value, or is
+    within 1e-12 of it, once per key rounded to 9 decimals, in order, as
+    (x, value); None if a pooled point fails `holds`."""
+    p_bar = values.min()
     thr = threshold * p_bar if p_bar < 0 else p_bar
-    return (v <= thr + 1e-9) | (v <= p_bar + 1e-12)
+    keep = (values <= thr + 1e-9) | (values <= p_bar + 1e-12)
+    pool, seen = [], set()
+    for i in np.flatnonzero(keep):
+        x = points[i]
+        key = tuple(np.round(x, 9))
+        if key in seen:
+            continue
+        if holds is not None and not holds(x):
+            return None
+        seen.add(key)
+        pool.append((x, float(values[i])))
+    return pool
 
 
 def _at_vertices(p, opts, offset, holds):
@@ -138,17 +152,10 @@ def _at_vertices(p, opts, offset, holds):
     incumbent and the bound, with the pool of the completions that clear
     the threshold; None if any point it would return fails `holds`."""
     xs = p.complete(p.vertices)
-    values = xs @ p.base.objective + offset
-    keep = _pooled(values, values.min(), opts.pool_threshold)
-    pool, seen = [], set()
-    for x, v in zip(xs[keep], values[keep]):
-        key = tuple(np.round(x, 9))
-        if key in seen:
-            continue
-        if not holds(x):
-            return None
-        seen.add(key)
-        pool.append((x, float(v)))
+    pool = _pool(xs, xs @ p.base.objective + offset, opts.pool_threshold,
+                 holds)
+    if pool is None:
+        return None
     incumbent, p_bar = min(pool, key=lambda xv: xv[1])
     return MilpResult(
         status="optimal", incumbent=incumbent, incumbent_value=p_bar,
@@ -202,13 +209,14 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
     push({}, root)
     p_bar = np.inf
     incumbent = None
-    raw_pool = []  # (x, value incl. offset)
+    raw_x, raw_v = [], []  # offered points, and their values incl. offset
     nodes = 0
     status = "optimal"
 
     def offer(x, v):
         nonlocal p_bar, incumbent
-        raw_pool.append((x, v))
+        raw_x.append(x)
+        raw_v.append(v)
         if v < p_bar:
             p_bar, incumbent = v, x
 
@@ -237,10 +245,6 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
             break
         if bound + offset >= p_bar - 1e-12:
             continue
-        if opts.node_limit is not None and nodes >= opts.node_limit:
-            status = "node_limit"
-            heapq.heappush(heap, (bound, -1, fixed, sol))
-            break
         nodes += 1
         xb = sol.x[bset]
         frac = np.abs(xb - np.round(xb))
@@ -258,28 +262,9 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
             push(child_fixed, child)
 
     if incumbent is None:
-        if status in ("node_limit", "gap_reached"):
-            p_low = min((b + offset for b, *_ in heap), default=np.inf)
-            return MilpResult(status=status, best_bound=p_low, nodes=nodes)
         return MilpResult(status="infeasible", nodes=nodes)
-
-    if heap:
-        p_low = min(b + offset for b, *_ in heap)
-        p_low = min(p_low, p_bar)
-    else:
-        p_low = p_bar
-
-    pool = []
-    seen = set()
-    for x, v in raw_pool:
-        if _pooled(v, p_bar, opts.pool_threshold):
-            key = tuple(np.round(x, 9))
-            if key not in seen:
-                seen.add(key)
-                pool.append((x, v))
-    key = tuple(np.round(incumbent, 9))
-    if key not in seen:
-        pool.append((incumbent, p_bar))
+    p_low = min([b + offset for b, *_ in heap] + [p_bar])
     return MilpResult(status=status, incumbent=incumbent,
                       incumbent_value=p_bar, best_bound=p_low,
-                      pool=pool, nodes=nodes)
+                      pool=_pool(raw_x, np.array(raw_v), opts.pool_threshold),
+                      nodes=nodes)

@@ -197,21 +197,29 @@ def test_bracket_closes_when_the_gap_is_below_two_eps(monkeypatch):
         assert verify_hedge(inst, f, res.c_star, res.y_star) >= -1e-6
 
 
-@pytest.mark.parametrize("seed", [706, 707, 708])
-def test_slack_milps_stopped_at_the_node_limit(monkeypatch, seed):
-    """With one node per slack MILP, some stop at the limit with a
-    nonnegative incumbent.  Such a MILP gives no cut and its node bound no
-    better hedge, so ACCP solves it again to its gap.  Keeping the node
-    bound instead left the bracket unmoved until the iteration limit,
-    which is lowered to 200 so that a return fails fast."""
-    rng = rng_for(seed)
-    inst = random_box_instance(rng, 2, 4)
-    f = pb.call_on_max(2, [0, 1], 3.0)
-    ref, _ = solve_accp(inst, f, AccpOptions(epsilon=EPS))
-    monkeypatch.setattr(accp, "NODE_LIMIT", 1)
-    monkeypatch.setattr(accp, "MAX_ITERATIONS", 200)
+def test_one_slack_milp_per_center(monkeypatch):
+    """ACCP separates the center of each non-empty band with one slack
+    MILP, solved to its gap, and counts each one.  The slack MILPs of a
+    call on the min of three assets reach branch and bound."""
+    rng = rng_for(706)
+    inst = random_box_instance(rng, 3, 4)
+    f = pb.call_on_min(3, [0, 1, 2], 1.0)
+    centers, nodes = [], []
+    center_of, solve = accp.chebyshev_center, accp.solve_milp
+
+    def counted_center(*args, **kwargs):
+        center = center_of(*args, **kwargs)
+        centers.append(center is not None)
+        return center
+
+    def counted_solve(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        nodes.append(res.nodes)
+        return res
+
+    monkeypatch.setattr(accp, "chebyshev_center", counted_center)
+    monkeypatch.setattr(accp, "solve_milp", counted_solve)
     res, _ = solve_accp(inst, f, AccpOptions(epsilon=EPS))
     assert res.status == "ok"
-    assert res.phi_ub == pytest.approx(ref.phi_ub, abs=EPS)
-    assert res.phi_lb == pytest.approx(ref.phi_lb, abs=EPS)
-    assert verify_hedge(inst, f, res.c_star, res.y_star) >= -1e-6
+    assert len(nodes) == sum(centers) == res.milp_count
+    assert sum(nodes) == res.milp_nodes > 0

@@ -183,6 +183,40 @@ def test_bounds_sweep_with_reference_quotes(instance_file, tmp_path):
             assert float(cells[4]) == pytest.approx(float(inst.ask[j]))
 
 
+def test_sweep_prices_and_prints_the_exact_strike(instance_file, tmp_path,
+                                                  monkeypatch):
+    """A swept strike is priced at the exact float, and printed with 9
+    significant digits, not rounded to 6 (1.12346)."""
+    path, _ = instance_file
+    priced = []
+
+    def solve_one(instance, f, **kwargs):
+        priced.append(cpwa.to_json_dict(f))
+        return {"ub": 1.0, "lb": 0.0, "lp_count": 0, "milp_count": 0,
+                "status": "ok", "support": []}
+
+    monkeypatch.setattr(cli, "solve_one", solve_one)
+    out = tmp_path / "exact.csv"
+    assert main(["bounds", "--instance", path,
+                 "--payoff", "vanilla_call:asset=0,strike=9",
+                 "--sweep", "1.1234567:1.1234567:1", "--out", str(out)]) == 0
+    assert out.read_text().split("\n")[1].split(",")[0] == "1.1234567"
+    assert priced == [cpwa.to_json_dict(pb.vanilla_call(2, 0, 1.1234567))]
+
+
+@pytest.mark.parametrize("payoff", ["asset:asset=0",
+                                    "best_of_calls:assets=0+1,strikes=1+2"])
+def test_sweep_of_a_kind_without_a_strike_exits_2(instance_file, payoff,
+                                                  capsys):
+    """A sweep sets the payoff's strike; a kind without one is refused,
+    not priced once per swept strike."""
+    path, _ = instance_file
+    assert main(["bounds", "--instance", path, "--payoff", payoff,
+                 "--sweep", "1:3:1"]) == 2
+    kind = payoff.partition(":")[0]
+    assert "%r takes no strike" % kind in capsys.readouterr().err
+
+
 def test_detect_exit_codes(instance_file, bad_chain_file, tmp_path):
     path, _ = instance_file
     assert main(["detect", "--instance", path,

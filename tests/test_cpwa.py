@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pricebounds import cpwa
+from pricebounds.encoding import big_m, minimize_over_box
 from conftest import rng_for, random_cpwa
 
 
@@ -178,12 +179,16 @@ def test_radial_template_drops_offsets():
 
 
 def test_prune_drops_tiny_pieces():
+    """The encoder replaces a tiny piece of a multi-piece term by an exact
+    zero piece: the program is that of max(x - 2, 0), not of max(x - 2,
+    1e-9 x + 1e-9), whose minimum over [0, 5] is 1e-9."""
     f = cpwa.make_function(1, [(1, [(np.array([1.0]), -2.0),
                                     (np.array([1e-9]), 1e-9)])])
-    p = cpwa.prune(f)
-    pieces = p.terms[0].pieces
-    assert len(pieces) == 2  # explicit zero piece replaces the tiny one
-    assert cpwa.evaluate(p, [5.0]) == pytest.approx(3.0)
+    assert big_m(f, [5.0]) == [[2.0, 3.0]]
+    enc, res = minimize_over_box(f, [5.0])
+    assert enc.program.base.A[:, 0].tolist() == [1.0, 0.0]
+    assert enc.program.base.b.tolist() == [2.0, 0.0]
+    assert res.incumbent_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_json_round_trip():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pricebounds import cpwa
-from pricebounds.encoding import (big_m, encode_min, minimize_over_box,
-                                  _dedupe_pieces, _term_big_m)
+from pricebounds.encoding import (PRUNE_THRESHOLD, big_m, encode_min,
+                                  minimize_over_box, _dedupe_pieces,
+                                  _term_big_m)
 from pricebounds.lp import LinearProgram, solve_lp
 from conftest import (rng_for, random_cpwa, random_box_instance, min_oracle,
                       assert_integer_feasible, negative_terms)
@@ -134,10 +135,25 @@ def _dedupe_loop(pieces):
     return out
 
 
+def _prune_loop(pieces):
+    """The per-piece rule that _dedupe_pieces applies before it dedupes:
+    in a term of two or more pieces, the pieces within PRUNE_THRESHOLD of
+    zero become one exact zero piece after the others."""
+    if len(pieces) < 2:
+        return list(pieces)
+    kept = [(a, b) for a, b in pieces
+            if np.abs(a).max(initial=0.0) > PRUNE_THRESHOLD
+            or abs(b) > PRUNE_THRESHOLD]
+    if len(kept) < len(pieces):
+        kept.append((np.zeros(len(pieces[0][0])), 0.0))
+    return kept
+
+
 def test_dedupe_pieces_matches_the_per_piece_loop():
-    """_dedupe_pieces keeps, per term, the pieces that the per-piece loop
-    keeps, in its order, on terms with exact copies, copies within
-    rounding, -0.0 and pieces that differ only in b."""
+    """_dedupe_pieces keeps, per term, the pieces that the per-piece
+    prune and dedupe loops keep, in their order, on terms with exact
+    copies, copies within rounding, -0.0, pieces that differ only in b
+    and tiny pieces."""
     rng = rng_for(406)
     for trial in range(200):
         d = int(rng.integers(1, 5))
@@ -154,7 +170,7 @@ def test_dedupe_pieces_matches_the_per_piece_loop():
             terms.append(cpwa.CpwaTerm(int(rng.choice([-1, 1])),
                                        tuple(pieces)))
         for t, (a, b) in zip(terms, _dedupe_pieces(terms)):
-            ref = _dedupe_loop(t.pieces)
+            ref = _dedupe_loop(_prune_loop(t.pieces))
             assert len(b) == len(ref), trial
             for (ra, rb), ka, kb in zip(ref, a, b):
                 assert np.array_equal(ra, ka) and rb == kb, trial
@@ -166,14 +182,13 @@ def _encode_by_rows(h, box):
     row per tuple, stacked by LinearProgram."""
     xbar = np.asarray(box, dtype=float)
     d = h.dimension
-    h = cpwa.prune(h)
     bounds = [(0.0, float(xb)) for xb in xbar]
     obj_x = np.zeros(d)
     n = d
     obj_extra, rows, binaries = [], [], []
     constant = 0.0
     for t in h.terms:
-        pieces = _dedupe_loop(t.pieces)
+        pieces = _dedupe_loop(_prune_loop(t.pieces))
         if len(pieces) == 1:
             obj_x += t.sign * pieces[0][0]
             constant += t.sign * pieces[0][1]
@@ -222,14 +237,54 @@ def _encode_by_rows(h, box):
     return LinearProgram(c, lp_rows, bounds), binaries, constant
 
 
+def _with_prunable_pieces(rng, h):
+    """h with pieces that the encoder prunes or drops mixed into its
+    terms: tiny pieces, one entry on PRUNE_THRESHOLD, pieces just past it,
+    exact zero pieces of either sign, signed zeros in a kept piece and
+    exact copies; now and then a term of tiny pieces only."""
+    d = h.dimension
+
+    def extra(pieces):
+        kind = int(rng.integers(5))
+        if kind == 0:
+            return (rng.uniform(-1, 1, size=d) * PRUNE_THRESHOLD,
+                    float(rng.choice([-1.0, 1.0])) * PRUNE_THRESHOLD)
+        if kind == 1:
+            return np.full(d, 1e-9), 2 * PRUNE_THRESHOLD
+        if kind == 2:
+            zero = float(rng.choice([0.0, -0.0]))
+            return np.full(d, zero), zero
+        if kind == 3:
+            return pieces[int(rng.integers(len(pieces)))]
+        a = np.where(rng.random(d) < 0.5, -0.0, rng.uniform(-2, 2, size=d))
+        return a, float(rng.uniform(-2, 2))
+
+    terms = []
+    for t in h.terms:
+        pieces = list(t.pieces)
+        for _ in range(int(rng.integers(4))):
+            pieces.insert(int(rng.integers(len(pieces) + 1)), extra(pieces))
+        terms.append(cpwa.CpwaTerm(t.sign, tuple(pieces)))
+    if rng.random() < 0.3:
+        tiny = [(rng.uniform(-1, 1, size=d) * 1e-8,
+                 float(rng.uniform(-1, 1)) * 1e-8)
+                for _ in range(int(rng.integers(1, 4)))]
+        terms.append(cpwa.CpwaTerm(int(rng.choice([-1, 1])), tuple(tiny)))
+    return cpwa.CpwaFunction(d, tuple(terms))
+
+
 def test_matrix_matches_row_construction():
     """encode_min fills its matrix directly; every array is bit-identical
-    to the row-tuple construction on random functions and on random
-    slack templates."""
+    to the row-tuple construction on random functions, on the same with
+    pieces to prune or drop, and on random slack templates: a two-asset
+    one, and at d = 3..5 the upper and lower bound slacks of a call on
+    the max, a best-of-calls and a put on the min over assets and calls,
+    some of whose positions are tiny."""
     rng = rng_for(404)
     g = [cpwa.vanilla_call(2, 0, 2.0), cpwa.vanilla_put(2, 1, 3.0),
          cpwa.call_on_max(2, [0, 1], 1.0), cpwa.asset(2, 0)]
     tmpl = cpwa.slack_template(g, cpwa.call_on_min(2, [0, 1], 2.0))
+    cases = []
     for trial in range(120):
         if trial % 2:
             d = int(rng.integers(1, 4))
@@ -237,7 +292,28 @@ def test_matrix_matches_row_construction():
         else:
             d = 2
             h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=len(g)))
-        box = rng.uniform(1, 8, size=d)
+        cases.append((h, rng.uniform(1, 8, size=d)))
+    for _ in range(120):
+        d = int(rng.integers(1, 4))
+        h = random_cpwa(rng, d, max_terms=5, max_pieces=4)
+        cases.append((_with_prunable_pieces(rng, h),
+                      rng.uniform(1, 8, size=d)))
+    for d in (3, 4, 5):
+        assets = list(range(d))
+        g = [cpwa.asset(d, i) for i in assets] + [
+            cpwa.vanilla_call(d, i, k) for i in assets for k in (1.0, 3.0)]
+        for f in (cpwa.call_on_max(d, assets, 2.0),
+                  cpwa.best_of_calls(d, assets, [1.0 + i for i in assets]),
+                  cpwa.put_on_min(d, assets, 4.0)):
+            for sign in (1.0, -1.0):
+                tmpl = cpwa.slack_template(
+                    g, cpwa.linear_combination([sign], [f]))
+                for _ in range(4):
+                    y = rng.uniform(-2, 2, size=len(g))
+                    y[rng.random(len(g)) < 0.25] *= 1e-8
+                    cases.append((cpwa.instantiate(tmpl, y),
+                                  rng.uniform(1, 8, size=d)))
+    for trial, (h, box) in enumerate(cases):
         enc = encode_min(h, box)
         p = enc.program
         ref, binaries, constant = _encode_by_rows(h, box)

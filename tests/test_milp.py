@@ -128,20 +128,6 @@ def test_offset_shifts_all_values():
     assert all(v >= 3.9 for _, v in res.pool)
 
 
-def test_node_limit_returns_bounds():
-    """min -x0 - x1 with x0 + x1 <= 1.5 and x binary: the root LP is
-    fractional at -1.5, so one node only branches the root.  The search
-    stops at the limit with the open children's bound, and counts the
-    one node it processed."""
-    p = MixedIntegerProgram(
-        LinearProgram([-1.0, -1.0], [([1.0, 1.0], "<=", 1.5)],
-                      [(0.0, 1.0)] * 2), [0, 1])
-    res = solve_milp(p, MilpOptions(node_limit=1))
-    assert res.status == "node_limit"
-    assert res.best_bound <= -1.0
-    assert res.nodes == 1
-
-
 def test_binary_bound_validation():
     with pytest.raises(ValueError):
         MixedIntegerProgram(
