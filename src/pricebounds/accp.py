@@ -4,9 +4,10 @@ Maintains a shrinking bracket [phi_lo, phi_hi] around the superhedging
 price.  Each iteration queries the Chebyshev center of the polytope of
 hedges whose cost lies in a speculative band; an empty polytope proves
 the speculative band too ambitious and raises the certified lower
-bound, while a feasible center is tested by a (loosely solved) slack
-MILP whose bound either certifies a better upper bound or produces new
-feasibility cuts.  Cuts cleared by the center with room to spare are
+bound, while a feasible center is separated (ecp.Separation, or a
+loosely solved slack MILP where that does not serve), and the slack's
+bound either certifies a better upper bound or produces new feasibility
+cuts.  Cuts cleared by the center with room to spare are
 deactivated when the inscribed radius collapses, keeping the LPs small.
 
 The lower-bound LPs double as a source of the dual support set from
@@ -25,8 +26,8 @@ from .cpwa import CpwaFunction
 from .lp import LinearProgram, solve_lp, chebyshev_center
 from .milp import MilpOptions, solve_milp
 from .encoding import encode_min
-from .ecp import (MarketInstance, BoundsResult, CutSet, price_pi,
-                  compute_lower_phi, dominating_cash, verify_hedge)
+from .ecp import (MarketInstance, BoundsResult, CutSet, Separation,
+                  price_pi, compute_lower_phi, max_over_box, verify_hedge)
 
 MAX_ITERATIONS = 100000
 # the hedges' box: |c| <= max(C_BAR, |c0| + 2) and |y_j| <= Y_BAR, with
@@ -89,9 +90,12 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
     if opts.initial_portfolio is not None:
         c0, y0 = opts.initial_portfolio
         y0 = np.asarray(y0, dtype=float)
+        min_slack = verify_hedge(instance, f, c0, y0, box)
     else:
-        c0, y0 = dominating_cash(instance, f), np.zeros(m)
-    min_slack = verify_hedge(instance, f, c0, y0, box)
+        # the cash hedge's least slack c0 - max f needs no second MILP
+        f_max = max_over_box(instance, f)
+        c0, y0 = float(max(0.0, f_max)), np.zeros(m)
+        min_slack = c0 - f_max
     if min_slack < -1e-9:
         raise ValueError("initial portfolio does not dominate f "
                          "(min %.6g)" % min_slack)
@@ -105,6 +109,7 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
     c_bar = max(C_BAR, abs(c0) + 2.0)
 
     template = cpwa.slack_template(instance.g, f)
+    separate = Separation(instance, f, template, box)
     obj_band = np.concatenate([[1.0], instance.ask, -instance.bid])
     band_scale = float(np.linalg.norm(obj_band))
 
@@ -191,12 +196,14 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
         c_r = float(v[0])
         y_r = v[1:1 + m] - v[1 + m:1 + 2 * m]
 
-        slack_fn = cpwa.instantiate(template, y_r)
-        enc = encode_min(slack_fn, box)
-        res = solve_milp(enc.program,
-                         MilpOptions(rel_gap=opts.zeta,
-                                     pool_threshold=opts.delta),
-                         offset=enc.constant + c_r)
+        res = separate(c_r, y_r, opts.delta)
+        if res is None:
+            slack_fn = cpwa.instantiate(template, y_r)
+            enc = encode_min(slack_fn, box)
+            res = solve_milp(enc.program,
+                             MilpOptions(rel_gap=opts.zeta,
+                                         pool_threshold=opts.delta),
+                             offset=enc.constant + c_r)
         milp_count += 1
         milp_nodes += res.nodes
         if res.incumbent_value is None:
@@ -263,8 +270,7 @@ def extract_measure(instance: MarketInstance, f: CpwaFunction,
         raise ValueError("empty support")
     nx = len(support)
     fx = np.array([cpwa.evaluate(f, x) for x in support])
-    G = np.stack([[cpwa.evaluate(gj, x) for gj in instance.g]
-                  for x in support])  # nx x m
+    G = cpwa.Stacked(instance.g)(np.array(support))  # nx x m
     # total mass 1, then per instrument its bid row and its ask row
     A = np.vstack([np.ones(nx), np.repeat(G.T, 2, axis=0)])
     b = np.concatenate([[1.0], np.column_stack(

@@ -95,11 +95,12 @@ def evaluate_many(f: CpwaFunction, xs) -> np.ndarray:
 
 
 class Stacked:
-    """Several functions of one dimension, evaluated together at a point.
+    """Several functions of one dimension, evaluated together at a point
+    or at each row of a block of points.
 
-    Every piece of every term is stacked once, so a call is one matvec,
-    a segment max per term and a segment sum per function.  Values agree
-    with `evaluate` to rounding, not bit for bit."""
+    Every piece of every term is stacked once, so a call is one matrix
+    product, a segment max per term and a segment sum per function.
+    Values agree with `evaluate` to rounding, not bit for bit."""
 
     def __init__(self, fs):
         terms = [(j, t) for j, f in enumerate(fs) for t in f.terms]
@@ -131,6 +132,14 @@ class Stacked:
             self.funcs.append(func)
 
     def __call__(self, x) -> np.ndarray:
+        """Every function at x, or at each row of an n x d array of
+        points, one row of values per point."""
+        if np.ndim(x) == 2:
+            if not self.m:
+                return np.zeros((len(x), 0))
+            top = np.maximum.reduceat(x @ self.a.T + self.b,
+                                      self.piece_starts, axis=1)
+            return np.add.reduceat(self.sign * top, self.term_starts, axis=1)
         if not self.m:
             return np.zeros(0)
         top = np.maximum.reduceat(self.a @ x + self.b, self.piece_starts)

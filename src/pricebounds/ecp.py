@@ -4,8 +4,9 @@ The superhedging price phi(f) = inf { c + pi(y) : c + <y, g(x)> >= f(x)
 for all x in the domain } is approached from below by a finite LP over
 an accumulating set of feasibility cuts.  Each iteration solves the
 relaxed LP, then globally minimizes the slack c + <y, g(x)> - f(x) over
-the box by MILP; negative minima yield new cuts (one per pooled
-integer-feasible solution within a threshold), and the final shift
+the box, at candidate points of the slack template compiled once per run
+(Separation) or, where those do not serve, by MILP; negative minima yield
+new cuts (one per pooled point within a threshold), and the final shift
 c* = c - s turns the relaxed optimum into a certified superhedge.
 
 On the unbounded domain R^d_+ (Setting 1) radial constraints on y are
@@ -24,8 +25,8 @@ import numpy as np
 from . import cpwa
 from .cpwa import CpwaFunction
 from .lp import LinearProgram, solve_lp
-from .milp import MilpOptions, solve_milp
-from .encoding import encode_min, minimize_over_box
+from .milp import COMPLETION_TOL, MilpOptions, solve_milp
+from .encoding import CompiledSlack, encode_min, minimize_over_box
 from . import radial as radial_mod
 
 SUPPORT_ROUNDING = 4  # support points rounded to multiples of 1e-4
@@ -157,12 +158,17 @@ def _milp_box(instance, f, opts_xbar):
     return default_xbar(instance, f), True
 
 
+def max_over_box(instance: MarketInstance, f: CpwaFunction) -> float:
+    """The max of f over the MILP box, by one MILP minimization of -f."""
+    box, _ = _milp_box(instance, f, None)
+    _, res = minimize_over_box(cpwa.linear_combination([-1.0], [f]), box)
+    return -res.incumbent_value
+
+
 def dominating_cash(instance: MarketInstance, f: CpwaFunction) -> float:
     """c0 = max(0, max of f over the MILP box), so that the cash hedge
     (c0, 0) dominates f there."""
-    box, _ = _milp_box(instance, f, None)
-    _, res = minimize_over_box(cpwa.linear_combination([-1.0], [f]), box)
-    return float(max(0.0, -res.incumbent_value))
+    return float(max(0.0, max_over_box(instance, f)))
 
 
 class CutSet:
@@ -214,6 +220,34 @@ class CutSet:
         return coeffs
 
 
+class Separation:
+    """The least slack c + <y, g(x)> - f(x) over the box at a center (c,
+    y), from the run's slack template compiled once
+    (encoding.CompiledSlack), with no MILP.  Each value it returns is
+    checked against cpwa.Stacked at its point, combined with y and f,
+    within COMPLETION_TOL (1 + |value|).  A call returns None where the
+    compiled slack has no candidates at y, or a value fails that check;
+    the caller then solves the center's slack MILP."""
+
+    def __init__(self, instance: MarketInstance, f: CpwaFunction, template,
+                 box):
+        self._slack = CompiledSlack.from_template(template, box)
+        self._at = cpwa.Stacked(list(instance.g) + [f])
+
+    def __call__(self, c, y, threshold):
+        res = self._slack.minimize(y, c, threshold)
+        if res is None:
+            return None
+        x = np.array([x for x, _ in res.pool])
+        value = np.array([v for _, v in res.pool])
+        at = self._at(x)
+        slack = c + at[:, :-1] @ y - at[:, -1]
+        if (np.abs(slack - value) <= COMPLETION_TOL * (1.0 + np.abs(value))
+                ).all():
+            return res
+        return None
+
+
 def compute_lower_phi(instance: MarketInstance, f: CpwaFunction,
                       portfolio=None, xbar=None) -> float:
     """A valid lower bound on phi(f) from a sub-replicating portfolio
@@ -257,6 +291,7 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
         phi_low = compute_lower_phi(instance, f, xbar=box)
 
     template = cpwa.slack_template(instance.g, f)
+    separate = Separation(instance, f, template, box)
 
     # variables: c | y+ (m) | y- (m) | eta blocks (Setting 1 only); all
     # rows are >=: the radial rows, the floor row, then one per cut
@@ -314,11 +349,13 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
         c_r = float(sol.x[0])
         y_r = sol.x[1:1 + m] - sol.x[1 + m:1 + 2 * m]
 
-        slack_fn = cpwa.instantiate(template, y_r)
-        enc = encode_min(slack_fn, box)
-        res = solve_milp(enc.program,
-                         MilpOptions(pool_threshold=opts.delta),
-                         offset=enc.constant + c_r)
+        res = separate(c_r, y_r, opts.delta)
+        if res is None:
+            slack_fn = cpwa.instantiate(template, y_r)
+            enc = encode_min(slack_fn, box)
+            res = solve_milp(enc.program,
+                             MilpOptions(pool_threshold=opts.delta),
+                             offset=enc.constant + c_r)
         milp_count += 1
         milp_nodes += res.nodes
         s_r = res.incumbent_value

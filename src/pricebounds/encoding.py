@@ -55,17 +55,29 @@ each (call_on_min), the program carries none.
 solve_milp prices the completions of these points instead of searching;
 branch and bound serves the programs without them, and remains the
 tests' reference.
+
+None of these points moves when a term is scaled: the lines where two
+pieces of one term are equal, the kinks of a term on one coordinate and
+the sublevel boxes of a positive term's levels are the same for every
+positive multiple of it.  So for a slack c + <y, g(x)> - f(x), whose
+coefficients are affine in y (cpwa.SlackTemplate), CompiledSlack
+computes them once per box, with the values there of the terms on one
+coordinate.  At each y it chooses among them from the signs and sizes of
+the coefficients, and values the chosen points with a matrix product:
+no program is built.  encode_min takes its vertices from the same code,
+with the function as a template of no portfolio.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .cpwa import CpwaFunction
 from .lp import LinearProgram
-from .milp import MixedIntegerProgram, solve_milp
+from .milp import MilpResult, MixedIntegerProgram, _pool, solve_milp
 
 # two lines of the arrangement cross where the determinant of their unit
 # max-norm normals exceeds this; crossings within BOX_TOL (1 + xbar) of
@@ -192,86 +204,25 @@ class _Completion:
         return out
 
 
-def _piece_pairs(c: _Completion):
-    """The pairs i < j of the completion's pieces of one term, whose
-    pieces are contiguous."""
-    k = np.arange(len(c.b))
-    after = np.append(c.starts[1:], len(c.b))[c.term] - k - 1
+def _piece_pairs(starts, term):
+    """The pairs i < j of stacked pieces of one term, where term k's
+    pieces start at starts[k] and term[i] is piece i's term."""
+    k = np.arange(len(term))
+    after = np.append(starts[1:], len(term))[term] - k - 1
     i = np.repeat(k, after)
     j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(after) - after, after)
     return i, j
 
 
-def _vertices(c: _Completion):
-    """The vertices in [0, xbar], d <= 2, of the arrangement of the box
-    edges and of the lines on which two of the completion's pieces of one
-    term are equal: the pairwise crossings of those lines, the box
-    corners among them, each once in lexicographic order."""
-    xbar = c.xbar
-    i, j = _piece_pairs(c)
-    n, r = c.a[i] - c.a[j], c.b[j] - c.b[i]
-    scale = np.abs(n).max(axis=1, initial=0.0)
-    n, r, scale = n[scale > 0], r[scale > 0], scale[scale > 0]
-    if len(xbar) == 1:
-        pts = np.concatenate([[0.0], xbar, r / n[:, 0]])[:, None]
-    else:
-        # unit max-norm normals, then the box edges
-        n = np.vstack([n / scale[:, None], np.eye(2), np.eye(2)])
-        r = np.concatenate([r / scale, [0.0, 0.0], xbar])
-        i, j = np.triu_indices(len(r), 1)
-        det = n[i, 0] * n[j, 1] - n[i, 1] * n[j, 0]
-        cross = np.abs(det) > PARALLEL_TOL
-        i, j, det = i[cross], j[cross], det[cross]
-        pts = np.column_stack([r[i] * n[j, 1] - r[j] * n[i, 1],
-                               n[i, 0] * r[j] - n[j, 0] * r[i]]) / det[:, None]
-    tol = BOX_TOL * (1.0 + xbar)
-    return _distinct(np.clip(
-        pts[((pts >= -tol) & (pts <= xbar + tol)).all(axis=1)], 0.0, xbar))
-
-
 def _distinct(pts):
-    """The distinct rows of pts in lexicographic order."""
-    pts = pts[np.lexsort(pts.T[::-1])]
-    return pts[np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))]
-
-
-def _separable(c: _Completion, c_x, single, sign):
-    """The separable part u of h: the affine addend and the terms in
-    `single`, each of which uses at most one coordinate.  Returns (axis,
-    z, groups, u): the candidates z on coordinate axis, grouped by
-    coordinate (groups[k] is coordinate k's first), which are 0, xbar_k
-    and the kinks of u_k inside (0, xbar_k), where two pieces of one
-    such term cross; and u(axis, z), u at z e_axis, which is u_k(z) plus a
-    constant per coordinate k that does not move an argmin over z."""
-    xbar, d = c.xbar, len(c.xbar)
-    i, j = _piece_pairs(c)
-    one = single[c.term[i]]
-    i, j = i[one], j[one]
-    axis = ((c.a[i] != 0) | (c.a[j] != 0)).argmax(axis=1)
-    slope = c.a[i, axis] - c.a[j, axis]
-    crossing = slope != 0
-    z = (c.b[j] - c.b[i])[crossing] / slope[crossing]
-    axis = axis[crossing]
-    inside = (z > 0) & (z < xbar[axis])
-    axis = np.concatenate([np.arange(d), np.arange(d), axis[inside]])
-    z = np.concatenate([np.zeros(d), xbar, z[inside]])
-    order = np.argsort(axis, kind="stable")
-    axis, z = axis[order], z[order]
-    groups = np.searchsorted(axis, np.arange(d))
-    pieces = single[c.term]
-    term = c.term[pieces]
-    firsts = np.flatnonzero(np.concatenate(([True], term[1:] != term[:-1])))
-
-    def u(axis, z):
-        at = np.zeros((len(z), d))
-        at[np.arange(len(z)), axis] = z
-        value = at @ c_x
-        if pieces.any():
-            value += np.maximum.reduceat(
-                at @ c.a[pieces].T + c.b[pieces], firsts,
-                axis=1) @ sign[term[firsts]]
-        return value
-    return axis, z, groups, u
+    """The distinct rows of pts in lexicographic order, and per row of
+    pts the index of its copy among them."""
+    order = np.lexsort(pts.T[::-1])
+    pts = pts[order]
+    new = np.concatenate(([True], (pts[1:] != pts[:-1]).any(axis=1)))
+    index = np.empty(len(pts), dtype=int)
+    index[order] = np.cumsum(new) - 1
+    return pts[new], index
 
 
 def _first_min(w, groups):
@@ -285,85 +236,297 @@ def _first_min(w, groups):
         groups, axis=1)
 
 
-def _minimizers(c: _Completion, c_x):
-    """For d >= 3, the points of the module docstring, each once in
-    lexicographic order: per piece t of a negative term whose pieces use
-    two or more coordinates, the coordinatewise minimizer of the
-    separable h_t; per level t of a positive such term whose pieces each
-    use one coordinate, x(t).  None where a positive term has a piece
-    that uses two or more coordinates or a second such term exists."""
-    d = len(c.xbar)
-    ends = np.append(c.starts[1:], len(c.b))
-    # per term: the coordinates its pieces use, and its sign
-    used = np.logical_or.reduceat(c.a != 0, c.starts, axis=0)
-    sign = np.ones(len(c.starts))
-    sign[c.term[c.neg]] = -1.0
-    multi = used.sum(axis=1) >= 2
-    if multi.sum() > 1:
-        return None
-    k = np.flatnonzero(multi)
-    if len(k) and sign[k[0]] > 0:
-        mine = slice(c.starts[k[0]], ends[k[0]])
-        if ((c.a[mine] != 0).sum(axis=1) > 1).any():
+class CompiledSlack:
+    """h(x) = sum_k coef_k max_i(<a_{k,i}, x> + b_{k,i}) over [0, xbar],
+    with coefficients coef = W y + z affine in a portfolio y, as in a
+    cpwa.SlackTemplate, compiled once for the box.
+
+    The candidate points of the module docstring do not move with y: a
+    line on which two pieces of one term are equal, a kink of a term on
+    one coordinate and the sublevel box of a positive term's level stay
+    where they are when the term is scaled.  So the arrangement vertices
+    (d <= 2), or each axis's candidates with the values there of the
+    terms on one coordinate and, per multi-coordinate term, its levels
+    and their boxes (d >= 3), are computed once; each coef then chooses
+    among them.  Terms with coef_k = 0 are left out, as cpwa.instantiate
+    leaves them out: their lines, kinks and levels are not candidates.
+
+    encode_min compiles each function it encodes with no portfolio (W
+    has no columns and z is the terms' signs), so its vertices come from
+    this code too.  Pieces are taken as given: ECP and ACCP compile their
+    template's pieces unpruned, so `minimize` values the true slack."""
+
+    def __init__(self, a, b, starts, W, z, xbar):
+        self.a, self.b, self.starts = a, b, starts
+        self.W, self.z, self.xbar = W, z, xbar
+        self.ends = np.append(starts[1:], len(b))
+        self.term = np.repeat(np.arange(len(starts)), self.ends - starts)
+        # a term of one piece is an affine addend; of the others, those
+        # whose pieces use two or more coordinates between them are
+        # multi, and wide where one piece does
+        self.affine = self.ends - starts == 1
+        nonzero = a != 0
+        used = np.logical_or.reduceat(nonzero, starts, axis=0)
+        self.multi = ~self.affine & (used.sum(axis=1) >= 2)
+        self.single = ~self.affine & ~self.multi
+        self.wide = np.logical_or.reduceat(nonzero.sum(axis=1) > 1, starts)
+        self._level_sets = {}
+
+    @classmethod
+    def from_template(cls, tmpl, box):
+        """The slack of a cpwa.SlackTemplate over [0, box]."""
+        terms = tmpl.terms
+        sizes = [len(pieces) for _, _, pieces in terms]
+        a = np.array([a for _, _, pieces in terms for a, _ in pieces],
+                     dtype=float).reshape(-1, tmpl.dimension)
+        b = np.array([b for _, _, pieces in terms for _, b in pieces],
+                     dtype=float)
+        W = np.array([w for w, _, _ in terms], dtype=float).reshape(
+            len(terms), tmpl.m)
+        z = np.array([z for _, z, _ in terms], dtype=float)
+        return cls(a, b, np.cumsum([0] + sizes[:-1]), W, z,
+                   np.asarray(box, dtype=float))
+
+    def points(self, coef):
+        """The candidate points at coef, each once in lexicographic
+        order; None where the module docstring gives none."""
+        live = coef != 0
+        if len(self.xbar) <= 2:
+            return self._vertices[0][self._vertex_mask(live)]
+        return self._minimizers(coef, live)
+
+    def minimize(self, y, offset, threshold):
+        """The least of offset + h over the candidate points at coef = W y
+        + z, as the incumbent and the bound of a MilpResult with 0 nodes,
+        with the pool of milp._pool at threshold over the points, each a
+        box point; None where there are no candidates."""
+        coef = self.W @ y + self.z
+        live = coef != 0
+        if len(self.xbar) <= 2:
+            keep = self._vertex_mask(live)
+            pts = self._vertices[0][keep]
+            values = (self._vertex_terms @ coef)[keep]
+        else:
+            pts = self._minimizers(coef, live)
+            if pts is None:
+                return None
+            values = self._terms_at(pts) @ coef
+        pool = _pool(pts, values + offset, threshold)
+        incumbent, p_bar = min(pool, key=lambda xv: xv[1])
+        return MilpResult(
+            status="optimal", incumbent=incumbent, incumbent_value=p_bar,
+            best_bound=p_bar, pool=pool, nodes=0)
+
+    def _terms_at(self, pts):
+        """Each term's max of its pieces, at each row of pts."""
+        return np.maximum.reduceat(pts @ self.a.T + self.b, self.starts,
+                                   axis=1)
+
+    # -- d <= 2: the arrangement --------------------------------------
+
+    @cached_property
+    def _vertices(self):
+        """(vertices, ends, index): the vertices in [0, xbar] of the
+        arrangement of the box edges and of the lines on which two pieces
+        of one term are equal, each once in lexicographic order; per
+        crossing of two lines in the box, the terms of its lines (-1 for a
+        box edge) and its vertex."""
+        xbar = self.xbar
+        i, j = _piece_pairs(self.starts, self.term)
+        n, r = self.a[i] - self.a[j], self.b[j] - self.b[i]
+        scale = np.abs(n).max(axis=1, initial=0.0)
+        line = self.term[i][scale > 0]
+        n, r, scale = n[scale > 0], r[scale > 0], scale[scale > 0]
+        if len(xbar) == 1:
+            pts = np.concatenate([[0.0], xbar, r / n[:, 0]])[:, None]
+            ends = np.column_stack([np.concatenate([[-1, -1], line]),
+                                    np.full(len(pts), -1)])
+        else:
+            # unit max-norm normals, then the box edges
+            n = np.vstack([n / scale[:, None], np.eye(2), np.eye(2)])
+            r = np.concatenate([r / scale, [0.0, 0.0], xbar])
+            line = np.concatenate([line, [-1] * 4])
+            i, j = np.triu_indices(len(r), 1)
+            det = n[i, 0] * n[j, 1] - n[i, 1] * n[j, 0]
+            cross = np.abs(det) > PARALLEL_TOL
+            i, j, det = i[cross], j[cross], det[cross]
+            pts = np.column_stack(
+                [r[i] * n[j, 1] - r[j] * n[i, 1],
+                 n[i, 0] * r[j] - n[j, 0] * r[i]]) / det[:, None]
+            ends = np.column_stack([line[i], line[j]])
+        tol = BOX_TOL * (1.0 + xbar)
+        inbox = ((pts >= -tol) & (pts <= xbar + tol)).all(axis=1)
+        vertices, index = _distinct(np.clip(pts[inbox], 0.0, xbar))
+        return vertices, ends[inbox], index
+
+    @cached_property
+    def _vertex_terms(self):
+        return self._terms_at(self._vertices[0])
+
+    def _vertex_mask(self, live):
+        """The vertices at which two lines of live terms or box edges
+        cross."""
+        _, ends, index = self._vertices
+        keep = np.zeros(len(self._vertices[0]), dtype=bool)
+        keep[index[np.append(live, True)[ends].all(axis=1)]] = True
+        return keep
+
+    # -- d >= 3: coordinatewise and level minimizers -------------------
+
+    def _minimizers(self, coef, live):
+        """The points of the module docstring: per piece t of the live
+        multi term if it is negative, the coordinatewise minimizer of the
+        separable h_t; per level t of it if it is positive and not wide,
+        x(t); one coordinatewise minimizer if no multi term is live.  None
+        if a live multi term is positive and wide, or two are live."""
+        k = np.flatnonzero(self.multi & live)
+        if len(k) > 1 or len(k) and coef[k[0]] > 0 and self.wide[k[0]]:
             return None
-        return _level_minimizers(c, c_x, ~multi, sign, mine)
-    # the slopes a_t of the negative term's pieces, or one zero slope
-    # where every term uses one coordinate
-    s = c.a[c.starts[k[0]]:ends[k[0]]] if len(k) else np.zeros((1, d))
-    axis, z, groups, u = _separable(c, c_x, ~multi, sign)
-    # per t and k, the first candidate of group k that minimizes
-    # u_k(z) - a_t[k] z
-    return _distinct(z[_first_min(u(axis, z) - s[:, axis] * z, groups)])
+        axis, z, owner, groups = self._axes
+        # per term and for -1, whether it is live
+        live = np.append(live, True)
+        if len(k) and coef[k[0]] > 0:
+            return self._level_points(k[0], coef, live)
+        # the slopes a_t of the negative term's pieces, or one zero slope
+        # where every term uses one coordinate
+        s = (self.a[self.starts[k[0]]:self.ends[k[0]]] * -coef[k[0]]
+             if len(k) else np.zeros((1, len(self.xbar))))
+        u = np.where(live[owner], self._u(coef, axis, z, self._axis_terms),
+                     np.inf)
+        # per t and k, the first candidate of group k that minimizes
+        # u_k(z) - a_t[k] z
+        return _distinct(z[_first_min(u - s[:, axis] * z, groups)])[0]
 
+    @cached_property
+    def _axes(self):
+        """(axis, z, owner, groups): the candidates z on coordinate axis,
+        grouped by coordinate (groups[k] is coordinate k's first), which
+        are 0, xbar_k and the kinks inside (0, xbar_k) of the single
+        terms, where two pieces of one such term cross; owner is the term
+        of a kink, -1 for 0 and xbar_k."""
+        xbar, d = self.xbar, len(self.xbar)
+        i, j = _piece_pairs(self.starts, self.term)
+        one = self.single[self.term[i]]
+        i, j = i[one], j[one]
+        axis = ((self.a[i] != 0) | (self.a[j] != 0)).argmax(axis=1)
+        slope = self.a[i, axis] - self.a[j, axis]
+        crossing = slope != 0
+        z = (self.b[j] - self.b[i])[crossing] / slope[crossing]
+        axis, owner = axis[crossing], self.term[i][crossing]
+        inside = (z > 0) & (z < xbar[axis])
+        axis = np.concatenate([np.arange(d), np.arange(d), axis[inside]])
+        z = np.concatenate([np.zeros(d), xbar, z[inside]])
+        owner = np.concatenate([np.full(2 * d, -1), owner[inside]])
+        order = np.argsort(axis, kind="stable")
+        axis, z, owner = axis[order], z[order], owner[order]
+        return axis, z, owner, np.searchsorted(axis, np.arange(d))
 
-def _level_minimizers(c: _Completion, c_x, single, sign, mine):
-    """The points x(t) of the module docstring, each once in
-    lexicographic order, for the positive term whose pieces are
-    c.a[mine], each of which uses at most one coordinate."""
-    xbar, d = c.xbar, len(c.xbar)
-    axis, z, groups, u = _separable(c, c_x, single, sign)
-    a, b = c.a[mine], c.b[mine]
-    flat = ~a.any(axis=1)
-    beta0 = b[flat].max(initial=-np.inf)
-    a, b = a[~flat], b[~flat]
-    coord = (a != 0).argmax(axis=1)
-    slope = a[np.arange(len(b)), coord]
-    # the kinks of P_k = max(beta0, the pieces on x_k) inside (0, xbar_k):
-    # where two pieces on x_k cross, and where one crosses beta0
-    i, j = np.nonzero((coord[:, None] == coord) & (slope[:, None] != slope))
-    kink = np.concatenate([(b[j] - b[i]) / (slope[i] - slope[j]),
-                           (beta0 - b) / slope])
-    on = np.concatenate([coord[i], coord])
-    within = (kink > 0) & (kink < xbar[on])
-    at_axis = np.concatenate([axis, on[within]])
-    at_z = np.concatenate([z, kink[within]])
-    # the levels: P_k at the candidates on x_k and at its kinks
-    t = np.maximum(np.where(coord[:, None] == at_axis,
-                            slope[:, None] * at_z + b[:, None], -np.inf)
-                   .max(axis=0), beta0)
-    t = np.unique(t[np.isfinite(t)])
-    # the sublevel interval [l_k(t), r_k(t)] of P_k: each piece on x_k
-    # bounds z from below where it falls and from above where it rises
-    bound = (t[:, None] - b) / slope
-    ax = coord[:, None] == np.arange(d)
-    l = np.maximum(np.where(ax & (slope < 0)[:, None], bound[:, :, None],
-                            -np.inf).max(axis=1), 0.0)
-    r = np.minimum(np.where(ax & (slope > 0)[:, None], bound[:, :, None],
-                            np.inf).min(axis=1), xbar)
-    ok = (l <= r + BOX_TOL * (1.0 + xbar)).all(axis=1)
-    l, r = l[ok], np.maximum(r[ok], l[ok])
-    # per t and k, the first least of u_k at l_k(t), at the candidates
-    # inside [l_k(t), r_k(t)], and at r_k(t)
-    n, coords = len(l), np.tile(np.arange(d), len(l))
-    at = u(np.concatenate([axis, coords, coords]),
-           np.concatenate([z, l.ravel(), r.ravel()]))
-    inside = (z >= l[:, axis]) & (z <= r[:, axis])
-    w = np.where(inside, at[:len(z)], np.inf)
-    first = _first_min(w, groups)
-    values = np.stack([at[len(z):len(z) + n * d].reshape(n, d),
-                       w[np.arange(n)[:, None], first],
-                       at[len(z) + n * d:].reshape(n, d)])
-    return _distinct(np.choose(values.argmin(axis=0), [l, z[first], r]))
+    @cached_property
+    def _axis_terms(self):
+        return self._single_terms(*self._axes[:2])
+
+    def _single_terms(self, axis, z):
+        """The single terms' values at each point z e_axis, by term."""
+        pieces = self.single[self.term]
+        if not pieces.any():
+            return np.zeros((len(z), 0))
+        at = np.zeros((len(z), len(self.xbar)))
+        at[np.arange(len(z)), axis] = z
+        term = self.term[pieces]
+        firsts = np.flatnonzero(np.concatenate(([True],
+                                                term[1:] != term[:-1])))
+        return np.maximum.reduceat(at @ self.a[pieces].T + self.b[pieces],
+                                   firsts, axis=1)
+
+    def _u(self, coef, axis, z, single_terms):
+        """u(axis, z), the separable part of h at z e_axis: the affine
+        addends' slope on axis times z plus the single terms, which is
+        u_k(z) plus a constant per coordinate k that does not move an
+        argmin over z."""
+        c_x = self.a[self.starts[self.affine]].T @ coef[self.affine]
+        u = c_x[axis] * z
+        if single_terms.shape[1]:
+            u += single_terms @ coef[self.single]
+        return u
+
+    def _levels(self, k):
+        """For the positive term k whose pieces each use at most one
+        coordinate: (l, r, level, owner, axis, z, terms).  l and r hold
+        per level t, one row each, the ends of the sublevel intervals
+        [l_i(t), r_i(t)], for the levels whose box is not empty.  Per
+        value of P that makes a level, its row (-1 if dropped) and the
+        term of its candidate (-1 for 0, xbar_i and P's own kinks).  axis
+        and z list the points at which u is needed, the candidates, then
+        l and r, and terms the single terms' values there."""
+        if k in self._level_sets:
+            return self._level_sets[k]
+        xbar, d = self.xbar, len(self.xbar)
+        axis, z, owner, groups = self._axes
+        mine = slice(self.starts[k], self.ends[k])
+        a, b = self.a[mine], self.b[mine]
+        flat = ~a.any(axis=1)
+        beta0 = b[flat].max(initial=-np.inf)
+        a, b = a[~flat], b[~flat]
+        coord = (a != 0).argmax(axis=1)
+        slope = a[np.arange(len(b)), coord]
+        # the kinks of P_k = max(beta0, the pieces on x_k) inside (0,
+        # xbar_k): where two pieces on x_k cross, and where one crosses
+        # beta0
+        i, j = np.nonzero((coord[:, None] == coord)
+                          & (slope[:, None] != slope))
+        kink = np.concatenate([(b[j] - b[i]) / (slope[i] - slope[j]),
+                               (beta0 - b) / slope])
+        on = np.concatenate([coord[i], coord])
+        within = (kink > 0) & (kink < xbar[on])
+        at_axis = np.concatenate([axis, on[within]])
+        at_z = np.concatenate([z, kink[within]])
+        at_owner = np.concatenate([owner, np.full(within.sum(), -1)])
+        # the levels: P_k at the candidates on x_k and at its kinks
+        t = np.maximum(np.where(coord[:, None] == at_axis,
+                                slope[:, None] * at_z + b[:, None], -np.inf)
+                       .max(axis=0), beta0)
+        finite = np.isfinite(t)
+        t, level = np.unique(t[finite], return_inverse=True)
+        # the sublevel interval [l_k(t), r_k(t)] of P_k: each piece on x_k
+        # bounds z from below where it falls and from above where it rises
+        bound = (t[:, None] - b) / slope
+        ax = coord[:, None] == np.arange(d)
+        l = np.maximum(np.where(ax & (slope < 0)[:, None], bound[:, :, None],
+                                -np.inf).max(axis=1), 0.0)
+        r = np.minimum(np.where(ax & (slope > 0)[:, None], bound[:, :, None],
+                                np.inf).min(axis=1), xbar)
+        ok = (l <= r + BOX_TOL * (1.0 + xbar)).all(axis=1)
+        l, r = l[ok], np.maximum(r[ok], l[ok])
+        level = np.where(ok, np.cumsum(ok) - 1, -1)[level.ravel()]
+        coords = np.tile(np.arange(d), len(l))
+        at_axis = np.concatenate([axis, coords, coords])
+        at_z = np.concatenate([z, l.ravel(), r.ravel()])
+        self._level_sets[k] = sets = (
+            l, r, level, at_owner[finite], at_axis, at_z,
+            self._single_terms(at_axis, at_z))
+        return sets
+
+    def _level_points(self, k, coef, live):
+        """The points x(t) of the module docstring, each once in
+        lexicographic order, for the live positive term k, over the
+        levels that live candidates make; live[-1] is True, for the
+        candidates that no term makes."""
+        axis, z, owner, groups = self._axes
+        l, r, level, made_by, at_axis, at_z, terms = self._levels(k)
+        at = self._u(coef, at_axis, at_z, terms)
+        n, d = l.shape
+        # per t and k, the first least of u_k at l_k(t), at the live
+        # candidates inside [l_k(t), r_k(t)], and at r_k(t)
+        inside = (z >= l[:, axis]) & (z <= r[:, axis]) & live[owner]
+        w = np.where(inside, at[:len(z)], np.inf)
+        first = _first_min(w, groups)
+        values = np.stack([at[len(z):len(z) + n * d].reshape(n, d),
+                           w[np.arange(n)[:, None], first],
+                           at[len(z) + n * d:].reshape(n, d)])
+        pts = np.choose(values.argmin(axis=0), [l, z[first], r])
+        made = np.zeros(n, dtype=bool)
+        made[level[(level >= 0) & live[made_by]]] = True
+        return _distinct(pts[made])[0]
 
 
 @dataclass
@@ -459,10 +622,16 @@ def encode_min(h: CpwaFunction, box) -> Encoding:
         neg=np.array(neg, dtype=int),
         neg_starts=np.array(neg_starts, dtype=int),
         delta=np.array(delta, dtype=int), iota=np.array(iota, dtype=int))
+    # the function as a template with no portfolio: the affine addend
+    # c_x, then the retained terms, at their signs
+    coef = np.array([1.0] + [sign for sign, _, _ in terms])
+    slack = CompiledSlack(
+        np.vstack([c_x, complete.a]), np.concatenate([[0.0], complete.b]),
+        np.concatenate([[0], complete.starts + 1]),
+        np.zeros((len(coef), 0)), coef, xbar)
     program = MixedIntegerProgram(
         LinearProgram.from_arrays(c, A, rhs, sense, lo, hi), binaries,
-        complete,
-        _vertices(complete) if d <= 2 else _minimizers(complete, c_x))
+        complete, slack.points(coef))
     return Encoding(program=program, constant=constant)
 
 

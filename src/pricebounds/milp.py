@@ -14,7 +14,10 @@ if one fails, the program is solved by branch and bound, which serves
 every program without vertices (d >= 3 with a positive term that has a
 piece on two or more coordinates, such as a long basket or spread call,
 or with two multi-coordinate terms, such as call_on_min) and remains the
-tests' reference.
+tests' reference.  ECP and ACCP call solve_milp for a slack only where
+`encoding.CompiledSlack`, which separates their centers at the same
+points without building a program, has none at that center or returns a
+value that fails its check; `_pool` builds its pool too.
 
 Minimizes over the LP relaxation tree, branching on the most fractional
 binary and exploring nodes in best-bound order.  Both children of a

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pricebounds as pb
-from pricebounds import accp, cpwa
+from pricebounds import accp, cpwa, ecp
 from pricebounds.ecp import EcpOptions, solve_ecp, verify_hedge
 from pricebounds.accp import (AccpOptions, LpContradictionError, solve_accp,
                               extract_measure, detect_unbounded_flag)
@@ -223,3 +223,31 @@ def test_one_slack_milp_per_center(monkeypatch):
     assert res.status == "ok"
     assert len(nodes) == sum(centers) == res.milp_count
     assert sum(nodes) == res.milp_nodes > 0
+
+
+def test_one_dominating_cash_milp_per_run(monkeypatch):
+    """Without an initial portfolio, ACCP takes the cash hedge's least
+    slack from the MILP that finds its cash, so a run solves two global
+    MILPs (that one and the lower bound's), not three; a given portfolio
+    is still verified by its own MILP."""
+    rng = rng_for(707)
+    inst = random_box_instance(rng, 2, 3)
+    f = pb.call_on_max(2, [0, 1], 3.0)
+    minimized = []
+    minimize = ecp.minimize_over_box
+
+    def counted(*args, **kwargs):
+        minimized.append(args[0])
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(ecp, "minimize_over_box", counted)
+    res, _ = solve_accp(inst, f, AccpOptions(epsilon=EPS))
+    assert res.status == "ok" and len(minimized) == 2
+    c0 = ecp.dominating_cash(inst, f)
+    del minimized[:]
+    res, _ = solve_accp(inst, f, AccpOptions(
+        epsilon=EPS, initial_portfolio=(c0, np.zeros(inst.m))))
+    assert res.status == "ok" and len(minimized) == 2
+    with pytest.raises(ValueError, match="does not dominate"):
+        solve_accp(inst, f, AccpOptions(
+            epsilon=EPS, initial_portfolio=(c0 - 0.5, np.zeros(inst.m))))

@@ -9,7 +9,8 @@ import pricebounds as pb
 from pricebounds import cli, cpwa, market
 from pricebounds.accp import LpContradictionError
 from pricebounds.lp import ConditioningError
-from pricebounds.cli import main, parse_payoff_spec, _sweep_strikes
+from pricebounds.cli import (main, parse_payoff_spec, _reference_quote,
+                             _sweep_strikes)
 from conftest import rng_for, random_box_instance
 
 
@@ -49,6 +50,27 @@ def test_sweep_parsing():
     assert _sweep_strikes("0:1:0.5") == [0.0, 0.5, 1.0]
     with pytest.raises(ValueError):
         _sweep_strikes("1:3")
+
+
+def test_swept_strikes_are_the_decimals_written():
+    """Strikes are computed from the decimals of the spec, so a sweep
+    that reaches a quoted strike prices it and finds its quote: start +
+    i * step in floats would give 0.9999999999999999 and
+    0.30000000000000004, which match no instrument."""
+    assert _sweep_strikes("0.1:1:0.3") == [0.1, 0.4, 0.7, 1.0]
+    assert _sweep_strikes("0.1:0.5:0.1") == [0.1, 0.2, 0.3, 0.4, 0.5]
+    assert _sweep_strikes("1e-1:3e-1:1e-1") == [0.1, 0.2, 0.3]
+    calls = [pb.vanilla_call(1, 0, k) for k in (0.3, 1.0)]
+    inst = pb.MarketInstance(dimension=1, domain=pb.Box((2.0,)),
+                             g=[pb.asset(1, 0)] + calls,
+                             bid=[0.9, 0.7, 0.1], ask=[1.1, 0.8, 0.2])
+    quotes = {s: _reference_quote(inst, pb.vanilla_call(1, 0, s))
+              for s in _sweep_strikes("0.1:1:0.1")}
+    assert quotes[0.3] == (0.7, 0.8) and quotes[1.0] == (0.1, 0.2)
+    assert sum(q != (None, None) for q in quotes.values()) == 2
+    for spec in ("a:1:1", "0:inf:1", "0:1:nan"):
+        with pytest.raises(ValueError):
+            _sweep_strikes(spec)
 
 
 def test_one_element_payoff_specs():

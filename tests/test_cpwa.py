@@ -216,7 +216,12 @@ def test_stacked_matches_evaluate():
             x = rng.uniform(0, 10, size=d)
             ref = np.array([cpwa.evaluate(f, x) for f in fs])
             assert np.allclose(at(x), ref, rtol=1e-12, atol=1e-12), trial
+        # a block of points is evaluated row by row
+        xs = rng.uniform(0, 10, size=(4, d))
+        ref = np.array([[cpwa.evaluate(f, x) for f in fs] for x in xs])
+        assert np.allclose(at(xs), ref, rtol=1e-12, atol=1e-12), trial
     assert cpwa.Stacked([])(np.zeros(2)).shape == (0,)
+    assert cpwa.Stacked([])(np.zeros((3, 2))).shape == (3, 0)
 
 
 def test_stacked_means_match_evaluate_many():

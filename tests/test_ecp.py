@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 import pricebounds as pb
-from pricebounds import cpwa
-from pricebounds.ecp import (CutSet, EcpOptions, solve_ecp, price_pi,
-                             compute_lower_phi, verify_hedge,
+from pricebounds import cpwa, ecp, encoding
+from pricebounds.ecp import (CutSet, EcpOptions, Separation, solve_ecp,
+                             price_pi, compute_lower_phi, verify_hedge,
                              dominating_cash)
+from pricebounds.encoding import encode_min
+from pricebounds.milp import MilpOptions, MixedIntegerProgram, solve_milp
 from conftest import (rng_for, random_box_instance, grid_points,
                       grid_measure_lp, min_oracle, random_cpwa)
 
@@ -268,3 +270,116 @@ def test_dominating_cash_is_the_max_over_the_box():
             expected = max(0.0, -min_oracle(neg_f, inst.box_array())[0])
             assert dominating_cash(inst, f) == pytest.approx(expected,
                                                              abs=1e-7)
+
+
+def _separation_market(rng, d, basket):
+    """(instance, f): the assets and vanilla calls, with a basket call on
+    every asset if `basket`, and a call on the max of all assets, long
+    or short at random."""
+    extra = [pb.basket_call(rng.uniform(0.2, 1.0, size=d),
+                            float(rng.uniform(1, 10)))] if basket else []
+    inst = random_box_instance(rng, d, int(rng.integers(1, 2 * d + 2)),
+                               extra=extra)
+    f = pb.call_on_max(d, list(range(d)), float(rng.uniform(0, 10)))
+    if rng.uniform() < 0.5:
+        f = cpwa.linear_combination([-1.0], [f])
+    return inst, f
+
+
+def test_compiled_separation_matches_branch_and_bound():
+    """At random centers, the separation compiled once per run gives the
+    minimum of branch and bound on the center's slack MILP (built
+    without vertices) within 1e-9, and a pool of points whose values are
+    the slack there and clear the threshold of that minimum.  Where
+    nothing is pruned, its candidates are the program's vertices and its
+    pool equals the vertex path's after the cut set's rounding.  In d = 1..4, with the target long or short, some
+    y_j = 0 and some |y_j| < 1e-7, which the MILP prunes.  In d >= 3 a
+    quoted basket held at y_j != 0 is a second multi-asset term: the
+    separation returns None and the solvers fall back to the MILP."""
+    rng = rng_for(612)
+    compiled, fallbacks, pruned = 0, 0, 0
+    for trial in range(120):
+        d = 1 + trial % 4
+        basket = d >= 3 and trial % 3 == 0
+        inst, f = _separation_market(rng, d, basket)
+        box = inst.box_array()
+        template = cpwa.slack_template(inst.g, f)
+        separate = Separation(inst, f, template, box)
+        threshold = (0.7, 1.0)[trial % 2]
+        for _ in range(3):
+            y = rng.uniform(-2, 2, size=inst.m)
+            y[rng.uniform(size=inst.m) < 0.25] = 0.0
+            tiny = rng.uniform(size=inst.m) < 0.2
+            y[tiny] *= 1e-11
+            c = float(rng.uniform(-5, 5))
+            res = separate(c, y, threshold)
+            if basket and y[-1] != 0:
+                assert res is None, trial
+                fallbacks += 1
+                continue
+            assert res is not None, trial
+            compiled += 1
+            enc = encode_min(cpwa.instantiate(template, y), box)
+            ref = solve_milp(
+                MixedIntegerProgram(enc.program.base,
+                                    enc.program.binary_vars,
+                                    enc.program.complete),
+                MilpOptions(pool_threshold=threshold),
+                offset=enc.constant + c)
+            v, v_ref = res.incumbent_value, ref.incumbent_value
+            assert (res.status, res.nodes, res.best_bound) == \
+                ("optimal", 0, v), trial
+            assert abs(v - v_ref) <= 1e-9 * (1 + abs(v_ref)), trial
+            thr = threshold * v_ref if v_ref < 0 else v_ref
+            for x, value in res.pool:
+                slack = c + y @ [cpwa.evaluate(gj, x) for gj in inst.g] \
+                    - cpwa.evaluate(f, x)
+                assert abs(value - slack) <= 1e-9 * (1 + abs(value)), trial
+                assert value <= thr + 1e-9 * (1 + abs(v_ref)), trial
+            if tiny.any():
+                pruned += 1
+                continue
+            # the program's own vertices, to 9 decimals
+            slack = encoding.CompiledSlack.from_template(template, box)
+            assert np.array_equal(*(np.unique(np.round(x, 9), axis=0) for x in (
+                slack.points(slack.W @ y + slack.z),
+                enc.program.vertices))), trial
+            at_vertices = solve_milp(enc.program,
+                                     MilpOptions(pool_threshold=threshold),
+                                     offset=enc.constant + c)
+            assert ({tuple(np.round(x, 4)) for x, _ in res.pool} ==
+                    {tuple(np.round(x[:d], 4)) for x, _ in at_vertices.pool}
+                    ), trial
+    assert compiled > 250 and fallbacks > 10 and pruned > 50
+
+
+def test_a_separation_value_that_fails_its_check_falls_back(monkeypatch):
+    """A compiled value that is not the slack at its point, as cpwa
+    evaluates it, makes the separation return None, and ECP solves the
+    center's MILP instead, with the same bounds."""
+    rng = rng_for(613)
+    inst = random_box_instance(rng, 3, 4)
+    f = pb.call_on_max(3, [0, 1, 2], 5.0)
+    template = cpwa.slack_template(inst.g, f)
+    y = rng.uniform(-1, 1, size=inst.m)
+    assert Separation(inst, f, template, inst.box_array())(0.5, y, 0.7) \
+        is not None
+    exact = solve_ecp(inst, f, EcpOptions(epsilon=EPS))
+    minimize = encoding.CompiledSlack.minimize
+
+    def off(self, y, offset, threshold):
+        res = minimize(self, y, offset, threshold)
+        res.pool = [(x, v + 1e-6) for x, v in res.pool]
+        return res
+
+    monkeypatch.setattr(encoding.CompiledSlack, "minimize", off)
+    assert Separation(inst, f, template, inst.box_array())(0.5, y, 0.7) \
+        is None
+    solved = []
+    encode = ecp.encode_min
+    monkeypatch.setattr(ecp, "encode_min",
+                        lambda *a: solved.append(1) or encode(*a))
+    res = solve_ecp(inst, f, EcpOptions(epsilon=EPS))
+    assert len(solved) == res.milp_count == exact.milp_count
+    assert (res.phi_lb, res.phi_ub) == pytest.approx(
+        (exact.phi_lb, exact.phi_ub), abs=1e-9)
