@@ -4,7 +4,7 @@ Maintains a shrinking bracket [phi_lo, phi_hi] around the superhedging
 price.  Each iteration queries the Chebyshev center of the polytope of
 hedges whose cost lies in a speculative band; an empty polytope proves
 the speculative band too ambitious and raises the certified lower
-bound, while a feasible center is separated (ecp.Separation, or a
+bound, while a feasible center is separated (encoding.Separation, or a
 loosely solved slack MILP where that does not serve), and the slack's
 bound either certifies a better upper bound or produces new feasibility
 cuts.  Cuts cleared by the center with room to spare are
@@ -25,9 +25,9 @@ from . import cpwa
 from .cpwa import CpwaFunction
 from .lp import LinearProgram, solve_lp, chebyshev_center
 from .milp import MilpOptions, solve_milp
-from .encoding import encode_min
-from .ecp import (MarketInstance, BoundsResult, CutSet, Separation,
-                  price_pi, compute_lower_phi, max_over_box, verify_hedge)
+from .encoding import Separation, encode_min
+from .ecp import (MarketInstance, BoundsResult, CutSet, price_pi,
+                  compute_lower_phi, max_over_box, verify_hedge)
 
 MAX_ITERATIONS = 100000
 # the hedges' box: |c| <= max(C_BAR, |c0| + 2) and |y_j| <= Y_BAR, with
@@ -108,8 +108,8 @@ def solve_accp(instance: MarketInstance, f: CpwaFunction,
                          "box |y_j| <= %g" % Y_BAR)
     c_bar = max(C_BAR, abs(c0) + 2.0)
 
-    template = cpwa.slack_template(instance.g, f)
-    separate = Separation(instance, f, template, box)
+    separate = Separation(instance.g, f, box)
+    template = separate.template
     obj_band = np.concatenate([[1.0], instance.ask, -instance.bid])
     band_scale = float(np.linalg.norm(obj_band))
 
@@ -269,8 +269,8 @@ def extract_measure(instance: MarketInstance, f: CpwaFunction,
     if not support:
         raise ValueError("empty support")
     nx = len(support)
-    fx = np.array([cpwa.evaluate(f, x) for x in support])
-    G = cpwa.Stacked(instance.g)(np.array(support))  # nx x m
+    at = cpwa.Stacked(list(instance.g) + [f])(np.array(support))
+    G, fx = at[:, :-1], at[:, -1]  # nx x m, nx
     # total mass 1, then per instrument its bid row and its ask row
     A = np.vstack([np.ones(nx), np.repeat(G.T, 2, axis=0)])
     b = np.concatenate([[1.0], np.column_stack(

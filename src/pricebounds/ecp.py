@@ -5,9 +5,9 @@ for all x in the domain } is approached from below by a finite LP over
 an accumulating set of feasibility cuts.  Each iteration solves the
 relaxed LP, then globally minimizes the slack c + <y, g(x)> - f(x) over
 the box, at candidate points of the slack template compiled once per run
-(Separation) or, where those do not serve, by MILP; negative minima yield
-new cuts (one per pooled point within a threshold), and the final shift
-c* = c - s turns the relaxed optimum into a certified superhedge.
+(encoding.Separation) or, where those do not serve, by MILP; negative
+minima yield new cuts (one per pooled point within a threshold), and the
+final shift c* = c - s turns the relaxed optimum into a certified superhedge.
 
 On the unbounded domain R^d_+ (Setting 1) radial constraints on y are
 added up front so every slack minimization is bounded, and the MILP box
@@ -25,8 +25,8 @@ import numpy as np
 from . import cpwa
 from .cpwa import CpwaFunction
 from .lp import LinearProgram, solve_lp
-from .milp import COMPLETION_TOL, MilpOptions, solve_milp
-from .encoding import CompiledSlack, encode_min, minimize_over_box
+from .milp import MilpOptions, solve_milp
+from .encoding import Separation, encode_min, minimize_over_box
 from . import radial as radial_mod
 
 SUPPORT_ROUNDING = 4  # support points rounded to multiples of 1e-4
@@ -177,12 +177,11 @@ class CutSet:
     A point is rounded to SUPPORT_ROUNDING decimals (unless added
     exactly) and clipped to the box; a point already in the set is not
     added again.  Cut i has support point x[i], instrument payoffs gx[i]
-    and target payoff fx[i]."""
+    and target payoff fx[i], both from one cpwa.Stacked of g and f."""
 
     def __init__(self, instance: MarketInstance, f: CpwaFunction, box):
         self.g = instance.g
-        self._g_at = cpwa.Stacked(instance.g)
-        self.f = f
+        self._at = cpwa.Stacked(list(instance.g) + [f])
         self.box = box
         self.x = []
         self.gx = []
@@ -204,8 +203,9 @@ class CutSet:
             return i, False
         self._index[key] = i = len(self.x)
         self.x.append(x)
-        self.gx.append(self._g_at(x))
-        self.fx.append(cpwa.evaluate(self.f, x))
+        at = self._at(x)
+        self.gx.append(at[:-1])
+        self.fx.append(float(at[-1]))
         return i, True
 
     def row(self, idx, n):
@@ -218,34 +218,6 @@ class CutSet:
         coeffs[..., 1:1 + m] = gx
         coeffs[..., 1 + m:1 + 2 * m] = -gx
         return coeffs
-
-
-class Separation:
-    """The least slack c + <y, g(x)> - f(x) over the box at a center (c,
-    y), from the run's slack template compiled once
-    (encoding.CompiledSlack), with no MILP.  Each value it returns is
-    checked against cpwa.Stacked at its point, combined with y and f,
-    within COMPLETION_TOL (1 + |value|).  A call returns None where the
-    compiled slack has no candidates at y, or a value fails that check;
-    the caller then solves the center's slack MILP."""
-
-    def __init__(self, instance: MarketInstance, f: CpwaFunction, template,
-                 box):
-        self._slack = CompiledSlack.from_template(template, box)
-        self._at = cpwa.Stacked(list(instance.g) + [f])
-
-    def __call__(self, c, y, threshold):
-        res = self._slack.minimize(y, c, threshold)
-        if res is None:
-            return None
-        x = np.array([x for x, _ in res.pool])
-        value = np.array([v for _, v in res.pool])
-        at = self._at(x)
-        slack = c + at[:, :-1] @ y - at[:, -1]
-        if (np.abs(slack - value) <= COMPLETION_TOL * (1.0 + np.abs(value))
-                ).all():
-            return res
-        return None
 
 
 def compute_lower_phi(instance: MarketInstance, f: CpwaFunction,
@@ -290,8 +262,8 @@ def solve_ecp(instance: MarketInstance, f: CpwaFunction,
     if phi_low is None:
         phi_low = compute_lower_phi(instance, f, xbar=box)
 
-    template = cpwa.slack_template(instance.g, f)
-    separate = Separation(instance, f, template, box)
+    separate = Separation(instance.g, f, box)
+    template = separate.template
 
     # variables: c | y+ (m) | y- (m) | eta blocks (Setting 1 only); all
     # rows are >=: the radial rows, the floor row, then one per cut

@@ -1,6 +1,12 @@
-"""Encode global minimization of a CPWA function over a box as a MILP.
+"""Global minimization of a CPWA function over a box.
 
 min over [0, xbar] of  sum_k sign_k * max_i(<a_{k,i}, x> + b_{k,i})
+
+Every global minimization, minimize_over_box's and ECP's and ACCP's at
+each center, first goes through Separation, which values the function at
+a few candidate points (below) where its minimum lies at one of them.
+Only where there are none, or a value fails its check, is it encoded as a
+MILP (encode_min) and solved by branch and bound.
 
 Positive-sign maxima become epigraph variables lambda_k; negative-sign
 maxima become hypograph variables zeta_k tied to an argmax selection via
@@ -17,14 +23,14 @@ v_{k,i}, and iota_k is one-hot on the first piece attaining the max.
 Branch and bound completes every node LP's point this way, so each node
 gives an exact upper bound on the minimum.
 
-For d <= 2 the program also carries the vertices of the arrangement
-(`MixedIntegerProgram.vertices`): h is affine on each cell cut out of the
-box by the lines on which two pieces of one term are equal, so its
-minimum lies at a crossing of two such lines or box edges.
+For d <= 2 the candidates are the vertices of the arrangement: h is
+affine on each cell cut out of the box by the lines on which two pieces
+of one term are equal, so its minimum lies at a crossing of two such
+lines or box edges.
 
-For d >= 3 it carries points with the same property where at most one
-term has pieces that use two or more coordinates.  Write u_i for the sum
-of the affine addend on x_i and of the terms whose pieces use x_i alone.
+For d >= 3 there are candidates where at most one term has pieces that
+use two or more coordinates.  Write u_i for the sum of the affine addend
+on x_i and of the terms whose pieces use x_i alone.
 
 Where that term is negative, as in the slack of an upper bound on a
 multi-asset payoff hedged with single-asset instruments, h is the least
@@ -44,17 +50,16 @@ ends are affine in t between the kinks.  The bracket is concave in t
 between its breakpoints, so its minimum is at a level t = max(beta0,
 P_i(z)) for z among 0, xbar_i, the kinks of u_i and the kinks of P_i
 (where two of its pieces, or one and beta0, cross).  Per such t the
-program carries x(t), whose x_i minimizes u_i over l_i(t), r_i(t) and
-the kinks of u_i between them, so h(x(t)) is at most the bracket, and
-the least h(x(t)) is the minimum.
+candidate is x(t), whose x_i minimizes u_i over l_i(t), r_i(t) and the
+kinks of u_i between them, so h(x(t)) is at most the bracket, and the
+least h(x(t)) is the minimum.
 
 Where a positive term has a piece that uses two or more coordinates (a
 long basket or spread call), or two terms use two or more coordinates
-each (call_on_min), the program carries none.
-
-solve_milp prices the completions of these points instead of searching;
-branch and bound serves the programs without them, and remains the
-tests' reference.
+each (call_on_min), there are none: the slack's MILP is built
+(encode_min) and solved by branch and bound.  A term whose pieces are
+all within PRUNE_THRESHOLD of zero, which encode_min prunes to nothing,
+counts here as no term on two or more coordinates; it is still valued.
 
 None of these points moves when a term is scaled: the lines where two
 pieces of one term are equal, the kinks of a term on one coordinate and
@@ -64,8 +69,8 @@ coefficients are affine in y (cpwa.SlackTemplate), CompiledSlack
 computes them once per box, with the values there of the terms on one
 coordinate.  At each y it chooses among them from the signs and sizes of
 the coefficients, and values the chosen points with a matrix product:
-no program is built.  encode_min takes its vertices from the same code,
-with the function as a template of no portfolio.
+no program is built.  minimize_over_box separates a function h as the
+slack of no portfolio against -h.
 """
 
 from __future__ import annotations
@@ -75,9 +80,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import cpwa
 from .cpwa import CpwaFunction
 from .lp import LinearProgram
-from .milp import MilpResult, MixedIntegerProgram, _pool, solve_milp
+from .milp import (COMPLETION_TOL, MilpOptions, MilpResult,
+                   MixedIntegerProgram, _pool, solve_milp)
 
 # two lines of the arrangement cross where the determinant of their unit
 # max-norm normals exceeds this; crossings within BOX_TOL (1 + xbar) of
@@ -87,6 +94,17 @@ BOX_TOL = 1e-9
 # in a term of two or more pieces, the pieces whose coefficients and
 # offset are all within this of zero become one exact zero piece
 PRUNE_THRESHOLD = 1e-6
+
+
+def _box(box, d):
+    """box as an array, which must be strictly positive and of dimension
+    d."""
+    xbar = np.asarray(box, dtype=float)
+    if np.any(xbar <= 0):
+        raise ValueError("box must be strictly positive")
+    if len(xbar) != d:
+        raise ValueError("box dimension mismatch")
+    return xbar
 
 
 def _dedupe_pieces(terms):
@@ -160,9 +178,6 @@ class _Completion:
     iota: np.ndarray  # per entry of neg: its iota
 
     def __call__(self, x_full):
-        """Completes one point, or each row of a block of points."""
-        if x_full.ndim == 2:
-            return self._rows(x_full)
         d = len(self.xbar)
         out = np.zeros(self.n)
         out[:d] = x = np.clip(x_full[:d], 0.0, self.xbar)
@@ -179,28 +194,6 @@ class _Completion:
             np.where(gap == 0.0, np.arange(len(gap)), len(gap)),
             self.neg_starts)
         out[self.iota[first]] = 1.0
-        return out
-
-    def _rows(self, xs):
-        """__call__ on each row of xs, by one matrix product.  It is
-        kept apart from the single-point path, which branch and bound
-        takes once per node: this row indexing would make that path
-        about 1.7 times as slow."""
-        d = len(self.xbar)
-        out = np.zeros((len(xs), self.n))
-        out[:, :d] = x = np.clip(xs[:, :d], 0.0, self.xbar)
-        if not len(self.starts):
-            return out
-        v = x @ self.a.T + self.b
-        top = np.maximum.reduceat(v, self.starts, axis=1)
-        out[:, self.top] = top
-        if not len(self.neg):
-            return out
-        out[:, self.delta] = gap = (top[:, self.term] - v)[:, self.neg]
-        k = gap.shape[1]
-        first = np.minimum.reduceat(
-            np.where(gap == 0.0, np.arange(k), k), self.neg_starts, axis=1)
-        out[np.arange(len(xs))[:, None], self.iota[first]] = 1.0
         return out
 
 
@@ -250,11 +243,9 @@ class CompiledSlack:
     and their boxes (d >= 3), are computed once; each coef then chooses
     among them.  Terms with coef_k = 0 are left out, as cpwa.instantiate
     leaves them out: their lines, kinks and levels are not candidates.
-
-    encode_min compiles each function it encodes with no portfolio (W
-    has no columns and z is the terms' signs), so its vertices come from
-    this code too.  Pieces are taken as given: ECP and ACCP compile their
-    template's pieces unpruned, so `minimize` values the true slack."""
+    A multi term whose pieces at coef_k are all within PRUNE_THRESHOLD of
+    zero is left out of the choice too, as encode_min prunes it.  Pieces
+    are valued as given, unpruned, so `minimize` values the true slack."""
 
     def __init__(self, a, b, starts, W, z, xbar):
         self.a, self.b, self.starts = a, b, starts
@@ -270,6 +261,9 @@ class CompiledSlack:
         self.multi = ~self.affine & (used.sum(axis=1) >= 2)
         self.single = ~self.affine & ~self.multi
         self.wide = np.logical_or.reduceat(nonzero.sum(axis=1) > 1, starts)
+        # per term, its largest piece coefficient or offset in size
+        self.size = np.maximum.reduceat(
+            np.abs(np.column_stack([a, b])).max(axis=1), starts)
         self._level_sets = {}
 
     @classmethod
@@ -380,6 +374,9 @@ class CompiledSlack:
         x(t); one coordinatewise minimizer if no multi term is live.  None
         if a live multi term is positive and wide, or two are live."""
         k = np.flatnonzero(self.multi & live)
+        # a multi term whose pieces at coef are all within PRUNE_THRESHOLD
+        # of zero, which encode_min prunes, chooses no points
+        k = k[np.abs(coef[k]) * self.size[k] > PRUNE_THRESHOLD]
         if len(k) > 1 or len(k) and coef[k[0]] > 0 and self.wide[k[0]]:
             return None
         axis, z, owner, groups = self._axes
@@ -529,6 +526,35 @@ class CompiledSlack:
         return _distinct(pts[made])[0]
 
 
+class Separation:
+    """The least slack c + <y, g(x)> - f(x) over [0, box] at a center (c,
+    y), from the slack's template (`template`, cpwa.slack_template)
+    compiled once (CompiledSlack), with no MILP.  Each value it returns is
+    checked against cpwa.Stacked at its point, combined with y and f,
+    within COMPLETION_TOL (1 + |value|).  A call returns None where the
+    compiled slack has no candidates at y, or a value fails that check;
+    the caller then solves the slack's MILP."""
+
+    def __init__(self, g, f: CpwaFunction, box):
+        self.template = cpwa.slack_template(g, f)
+        self._slack = CompiledSlack.from_template(
+            self.template, _box(box, f.dimension))
+        self._at = cpwa.Stacked(list(g) + [f])
+
+    def __call__(self, c, y, threshold):
+        res = self._slack.minimize(y, c, threshold)
+        if res is None:
+            return None
+        x = np.array([x for x, _ in res.pool])
+        value = np.array([v for _, v in res.pool])
+        at = self._at(x)
+        slack = c + at[:, :-1] @ y - at[:, -1]
+        if (np.abs(slack - value) <= COMPLETION_TOL * (1.0 + np.abs(value))
+                ).all():
+            return res
+        return None
+
+
 @dataclass
 class Encoding:
     program: MixedIntegerProgram
@@ -541,12 +567,8 @@ def encode_min(h: CpwaFunction, box) -> Encoding:
     pieces pruned to one zero piece, copies dropped.  Its variables are x,
     then per retained term: lambda if positive; zeta, P deltas and P
     binary iotas if not."""
-    xbar = np.asarray(box, dtype=float)
-    if np.any(xbar <= 0):
-        raise ValueError("box must be strictly positive")
     d = h.dimension
-    if len(xbar) != d:
-        raise ValueError("box dimension mismatch")
+    xbar = _box(box, d)
 
     # one pass sizes the program: a positive term with P pieces adds
     # lambda and P rows; a negative one adds zeta, P deltas, P iotas and
@@ -622,27 +644,26 @@ def encode_min(h: CpwaFunction, box) -> Encoding:
         neg=np.array(neg, dtype=int),
         neg_starts=np.array(neg_starts, dtype=int),
         delta=np.array(delta, dtype=int), iota=np.array(iota, dtype=int))
-    # the function as a template with no portfolio: the affine addend
-    # c_x, then the retained terms, at their signs
-    coef = np.array([1.0] + [sign for sign, _, _ in terms])
-    slack = CompiledSlack(
-        np.vstack([c_x, complete.a]), np.concatenate([[0.0], complete.b]),
-        np.concatenate([[0], complete.starts + 1]),
-        np.zeros((len(coef), 0)), coef, xbar)
     program = MixedIntegerProgram(
         LinearProgram.from_arrays(c, A, rhs, sense, lo, hi), binaries,
-        complete, slack.points(coef))
+        complete)
     return Encoding(program=program, constant=constant)
 
 
 def minimize_over_box(h: CpwaFunction, box, extra_offset=0.0):
-    """Exact MILP minimization of h over [0, box] at solve_milp's default
+    """The exact minimum of h over [0, box] at solve_milp's default
     options, used by every global check (lower bounds, hedge
-    verification, dominating cash).
+    verification, dominating cash).  h is separated as the slack of no
+    portfolio against -h; only where that returns None is its MILP built
+    and solved by branch and bound.
 
     Returns (Encoding, MilpResult), with values equal to
-    h(x) + extra_offset.
+    h(x) + extra_offset; the Encoding is None where no program was built.
     """
+    res = Separation([], cpwa.linear_combination([-1.0], [h]), box)(
+        extra_offset, np.zeros(0), MilpOptions.pool_threshold)
+    if res is not None:
+        return None, res
     enc = encode_min(h, box)
     return enc, solve_milp(enc.program,
                            offset=enc.constant + extra_offset)

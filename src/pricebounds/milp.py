@@ -1,24 +1,5 @@
 """Branch-and-bound solver for LPs with binary variables.
 
-A program that carries vertices (`MixedIntegerProgram.vertices`, which
-`encoding.encode_min` sets for d <= 2, the vertices of the arrangement of
-its pieces, and for d >= 3 when at most one term uses two or more
-coordinates, the coordinatewise minimizers of its pieces if that term is
-negative, or the minimizers of its levels if it is positive and each of
-its pieces uses one coordinate) is solved at them, without a search:
-their completions are priced by one matrix product, and the least value
-is both the incumbent and the bound, with nodes = 0 and status optimal.
-The pool is the completed vertices that clear the threshold below.
-Every point returned is checked as a completed node point is (below);
-if one fails, the program is solved by branch and bound, which serves
-every program without vertices (d >= 3 with a positive term that has a
-piece on two or more coordinates, such as a long basket or spread call,
-or with two multi-coordinate terms, such as call_on_min) and remains the
-tests' reference.  ECP and ACCP call solve_milp for a slack only where
-`encoding.CompiledSlack`, which separates their centers at the same
-points without building a program, has none at that center or returns a
-value that fails its check; `_pool` builds its pool too.
-
 Minimizes over the LP relaxation tree, branching on the most fractional
 binary and exploring nodes in best-bound order.  Both children of a
 node are solved right after it is popped, each re-optimized from its
@@ -32,8 +13,8 @@ Terminates on a relative-gap rule (p_bar - p_low)/|p_bar| <= rel_gap
 (absolute gap rel_gap * 1e-6 when the incumbent value is 0) or when no
 node is left; a search that ends without an incumbent is infeasible.
 Keeps a pool of integer-feasible solutions whose objective clears a
-caller-supplied threshold fraction of the incumbent value, built as the
-vertex path builds its own (`_pool`).
+caller-supplied threshold fraction of the incumbent value (`_pool`,
+which `encoding.CompiledSlack` pools its candidate points with too).
 
 Incumbents and pool points come from integral node LP optima and, for a
 program with a completion (`MixedIntegerProgram.complete`, which
@@ -69,13 +50,9 @@ COMPLETION_TOL = 1e-9
 class MixedIntegerProgram:
     base: LinearProgram
     binary_vars: list
-    # maps a point of the LP relaxation, or each row of a block of them,
-    # to a candidate integer-feasible point of the program; None where the
-    # program has no such map
+    # maps a point of the LP relaxation to a candidate integer-feasible
+    # point of the program; None where the program has no such map
     complete: Callable = None
-    # points whose completions include a minimizer of the program; None
-    # where the program has no such set
-    vertices: np.ndarray = None
 
     def __post_init__(self):
         n = len(self.base.objective)
@@ -129,11 +106,11 @@ def _checker(q: LinearProgram, bset):
     return holds
 
 
-def _pool(points, values, threshold, holds=None):
+def _pool(points, values, threshold):
     """The pool of a search whose points have these values: each point
     whose value clears the threshold fraction of the least value, or is
     within 1e-12 of it, once per key rounded to 9 decimals, in order, as
-    (x, value); None if a pooled point fails `holds`."""
+    (x, value)."""
     p_bar = values.min()
     thr = threshold * p_bar if p_bar < 0 else p_bar
     keep = (values <= thr + 1e-9) | (values <= p_bar + 1e-12)
@@ -143,26 +120,9 @@ def _pool(points, values, threshold, holds=None):
         key = tuple(np.round(x, 9))
         if key in seen:
             continue
-        if holds is not None and not holds(x):
-            return None
         seen.add(key)
         pool.append((x, float(values[i])))
     return pool
-
-
-def _at_vertices(p, opts, offset, holds):
-    """The program's minimum over the completions of p.vertices, as the
-    incumbent and the bound, with the pool of the completions that clear
-    the threshold; None if any point it would return fails `holds`."""
-    xs = p.complete(p.vertices)
-    pool = _pool(xs, xs @ p.base.objective + offset, opts.pool_threshold,
-                 holds)
-    if pool is None:
-        return None
-    incumbent, p_bar = min(pool, key=lambda xv: xv[1])
-    return MilpResult(
-        status="optimal", incumbent=incumbent, incumbent_value=p_bar,
-        best_bound=p_bar, pool=pool, nodes=0)
 
 
 def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
@@ -173,10 +133,6 @@ def solve_milp(p: MixedIntegerProgram, opts: MilpOptions = None,
     binaries = list(p.binary_vars)
     bset = np.array(sorted(binaries), dtype=int)
     holds = None if p.complete is None else _checker(p.base, bset)
-    if p.vertices is not None and holds is not None:
-        res = _at_vertices(p, opts, offset, holds)
-        if res is not None:
-            return res
 
     def node_lp(fixed, parent=None):
         return solve_lp(p.base.fix(list(fixed), list(fixed.values())),

@@ -8,6 +8,7 @@ import pytest
 
 import pricebounds as pb
 from pricebounds import cpwa
+from pricebounds.encoding import Separation
 from pricebounds.lp import LinearProgram, solve_lp
 
 
@@ -72,6 +73,22 @@ def min_oracle(h, box, tol=1e-9):
     vals = cpwa.evaluate_many(h, pts)
     i = int(np.argmin(vals))
     return float(vals[i]), pts[i]
+
+
+def function_separation(h, box):
+    """h over [0, box] as minimize_over_box separates it: the slack of no
+    portfolio against -h.  Called with (c, np.zeros(0), threshold), it
+    returns the least of h + c at its candidate points, with their pool
+    at threshold, or None."""
+    return Separation([], cpwa.linear_combination([-1.0], [h]), box)
+
+
+def function_candidates(h, box):
+    """The candidate points at which function_separation values h over
+    [0, box], each once in lexicographic order; None where there are
+    none."""
+    slack = function_separation(h, box)._slack
+    return slack.points(slack.z)
 
 
 def assert_integer_feasible(p, x, row_tol=1e-9, int_tol=0.0):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pricebounds import cpwa
-from pricebounds.encoding import big_m, minimize_over_box
+from pricebounds.encoding import big_m, encode_min, minimize_over_box
+from pricebounds.milp import solve_milp
 from conftest import rng_for, random_cpwa
 
 
@@ -181,14 +182,19 @@ def test_radial_template_drops_offsets():
 def test_prune_drops_tiny_pieces():
     """The encoder replaces a tiny piece of a multi-piece term by an exact
     zero piece: the program is that of max(x - 2, 0), not of max(x - 2,
-    1e-9 x + 1e-9), whose minimum over [0, 5] is 1e-9."""
+    1e-9 x + 1e-9), whose minimum over [0, 5] is 1e-9.  minimize_over_box
+    values the function itself, unpruned, and builds no program."""
     f = cpwa.make_function(1, [(1, [(np.array([1.0]), -2.0),
                                     (np.array([1e-9]), 1e-9)])])
     assert big_m(f, [5.0]) == [[2.0, 3.0]]
-    enc, res = minimize_over_box(f, [5.0])
+    enc = encode_min(f, [5.0])
     assert enc.program.base.A[:, 0].tolist() == [1.0, 0.0]
     assert enc.program.base.b.tolist() == [2.0, 0.0]
+    res = solve_milp(enc.program, offset=enc.constant)
     assert res.incumbent_value == pytest.approx(0.0, abs=1e-12)
+    enc, res = minimize_over_box(f, [5.0])
+    assert enc is None
+    assert res.incumbent_value == 1e-9
 
 
 def test_json_round_trip():

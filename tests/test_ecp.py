@@ -7,9 +7,10 @@ from pricebounds.ecp import (CutSet, EcpOptions, Separation, solve_ecp,
                              price_pi, compute_lower_phi, verify_hedge,
                              dominating_cash)
 from pricebounds.encoding import encode_min
-from pricebounds.milp import MilpOptions, MixedIntegerProgram, solve_milp
+from pricebounds.milp import MilpOptions, solve_milp
 from conftest import (rng_for, random_box_instance, grid_points,
-                      grid_measure_lp, min_oracle, random_cpwa)
+                      grid_measure_lp, min_oracle, random_cpwa,
+                      function_candidates, function_separation)
 
 EPS = 1e-3
 
@@ -288,23 +289,27 @@ def _separation_market(rng, d, basket):
 
 def test_compiled_separation_matches_branch_and_bound():
     """At random centers, the separation compiled once per run gives the
-    minimum of branch and bound on the center's slack MILP (built
-    without vertices) within 1e-9, and a pool of points whose values are
-    the slack there and clear the threshold of that minimum.  Where
-    nothing is pruned, its candidates are the program's vertices and its
-    pool equals the vertex path's after the cut set's rounding.  In d = 1..4, with the target long or short, some
-    y_j = 0 and some |y_j| < 1e-7, which the MILP prunes.  In d >= 3 a
-    quoted basket held at y_j != 0 is a second multi-asset term: the
-    separation returns None and the solvers fall back to the MILP."""
+    minimum of branch and bound on the center's slack MILP within 1e-9,
+    and a pool of points whose values are the slack there and clear the
+    threshold of that minimum.  Its candidates are those of the
+    instantiated slack, separated as a function of its own, and its pool
+    equals that function's after the cut set's rounding.  In d = 1..4,
+    with the target long or short, some y_j = 0 and some |y_j| < 1e-7,
+    which the MILP prunes.  In d >= 3 a quoted basket held at |y_j| >=
+    1e-7 is a second multi-asset term: the separation returns None and
+    the solvers fall back to the MILP; held at |y_j| < 1e-7 it is pruned
+    from the choice of points, as from the MILP, and the separation
+    stands."""
     rng = rng_for(612)
-    compiled, fallbacks, pruned = 0, 0, 0
+    compiled, fallbacks, pruned, stood = 0, 0, 0, 0
     for trial in range(120):
         d = 1 + trial % 4
         basket = d >= 3 and trial % 3 == 0
         inst, f = _separation_market(rng, d, basket)
         box = inst.box_array()
-        template = cpwa.slack_template(inst.g, f)
-        separate = Separation(inst, f, template, box)
+        separate = Separation(inst.g, f, box)
+        template = separate.template
+        slack = encoding.CompiledSlack.from_template(template, box)
         threshold = (0.7, 1.0)[trial % 2]
         for _ in range(3):
             y = rng.uniform(-2, 2, size=inst.m)
@@ -313,57 +318,54 @@ def test_compiled_separation_matches_branch_and_bound():
             y[tiny] *= 1e-11
             c = float(rng.uniform(-5, 5))
             res = separate(c, y, threshold)
-            if basket and y[-1] != 0:
+            if basket and abs(y[-1]) >= 1e-7:
                 assert res is None, trial
                 fallbacks += 1
                 continue
             assert res is not None, trial
             compiled += 1
-            enc = encode_min(cpwa.instantiate(template, y), box)
-            ref = solve_milp(
-                MixedIntegerProgram(enc.program.base,
-                                    enc.program.binary_vars,
-                                    enc.program.complete),
-                MilpOptions(pool_threshold=threshold),
-                offset=enc.constant + c)
+            stood += bool(basket and y[-1] != 0)
+            h = cpwa.instantiate(template, y)
+            enc = encode_min(h, box)
+            ref = solve_milp(enc.program,
+                             MilpOptions(pool_threshold=threshold),
+                             offset=enc.constant + c)
             v, v_ref = res.incumbent_value, ref.incumbent_value
             assert (res.status, res.nodes, res.best_bound) == \
                 ("optimal", 0, v), trial
             assert abs(v - v_ref) <= 1e-9 * (1 + abs(v_ref)), trial
             thr = threshold * v_ref if v_ref < 0 else v_ref
             for x, value in res.pool:
-                slack = c + y @ [cpwa.evaluate(gj, x) for gj in inst.g] \
+                slack_at = c + y @ [cpwa.evaluate(gj, x) for gj in inst.g] \
                     - cpwa.evaluate(f, x)
-                assert abs(value - slack) <= 1e-9 * (1 + abs(value)), trial
+                assert abs(value - slack_at) <= 1e-9 * (1 + abs(value)), \
+                    trial
                 assert value <= thr + 1e-9 * (1 + abs(v_ref)), trial
-            if tiny.any():
-                pruned += 1
-                continue
-            # the program's own vertices, to 9 decimals
-            slack = encoding.CompiledSlack.from_template(template, box)
-            assert np.array_equal(*(np.unique(np.round(x, 9), axis=0) for x in (
-                slack.points(slack.W @ y + slack.z),
-                enc.program.vertices))), trial
-            at_vertices = solve_milp(enc.program,
-                                     MilpOptions(pool_threshold=threshold),
-                                     offset=enc.constant + c)
+            pruned += bool(tiny.any())
+            # the instantiated slack's own candidates and pool, to 9 and 4
+            # decimals
+            assert np.array_equal(
+                *(np.unique(np.round(x, 9), axis=0) for x in (
+                    slack.points(slack.W @ y + slack.z),
+                    function_candidates(h, box)))), trial
+            alone = function_separation(h, box)(c, np.zeros(0), threshold)
             assert ({tuple(np.round(x, 4)) for x, _ in res.pool} ==
-                    {tuple(np.round(x[:d], 4)) for x, _ in at_vertices.pool}
-                    ), trial
-    assert compiled > 250 and fallbacks > 10 and pruned > 50
+                    {tuple(np.round(x, 4)) for x, _ in alone.pool}), trial
+    assert compiled > 250 and fallbacks > 10 and pruned > 50 and stood > 0
 
 
 def test_a_separation_value_that_fails_its_check_falls_back(monkeypatch):
     """A compiled value that is not the slack at its point, as cpwa
-    evaluates it, makes the separation return None, and ECP solves the
-    center's MILP instead, with the same bounds."""
+    evaluates it, makes the separation return None, and ECP solves each
+    center's MILP by branch and bound instead, with the same bounds.
+    Branch and bound pools fewer points than the candidates, so the run
+    may take more separations, but at most twice as many (10 against 6
+    here)."""
     rng = rng_for(613)
     inst = random_box_instance(rng, 3, 4)
     f = pb.call_on_max(3, [0, 1, 2], 5.0)
-    template = cpwa.slack_template(inst.g, f)
     y = rng.uniform(-1, 1, size=inst.m)
-    assert Separation(inst, f, template, inst.box_array())(0.5, y, 0.7) \
-        is not None
+    assert Separation(inst.g, f, inst.box_array())(0.5, y, 0.7) is not None
     exact = solve_ecp(inst, f, EcpOptions(epsilon=EPS))
     minimize = encoding.CompiledSlack.minimize
 
@@ -373,13 +375,12 @@ def test_a_separation_value_that_fails_its_check_falls_back(monkeypatch):
         return res
 
     monkeypatch.setattr(encoding.CompiledSlack, "minimize", off)
-    assert Separation(inst, f, template, inst.box_array())(0.5, y, 0.7) \
-        is None
+    assert Separation(inst.g, f, inst.box_array())(0.5, y, 0.7) is None
     solved = []
     encode = ecp.encode_min
     monkeypatch.setattr(ecp, "encode_min",
                         lambda *a: solved.append(1) or encode(*a))
     res = solve_ecp(inst, f, EcpOptions(epsilon=EPS))
-    assert len(solved) == res.milp_count == exact.milp_count
+    assert len(solved) == res.milp_count <= 2 * exact.milp_count
     assert (res.phi_lb, res.phi_ub) == pytest.approx(
         (exact.phi_lb, exact.phi_ub), abs=1e-9)

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from pricebounds import cpwa
+from pricebounds import encoding
 from pricebounds.encoding import (PRUNE_THRESHOLD, big_m, encode_min,
                                   minimize_over_box, _dedupe_pieces,
                                   _term_big_m)
 from pricebounds.lp import LinearProgram, solve_lp
+from pricebounds.milp import solve_milp
 from conftest import (rng_for, random_cpwa, random_box_instance, min_oracle,
-                      assert_integer_feasible, negative_terms)
+                      assert_integer_feasible, negative_terms,
+                      function_candidates)
 
 
 def test_big_m_call_term():
@@ -95,7 +98,8 @@ def test_iota_selection_sums_to_one():
     checked = 0
     for _ in range(10):
         h = random_cpwa(rng, 2, max_terms=3, max_pieces=3)
-        enc, res = minimize_over_box(h, [5.0, 5.0])
+        enc = encode_min(h, [5.0, 5.0])
+        res = solve_milp(enc.program, offset=enc.constant)
         terms = negative_terms(enc.program)
         # every binary is the iota of exactly one negative term
         assert sorted(i for _, _, iotas in terms for i in iotas) == \
@@ -401,88 +405,135 @@ def test_completion_selects_the_first_top_piece():
     assert xc[5:8].tolist() == [0.0, 1.0, 0.0]
 
 
-def test_completion_of_a_block_completes_each_row():
-    """A block of points completes row by row: each row is
-    integer-feasible and priced at h, and its iotas select the pieces
-    that the point's own completion selects."""
-    rng = rng_for(407)
-    for trial in range(60):
-        d = int(rng.integers(1, 4))
-        inst = random_box_instance(rng, d, int(rng.integers(1, 5)))
-        f = cpwa.call_on_max(d, list(range(d)), 2.0)
-        h = cpwa.instantiate(cpwa.slack_template(inst.g, f),
-                             rng.uniform(-2, 2, size=inst.m))
-        box = inst.box_array()
-        enc = encode_min(h, box)
-        p = enc.program
-        xs = rng.uniform(-0.1, 1.1, size=(7, d)) * box
-        block = p.complete(xs)
-        assert block.shape == (7, len(p.base.objective))
-        for x, xc in zip(xs, block):
-            one = p.complete(x)
-            assert_integer_feasible(p, xc)
-            assert np.array_equal(xc[p.binary_vars], one[p.binary_vars])
-            assert np.allclose(xc, one, rtol=1e-12, atol=1e-12), trial
-            s = p.base.objective @ xc + enc.constant
-            assert abs(s - cpwa.evaluate(h, np.clip(x, 0.0, box))) <= \
-                1e-9 * (1 + abs(s)), trial
-
-
 def test_vertices_of_the_arrangement():
-    """The program carries the vertices of its pieces' arrangement in
-    the box for d <= 2.  For d >= 3 it carries the coordinatewise
-    minimizers of its pieces where one term's pieces use two or more
-    coordinates and that term is negative, the minimizers x(t) of its
-    levels where that term is positive and each of its pieces uses one
-    coordinate, and none where a positive term has a piece that uses two
-    or more coordinates or there are two such terms."""
+    """The candidate points of a function are the vertices of its pieces'
+    arrangement in the box for d <= 2.  For d >= 3 they are the
+    coordinatewise minimizers of its pieces where one term's pieces use
+    two or more coordinates and that term is negative, the minimizers
+    x(t) of its levels where that term is positive and each of its pieces
+    uses one coordinate, and there are none where a positive term has a
+    piece that uses two or more coordinates or there are two such
+    terms."""
     call = cpwa.vanilla_call(1, 0, 1.0)
-    assert encode_min(call, [10.0]).program.vertices.tolist() == \
+    assert function_candidates(call, [10.0]).tolist() == \
         [[0.0], [1.0], [10.0]]
     # max(x0, x1) kinks on x0 = x1, which leaves the box at (2, 2)
     both = cpwa.call_on_max(2, [0, 1], 0.0)
-    assert encode_min(both, [2.0, 3.0]).program.vertices.tolist() == \
+    assert function_candidates(both, [2.0, 3.0]).tolist() == \
         [[0.0, 0.0], [0.0, 3.0], [2.0, 0.0], [2.0, 2.0], [2.0, 3.0]]
     # x0 - x1 is affine: the box corners only
     flat = cpwa.linear_combination([1.0, -1.0], [cpwa.asset(2, 0),
                                                  cpwa.asset(2, 1)])
-    assert encode_min(flat, [1.0, 1.0]).program.vertices.tolist() == \
+    assert function_candidates(flat, [1.0, 1.0]).tolist() == \
         [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
     # (max(x0, x1, x2) - 1)^+ on [0, 2]^3 has the levels t = 0, at x_k = 0
     # and at the kink x_k = 1, and t = 1, at x_k = 2; u is 0, so each
     # x_k(t) is the left end 0 of its interval
     three = cpwa.call_on_max(3, [0, 1, 2], 1.0)
-    assert encode_min(three, [2.0] * 3).program.vertices.tolist() == \
+    assert function_candidates(three, [2.0] * 3).tolist() == \
         [[0.0, 0.0, 0.0]]
     # 2 (x0 - 2)^+ - (max(x0, x1, x2) - 1)^+: per piece of the short call
     # on the max, x0 at its argmin over {0, 3} and the kink 2, x1 and x2
     # over {0, 3}; a tie goes to the first of 0, xbar and the kinks
     short = cpwa.linear_combination([2.0, -1.0], [cpwa.vanilla_call(3, 0, 2.0),
                                                   three])
-    assert encode_min(short, [3.0] * 3).program.vertices.tolist() == \
+    assert function_candidates(short, [3.0] * 3).tolist() == \
         [[0.0, 0.0, 0.0], [0.0, 0.0, 3.0], [0.0, 3.0, 0.0], [2.0, 0.0, 0.0]]
-    assert encode_min(cpwa.call_on_min(3, [0, 1, 2], 1.0),
-                      [2.0] * 3).program.vertices is None
+    assert function_candidates(cpwa.call_on_min(3, [0, 1, 2], 1.0),
+                               [2.0] * 3) is None
     # the lower bound's slack carries +f: long the assets, each u_k is
     # increasing and x(t) = 0 at both levels
     g = [cpwa.asset(3, i) for i in range(3)]
     long = cpwa.instantiate(cpwa.slack_template(
         g, cpwa.linear_combination([-1.0], [three])), np.ones(3))
-    assert encode_min(long, [2.0] * 3).program.vertices.tolist() == \
+    assert function_candidates(long, [2.0] * 3).tolist() == \
         [[0.0, 0.0, 0.0]]
     # short the assets at 1/2, each u_k falls, so x_k(t) is the right end
     # of its interval: 1 at t = 0 and 2 at t = 1
     hedged = cpwa.instantiate(cpwa.slack_template(
         g, cpwa.linear_combination([-1.0], [three])), -0.5 * np.ones(3))
-    assert encode_min(hedged, [2.0] * 3).program.vertices.tolist() == \
+    assert function_candidates(hedged, [2.0] * 3).tolist() == \
         [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]
     # a long basket or spread call has a piece that uses two coordinates
-    assert encode_min(cpwa.basket_call([1.0, 1.0, 1.0], 1.0),
-                      [2.0] * 3).program.vertices is None
-    assert encode_min(cpwa.spread_call(3, 0, 1, 1.0),
-                      [2.0] * 3).program.vertices is None
-    # a second short multi-asset term leaves the program to branch and
+    assert function_candidates(cpwa.basket_call([1.0, 1.0, 1.0], 1.0),
+                               [2.0] * 3) is None
+    assert function_candidates(cpwa.spread_call(3, 0, 1, 1.0),
+                               [2.0] * 3) is None
+    # a second short multi-asset term leaves the function to branch and
     # bound
     shorts = cpwa.linear_combination(
         [-1.0, -1.0], [three, cpwa.call_on_max(3, [0, 1, 2], 2.0)])
-    assert encode_min(shorts, [3.0] * 3).program.vertices is None
+    assert function_candidates(shorts, [3.0] * 3) is None
+
+
+def _short_call_on_max_slack(rng, d):
+    """A slack long the assets and calls at random weights, short a call
+    on the max of all d assets, over a random box."""
+    g = [cpwa.asset(d, i) for i in range(d)] + [
+        cpwa.vanilla_call(d, int(rng.integers(d)), float(rng.uniform(0, 5)))
+        for _ in range(d)]
+    f = cpwa.call_on_max(d, list(range(d)), float(rng.uniform(0, 5)))
+    h = cpwa.linear_combination(list(rng.uniform(-2, 2, size=len(g)))
+                                + [-1.0], g + [f])
+    return h, rng.uniform(1, 8, size=d)
+
+
+def test_minimize_over_box_builds_a_program_only_without_candidates(
+        monkeypatch):
+    """minimize_over_box values h at its candidate points and builds no
+    program: it returns no Encoding, and a 0-node result whose values
+    are h plus the offset at their points and whose minimum is branch and
+    bound's.  Where a compiled value fails its check, or h has no
+    candidates (minus a call on the min in d = 3), it returns the
+    Encoding and branch and bound's minimum."""
+    rng = rng_for(408)
+    for trial in range(60):
+        d = 1 + trial % 4
+        if d <= 2:
+            h, box = random_cpwa(rng, d), rng.uniform(1, 8, size=d)
+        else:
+            h, box = _short_call_on_max_slack(rng, d)
+        offset = float(rng.uniform(-5, 5))
+        enc, res = minimize_over_box(h, box, offset)
+        assert enc is None, trial
+        v = res.incumbent_value
+        assert (res.status, res.nodes, res.best_bound) == \
+            ("optimal", 0, v), trial
+        for x, value in res.pool:
+            assert abs(value - (cpwa.evaluate(h, x) + offset)) <= \
+                1e-9 * (1 + abs(value)), trial
+        ref = encode_min(h, box)
+        searched = solve_milp(ref.program, offset=ref.constant + offset)
+        assert abs(v - searched.incumbent_value) <= 1e-7 * (1 + abs(v)), \
+            trial
+
+    def check(h, box, offset):
+        enc, res = minimize_over_box(h, box, offset)
+        assert enc is not None
+        searched = solve_milp(enc.program, offset=enc.constant + offset)
+        assert res.incumbent_value == searched.incumbent_value
+        assert res.nodes == searched.nodes
+        return res.incumbent_value
+
+    # -(min(x0, x1, x2) - 1)^+ has a multi-asset term of each sign; its
+    # minimum over [0, 2]^3 is -1, at (2, 2, 2)
+    h = cpwa.linear_combination([-1.0], [cpwa.call_on_min(3, [0, 1, 2], 1.0)])
+    assert check(h, [2.0] * 3, 0.5) == pytest.approx(-0.5, abs=1e-9)
+    minimize = encoding.CompiledSlack.minimize
+
+    def off(self, y, offset, threshold):
+        res = minimize(self, y, offset, threshold)
+        res.pool = [(x, v + 1e-6) for x, v in res.pool]
+        return res
+
+    monkeypatch.setattr(encoding.CompiledSlack, "minimize", off)
+    for trial in range(20):
+        d = 1 + trial % 4
+        if d <= 2:
+            h, box = random_cpwa(rng, d), rng.uniform(1, 8, size=d)
+        else:
+            h, box = _short_call_on_max_slack(rng, d)
+        v = check(h, box, 0.25)
+        if d <= 2:
+            assert v == pytest.approx(min_oracle(h, box)[0] + 0.25,
+                                      abs=1e-7), trial

@@ -12,7 +12,8 @@ from pricebounds.milp import (INT_TOL, MixedIntegerProgram, MilpOptions,
 from pricebounds.encoding import encode_min, minimize_over_box
 from pricebounds import cpwa
 from conftest import (rng_for, random_cpwa, random_box_instance, min_oracle,
-                      assert_integer_feasible, negative_terms)
+                      assert_integer_feasible, negative_terms,
+                      function_separation)
 
 
 def brute_force(p: MixedIntegerProgram):
@@ -235,12 +236,6 @@ def _plain(p):
     return MixedIntegerProgram(p.base, p.binary_vars)
 
 
-def _searched(p):
-    """p with its completion but without its vertices, which branch and
-    bound solves."""
-    return MixedIntegerProgram(p.base, p.binary_vars, p.complete)
-
-
 def test_completed_search_agrees_with_oracle_and_plain_search():
     """At rel_gap 1e-9 the slack MILPs, searched with their completions,
     agree with the arrangement-vertex oracle and with the search that
@@ -252,7 +247,7 @@ def test_completed_search_agrees_with_oracle_and_plain_search():
         box = rng.uniform(1, 8, size=d)
         h = random_cpwa(rng, d, max_terms=5, max_pieces=4)
         enc = encode_min(h, box)
-        res = solve_milp(_searched(enc.program), offset=enc.constant)
+        res = solve_milp(enc.program, offset=enc.constant)
         plain = solve_milp(_plain(enc.program), MilpOptions(rel_gap=1e-9),
                            offset=enc.constant)
         oracle, _ = min_oracle(h, box)
@@ -283,7 +278,7 @@ def test_loose_gap_brackets_the_minimum_and_pools_feasible_points():
             h = cpwa.instantiate(tmpl, rng.uniform(-2, 2, size=inst.m))
             box = inst.box_array()
         enc = encode_min(h, box)
-        res = solve_milp(_searched(enc.program),
+        res = solve_milp(enc.program,
                          MilpOptions(rel_gap=0.8, pool_threshold=0.7),
                          offset=enc.constant)
         oracle, _ = min_oracle(h, box)
@@ -308,9 +303,7 @@ def test_broken_completion_is_never_accepted(mutation):
     """A completion whose point has a negative delta (its rows still
     hold) or an all-zero iota fails the check: none of its points
     becomes the incumbent or enters the pool, and the search runs as if
-    the program had no completion.  A program that also carries its
-    vertices falls back to that search, and so still finds the oracle's
-    minimum."""
+    the program had no completion."""
     rng = rng_for(308)
     checked = 0
     for trial in range(40):
@@ -340,20 +333,17 @@ def test_broken_completion_is_never_accepted(mutation):
         oracle, _ = min_oracle(h, inst.box_array())
         assert plain.incumbent_value == pytest.approx(
             oracle, abs=1e-7 * (1 + abs(oracle))), trial
-        for vertices in (None, enc.program.vertices):
-            del made[:]
-            p = MixedIntegerProgram(enc.program.base,
-                                    enc.program.binary_vars, broken,
-                                    vertices)
-            res = solve_milp(p, offset=enc.constant)
-            assert made, trial
-            accepted = [res.incumbent] + [x for x, _ in res.pool]
-            assert not any(x is y for x in made for y in accepted), trial
-            for x in accepted:
-                assert_integer_feasible(p, x, int_tol=INT_TOL)
-            assert res.nodes == plain.nodes, trial
-            assert res.incumbent_value == plain.incumbent_value, trial
-            assert np.array_equal(res.incumbent, plain.incumbent), trial
+        p = MixedIntegerProgram(enc.program.base, enc.program.binary_vars,
+                                broken)
+        res = solve_milp(p, offset=enc.constant)
+        assert made, trial
+        accepted = [res.incumbent] + [x for x, _ in res.pool]
+        assert not any(x is y for x in made for y in accepted), trial
+        for x in accepted:
+            assert_integer_feasible(p, x, int_tol=INT_TOL)
+        assert res.nodes == plain.nodes, trial
+        assert res.incumbent_value == plain.incumbent_value, trial
+        assert np.array_equal(res.incumbent, plain.incumbent), trial
         checked += 1
     assert checked > 20
 
@@ -378,14 +368,28 @@ SHAPES = {"function": MilpOptions(),
           "accp": MilpOptions(rel_gap=0.8, pool_threshold=0.7)}
 
 
+def _assert_pool(res, h, box, c, threshold):
+    """Every pool point of res lies in [0, box], its value is h there
+    plus c, and it clears the threshold of the least value; returns the
+    pool's size."""
+    v = res.incumbent_value
+    thr = threshold * v if v < 0 else v
+    for x, value in res.pool:
+        assert ((x >= 0) & (x <= box)).all()
+        assert abs(value - (cpwa.evaluate(h, x) + c)) <= \
+            1e-9 * (1 + abs(value))
+        assert value <= thr + 1e-9 or value <= v + 1e-12
+    return len(res.pool)
+
+
 def test_vertices_give_the_minimum_without_a_search():
-    """In d <= 2 encode_min's program carries its arrangement vertices,
-    and solve_milp takes the minimum over their completions without a
-    node LP.  On random functions and on ECP- and ACCP-shaped slack
-    instantiations the minimum equals the arrangement-vertex oracle and
-    branch and bound on the program without its vertices, the bound
-    equals the incumbent, and every pool point is integer-feasible,
-    priced by the objective and within the pool threshold."""
+    """In d <= 2 a function is separated at its arrangement vertices
+    (minimize_over_box), and the least value there is the minimum,
+    without a node LP.  On random functions and on ECP- and ACCP-shaped
+    slack instantiations, pooled at their thresholds, the minimum equals
+    the arrangement-vertex oracle and branch and bound on the function's
+    program, the bound equals the incumbent, and every pool point lies in
+    the box, is valued at the function and clears the pool threshold."""
     rng = rng_for(310)
     pooled = 0
     for trial in range(150):
@@ -393,25 +397,19 @@ def test_vertices_give_the_minimum_without_a_search():
         shape = list(SHAPES)[trial % 3]
         h, box, c = _slack_instance(rng, d, shape)
         enc = encode_min(h, box)
-        opts, offset = SHAPES[shape], enc.constant + c
-        res = solve_milp(enc.program, opts, offset=offset)
-        ref = solve_milp(_searched(enc.program),
+        opts = SHAPES[shape]
+        res = function_separation(h, box)(c, np.zeros(0),
+                                          opts.pool_threshold)
+        ref = solve_milp(enc.program,
                          MilpOptions(pool_threshold=opts.pool_threshold),
-                         offset=offset)
+                         offset=enc.constant + c)
         oracle, _ = min_oracle(h, box)
         v = res.incumbent_value
         assert (res.status, res.nodes) == ("optimal", 0), trial
         assert abs(v - (oracle + c)) <= 1e-9 * (1 + abs(v)), trial
         assert abs(v - ref.incumbent_value) <= 1e-9 * (1 + abs(v)), trial
         assert res.best_bound == v, trial
-        thr = opts.pool_threshold * v if v < 0 else v
-        for x, value in res.pool:
-            assert_integer_feasible(enc.program, x)
-            assert value == pytest.approx(
-                enc.program.base.objective @ x + offset,
-                abs=1e-9 * (1 + abs(value)))
-            assert value <= thr + 1e-9 or value <= v + 1e-12
-            pooled += 1
+        pooled += _assert_pool(res, h, box, c, opts.pool_threshold)
     assert pooled > 200
 
 
@@ -481,11 +479,12 @@ def _long_target_slack(rng, d):
 
 
 def _assert_solved_at_vertices(make, seed):
-    """Runs 60 trials of make(rng, d) at d = 3..6: each program carries
-    vertices, and solve_milp, at ECP's and ACCP's options, takes its
-    minimum over their completions without a node LP.  The minimum equals
-    branch and bound on the program without them and HiGHS, and every
-    pool point holds the program's rows, bounds and binaries."""
+    """Runs 60 trials of make(rng, d) at d = 3..6: each function has
+    candidate points, and its separation, at ECP's and ACCP's pool
+    thresholds, takes its minimum over them without a node LP.  The
+    minimum equals branch and bound on the function's program and HiGHS,
+    and every pool point lies in the box, is valued at the function and
+    clears the pool threshold."""
     rng = rng_for(seed)
     pooled, searched = 0, 0
     for trial in range(60):
@@ -493,35 +492,31 @@ def _assert_solved_at_vertices(make, seed):
         h, box, c = make(rng, d)
         enc = encode_min(h, box)
         p, offset = enc.program, enc.constant + c
-        assert p.vertices is not None, trial
-        opts = SHAPES[["ecp", "accp"][trial % 2]]
-        res = solve_milp(p, opts, offset=offset)
-        ref = solve_milp(_searched(p), offset=offset)
+        threshold = SHAPES[["ecp", "accp"][trial % 2]].pool_threshold
+        res = function_separation(h, box)(c, np.zeros(0), threshold)
+        assert res is not None, trial
+        ref = solve_milp(p, offset=offset)
         searched += ref.nodes
         v = res.incumbent_value
         assert (res.status, res.nodes) == ("optimal", 0), trial
         assert abs(v - ref.incumbent_value) <= 1e-9 * (1 + abs(v)), trial
         assert abs(v - _highs_minimum(p, offset)) <= 1e-9 * (1 + abs(v)), \
             trial
-        holds = milp_module._checker(
-            p.base, np.array(p.binary_vars, dtype=int))
-        for x, _ in res.pool:
-            assert holds(x), trial
-            pooled += 1
+        pooled += _assert_pool(res, h, box, c, threshold)
     assert pooled > 60 and searched > 20
 
 
 def test_short_targets_are_solved_at_their_minimizers():
-    """In d = 3..6, a slack that is short its only multi-asset term
-    carries the coordinatewise minimizers of its pieces, on which
-    solve_milp finds the minimum without a search."""
+    """In d = 3..6, a slack that is short its only multi-asset term is
+    separated at the coordinatewise minimizers of its pieces, where its
+    minimum lies."""
     _assert_solved_at_vertices(_short_target_slack, 311)
 
 
 def test_long_targets_are_solved_at_their_level_minimizers():
     """In d = 3..6, a slack that is long its only multi-asset term, whose
-    pieces each use one asset, carries the minimizers x(t) of its levels
-    t, on which solve_milp finds the minimum without a search."""
+    pieces each use one asset, is separated at the minimizers x(t) of its
+    levels t, where its minimum lies."""
     _assert_solved_at_vertices(_long_target_slack, 312)
 
 
